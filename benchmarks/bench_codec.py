@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Head-to-head benchmark of the compiled codec kernels vs the fallback.
+"""Microbenchmark of the codec kernel, one layer of the pipeline.
 
-Three workloads, each timed per backend (best of --repeats):
+Three workloads, each timed best of --repeats:
 
   crc        CRC-16 over one large contiguous buffer
   scan/clean frame scanning over a well-formed stream
   scan/dirty frame scanning over a stream salted with garbage and bit rot
 
 Run after installing the package:  python3 benchmarks/bench_codec.py
+End-to-end numbers come from perfbench/run.py.
 """
 
 import argparse
@@ -15,20 +16,7 @@ import random
 import time
 
 from gripstream.core import Side
-from gripstream.protocol import FRAME_SIZE, Frame, encode_frame
-from gripstream.protocol import _codec_py
-
-
-def load_backends():
-    backends = []
-    try:
-        from gripstream.protocol import _codec
-
-        backends.append(("compiled", _codec))
-    except ImportError:
-        print("note: compiled kernel unavailable, benchmarking the fallback alone")
-    backends.append(("pure-python", _codec_py))
-    return backends
+from gripstream.protocol import FRAME_SIZE, Frame, crc16, encode_frame, scan_stream_offsets
 
 
 def random_frames(rng: random.Random, count: int) -> bytes:
@@ -82,27 +70,14 @@ def main() -> int:
           f"clean {len(clean) / 2**20:.2f} MiB ({args.frames} frames), "
           f"dirty {len(dirty) / 2**20:.2f} MiB")
 
-    results: dict[str, dict[str, float]] = {}
-    for name, kernel in load_backends():
-        crc_s = best_time(lambda: kernel.crc16(crc_buf), args.repeats)
-        clean_s = best_time(lambda: kernel.scan_indices(clean), args.repeats)
-        dirty_s = best_time(lambda: kernel.scan_indices(dirty), args.repeats)
-        items, _ = kernel.scan_indices(clean)
-        assert len(items) == args.frames, "scan disagrees with the workload"
-        results[name] = {
-            "crc MB/s": len(crc_buf) / 2**20 / crc_s,
-            "clean kframes/s": args.frames / 1e3 / clean_s,
-            "dirty MB/s": len(dirty) / 2**20 / dirty_s,
-        }
-
-    columns = ["crc MB/s", "clean kframes/s", "dirty MB/s"]
-    print(f"\n{'backend':<14}" + "".join(f"{c:>18}" for c in columns))
-    for name, row in results.items():
-        print(f"{name:<14}" + "".join(f"{row[c]:>18.1f}" for c in columns))
-    if len(results) == 2:
-        fast, slow = results["compiled"], results["pure-python"]
-        print(f"{'speedup':<14}"
-              + "".join(f"{fast[c] / slow[c]:>17.1f}x" for c in columns))
+    crc_s = best_time(lambda: crc16(crc_buf), args.repeats)
+    clean_s = best_time(lambda: scan_stream_offsets(clean), args.repeats)
+    dirty_s = best_time(lambda: scan_stream_offsets(dirty), args.repeats)
+    pairs, _, _ = scan_stream_offsets(clean)
+    assert len(pairs) == args.frames, "scan disagrees with the workload"
+    print(f"crc {len(crc_buf) / 2**20 / crc_s:.2f} MB/s, "
+          f"clean {args.frames / 1e3 / clean_s:.1f} kframes/s, "
+          f"dirty {len(dirty) / 2**20 / dirty_s:.2f} MB/s")
     return 0
 
 

@@ -19,7 +19,7 @@ from gripstream.core import (
 )
 from gripstream.errors import ConfigError, DomainError, GripstreamError
 from gripstream.ingest import Session, SessionBuilder, load_session, record_session
-from gripstream.protocol import Frame, decode_frame, encode_frame, scan_stream
+from gripstream.protocol import Frame, decode_frame, encode_frame, scan_stream_offsets
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,6 @@ __all__ = [
     "force_from_voltage",
     "load_session",
     "record_session",
-    "scan_stream",
+    "scan_stream_offsets",
     "voltage_from_force",
 ]

@@ -14,14 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gripstream.core import (
-    Calibration,
-    ConversionMode,
-    GloveConfig,
-    Hand,
-    SensorLocus,
-    rational_gain,
-)
+from gripstream.core import Calibration, GloveConfig, Hand, SensorLocus, force_from_voltage
 from gripstream.errors import ConfigError, DomainError, GripstreamError
 from gripstream.ingest import SENSOR_IDS, Session
 
@@ -42,23 +35,6 @@ class DegenerateDataError(AnalyticsError):
 
 class UnbalancedDesignError(AnalyticsError):
     """Two-way ANOVA needs a complete table with equal cell sizes."""
-
-
-# ---------------------------------------------------------------------------
-# voltage -> force, vectorized
-
-def _forces_from_mv(voltages_mv, cal: Calibration, cfg: GloveConfig) -> np.ndarray:
-    """Convert a millivolt array to newtons, mirroring force_from_voltage."""
-    v = np.asarray(voltages_mv, dtype=float)
-    bad = np.flatnonzero((v < 0) | (v >= cfg.supply_mv))
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(
-            f"voltage {v[i]:g} mV at sample index {i} outside [0, {cfg.supply_mv:g}) mV"
-        )
-    if cfg.conversion_mode is ConversionMode.LINEAR:
-        return v * cal.anchor_force_n / cal.anchor_voltage_mv
-    return rational_gain(cal, cfg) * v / (cfg.supply_mv - v)
 
 
 @dataclass(frozen=True)
@@ -97,7 +73,7 @@ def sensor_profile(
     if sensor not in session.samples:
         raise AnalyticsError(f"sensor S{sensor} not present in session")
     series = session.samples[sensor]
-    forces = _forces_from_mv([mv for _, mv in series], cal, cfg)
+    forces = force_from_voltage([mv for _, mv in series], cal, cfg)
     return ForceSeries(
         sensor=sensor,
         hand=session.hand,
@@ -151,7 +127,7 @@ def session_mean_force(
         raise AnalyticsError(f"sensor S{sensor} not present in session")
     if not series:
         raise InsufficientDataError(f"sensor S{sensor} has no samples")
-    forces = _forces_from_mv([mv for _, mv in series], cal, cfg)
+    forces = force_from_voltage([mv for _, mv in series], cal, cfg)
     return float(forces.mean())
 
 

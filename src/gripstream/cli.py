@@ -24,15 +24,7 @@ from gripstream.analytics import (
     population_average,
     sensor_profile,
 )
-from gripstream.core import (
-    Calibration,
-    Dominance,
-    GloveConfig,
-    Hand,
-    Side,
-    force_from_voltage,
-    load_config,
-)
+from gripstream.core import Calibration, GloveConfig, Side, force_from_voltage, load_config
 from gripstream.errors import GripstreamError
 from gripstream.ingest import (
     SENSOR_IDS,
@@ -42,16 +34,8 @@ from gripstream.ingest import (
     record_session,
     session_summary,
 )
-from gripstream.simulate import (
-    PRESETS,
-    SessionPlan,
-    WAVEFORMS,
-    condition_gain,
-    emit_frames,
-    encode_session,
-    get_preset,
-    synthesize_session,
-)
+from gripstream.pipeline import capture_plan, session_from_capture
+from gripstream.simulate import PRESETS, WAVEFORMS, SessionPlan, condition_gain, get_preset
 from gripstream.svgplot import render_profile_svg
 
 log = logging.getLogger("gripstream")
@@ -181,10 +165,7 @@ def _cmd_simulate(args) -> int:
         waveform=args.waveform,
     )
     started = _now()
-    trajectories = synthesize_session(plan, cal, cfg)
-    for side, traj in trajectories.items():
-        frames = emit_frames(traj, cal, cfg, side=side)
-        blob = encode_session(frames)
+    for side, blob in capture_plan(plan, cal, cfg).items():
         if args.raw:
             raw_path = Path(args.raw)
             if len(sides) > 1:
@@ -192,15 +173,9 @@ def _cmd_simulate(args) -> int:
             raw_path.write_bytes(blob)
             log.info("wrote %d raw bytes to %s", len(blob), raw_path)
         if args.out:
-            dominance = Dominance.DOMINANT if side is dominant else Dominance.NON_DOMINANT
-            builder = SessionBuilder(
-                subject=args.subject,
-                condition=args.condition,
-                hand=Hand(side=side, dominance=dominance),
-                started_at=started,
-            )
-            builder.feed(blob)
-            manifest = record_session(builder.session(), args.out)
+            session = session_from_capture(blob, side, dominant, args.subject, args.condition,
+                                           started)
+            manifest = record_session(session, args.out)
             print(f"recorded {manifest.meta_path}", file=sys.stderr)
     return 0
 
@@ -229,6 +204,7 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock) -> 
                 while cursor < builder.frames:
                     ts, volts = builder.frame_samples(cursor)
                     for sid in watched:
+                        # one scalar call per sample: a numpy call per frame costs serve more CPU
                         force = force_from_voltage(volts[sid - 1], cal, cfg)
                         for alert in monitor.step(sid, ts, force):
                             with lock:

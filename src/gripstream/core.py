@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from gripstream.errors import ConfigError, DomainError
 
 SENSOR_COUNT = 12
@@ -223,38 +225,53 @@ def rational_gain(cal: Calibration, cfg: GloveConfig) -> float:
     return cal.anchor_force_n * (supply - cal.anchor_voltage_mv) / cal.anchor_voltage_mv
 
 
-def force_from_voltage(v_mv: float, cal: Calibration, cfg: GloveConfig) -> float:
-    """Convert a sensor voltage in millivolts to newtons.
+def _in_domain(x, lo: float, hi: float, hi_closed: bool, what: str, unit: str):
+    """x unchanged if it is a scalar in the domain, else a float array of it.
 
+    The domain is [lo, hi) or, with hi_closed, [lo, hi]; NaN is outside it.
+    """
+    if isinstance(x, (int, float, np.number)):
+        if lo <= x < hi or (hi_closed and x == hi):
+            return x
+        bad, where = x, ""
+    else:
+        a = np.asarray(x, dtype=float)
+        ok = (a >= lo) & ((a <= hi) if hi_closed else (a < hi))
+        if ok.all():
+            return a
+        pos = np.argwhere(~ok)[0]
+        bad = f"{a[tuple(pos)]:g}"
+        where = " at sample index " + ", ".join(str(int(p)) for p in pos)
+    bounds = f"[{lo:g}, {hi:g}{']' if hi_closed else ')'}"
+    raise DomainError(f"{what} {bad} {unit}{where} outside {bounds} {unit}")
+
+
+def force_from_voltage(v_mv, cal: Calibration, cfg: GloveConfig):
+    """Convert sensor voltage in millivolts to newtons.
+
+    Takes a scalar (returns a float) or an array of any shape (returns a
+    float array of that shape); every value must lie in [0, supply_mv).
     LINEAR scales through the anchor point (default 1 N per 150 mV);
     RATIONAL applies f = c*v/(supply_mv - v). Both map 0 to 0 N and the
     anchor voltage exactly to the anchor force.
     """
     supply = cfg.supply_mv
-    if v_mv < 0:
-        raise DomainError(f"voltage must be non-negative, got {v_mv} mV")
-    if v_mv >= supply:
-        raise DomainError(f"voltage must be below the {supply} mV supply, got {v_mv} mV")
+    v = _in_domain(v_mv, 0.0, supply, False, "voltage", "mV")
     if cfg.conversion_mode is ConversionMode.LINEAR:
-        return v_mv * cal.anchor_force_n / cal.anchor_voltage_mv
-    return rational_gain(cal, cfg) * v_mv / (supply - v_mv)
+        return v * cal.anchor_force_n / cal.anchor_voltage_mv
+    return rational_gain(cal, cfg) * v / (supply - v)
 
 
-def voltage_from_force(force_n: float, cal: Calibration, cfg: GloveConfig) -> float:
-    """Inverse of force_from_voltage, in millivolts.
+def voltage_from_force(force_n, cal: Calibration, cfg: GloveConfig):
+    """Inverse of force_from_voltage, in millivolts, for a scalar or an array.
 
     Valid for forces in [0, 2 * anchor_force]; the emulator clamps there too.
     """
-    if force_n < 0:
-        raise DomainError(f"force must be non-negative, got {force_n} N")
-    if force_n > cal.max_force_n:
-        raise DomainError(
-            f"force {force_n} N outside calibrated range [0, {cal.max_force_n}] N"
-        )
+    f = _in_domain(force_n, 0.0, cal.max_force_n, True, "force", "N")
     if cfg.conversion_mode is ConversionMode.LINEAR:
-        return force_n * cal.anchor_voltage_mv / cal.anchor_force_n
+        return f * cal.anchor_voltage_mv / cal.anchor_force_n
     c = rational_gain(cal, cfg)
-    return force_n * cfg.supply_mv / (c + force_n)
+    return f * cfg.supply_mv / (c + f)
 
 
 # --- config file I/O ---------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from gripstream.core import Dominance, Hand, Side, parse_kv_text
 from gripstream.errors import GripstreamError
-from gripstream.protocol import EventKind, StreamEvent, scan_stream_offsets
+from gripstream.protocol import SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets
 
 SENSOR_IDS = tuple(range(1, 13))
 
@@ -117,6 +117,7 @@ class SessionBuilder:
         self._gaps: list[StreamEvent] = []
         self._tail = b""
         self._base = 0  # absolute stream offset of the carried tail's first byte
+        self._in_garbage = False  # the last chunk ended inside a reported garbage run
         self._last_seq: int | None = None
         self._last_ts: int | None = None
         self._seen: set[tuple[int, int]] = set()
@@ -147,6 +148,15 @@ class SessionBuilder:
         """
         buf = self._tail + bytes(data)
         frames, scan_events, remainder = scan_stream_offsets(buf)
+        if buf:
+            last_frame = frames[-1][0] if frames else -1
+            ends_in_garbage = (not remainder and bool(scan_events)
+                               and scan_events[-1].kind is EventKind.SYNC_LOSS
+                               and scan_events[-1].at_byte_offset > last_frame)
+            if self._in_garbage and buf[0] != SYNC_BYTE:
+                # a garbage run that began in an earlier chunk was reported there
+                scan_events = scan_events[1:]
+            self._in_garbage = ends_in_garbage
         events = [replace(ev, at_byte_offset=self._base + ev.at_byte_offset) for ev in scan_events]
         appended = 0
         for off, frame in frames:

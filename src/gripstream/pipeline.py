@@ -9,6 +9,40 @@ from gripstream.ingest import Session, SessionBuilder
 from gripstream.simulate import SessionPlan, emit_frames, encode_session, synthesize_session
 
 
+def capture_plan(
+    plan: SessionPlan,
+    cal: Calibration | None = None,
+    cfg: GloveConfig | None = None,
+) -> dict[Side, bytes]:
+    """Wire bytes per glove for a session plan, as a raw capture would hold them."""
+    cal = cal or Calibration()
+    cfg = cfg or GloveConfig()
+    return {
+        side: encode_session(emit_frames(traj, cal, cfg, side=side))
+        for side, traj in synthesize_session(plan, cal, cfg).items()
+    }
+
+
+def session_from_capture(
+    blob: bytes,
+    side: Side,
+    dominant: Side,
+    subject: str = "anon",
+    condition: str = "quiet",
+    started_at: str = "",
+) -> Session:
+    """Decode one glove's capture into a Session labelled with its hand."""
+    dominance = Dominance.DOMINANT if side is dominant else Dominance.NON_DOMINANT
+    builder = SessionBuilder(
+        subject=subject,
+        condition=condition,
+        hand=Hand(side=side, dominance=dominance),
+        started_at=started_at,
+    )
+    builder.feed(blob)
+    return builder.session()
+
+
 def run_plan(
     plan: SessionPlan,
     subject: str = "anon",
@@ -18,20 +52,7 @@ def run_plan(
     started_at: str = "",
 ) -> dict[Side, Session]:
     """Execute a session plan through the full codec round trip."""
-    cal = cal or Calibration()
-    cfg = cfg or GloveConfig()
-    trajectories = synthesize_session(plan, cal, cfg)
-    sessions: dict[Side, Session] = {}
-    for side, traj in trajectories.items():
-        frames = emit_frames(traj, cal, cfg, side=side)
-        blob = encode_session(frames)
-        dominance = Dominance.DOMINANT if side is plan.dominant else Dominance.NON_DOMINANT
-        builder = SessionBuilder(
-            subject=subject,
-            condition=condition,
-            hand=Hand(side=side, dominance=dominance),
-            started_at=started_at,
-        )
-        builder.feed(blob)
-        sessions[side] = builder.session()
-    return sessions
+    return {
+        side: session_from_capture(blob, side, plan.dominant, subject, condition, started_at)
+        for side, blob in capture_plan(plan, cal, cfg).items()
+    }

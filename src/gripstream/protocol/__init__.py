@@ -17,16 +17,14 @@ At 50 Hz one glove needs 36 * 8 * 50 = 14,400 bps, so a pair fits a
 115,200 bps serial-class link with ample margin.
 
 Decoding never trusts a damaged buffer: a frame is only accepted when sync
-byte, checksum, and field ranges all validate, and scan_stream resynchronizes
-on the next sync byte after any corruption, reporting what it skipped as
-StreamEvents.
+byte, checksum, and field ranges all validate, and scan_stream_offsets
+resynchronizes on the next sync byte after any corruption, reporting what
+it skipped as StreamEvents.
 
-The byte-level kernels (checksum, boundary scan) come from a compiled Cython
-module when available, with a pure-Python fallback; set GRIPSTREAM_PURE=1 to
-force the fallback. kernel_backend() reports which one is active.
+Checksum, encoding, decoding and scanning are plain Python: there is one
+codec kernel and no build step.
 """
 
-import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -34,26 +32,12 @@ from enum import Enum
 from gripstream.core import GloveConfig, Side
 from gripstream.errors import DomainError, GripstreamError
 
-from gripstream.protocol import _codec_py
+SYNC_BYTE = 0xA5
+FRAME_SIZE = 36
+VOLTAGE_LIMIT_MV = 3300
+BATTERY_LIMIT_MV = 4300
 
-if os.environ.get("GRIPSTREAM_PURE"):
-    _kernel = _codec_py
-    _BACKEND = "pure-python"
-else:
-    try:
-        from gripstream.protocol import _codec as _kernel  # type: ignore[no-redef]
-
-        _BACKEND = "compiled"
-    except ImportError:
-        _kernel = _codec_py
-        _BACKEND = "pure-python"
-
-SYNC_BYTE = _codec_py.SYNC_BYTE
-FRAME_SIZE = _codec_py.FRAME_SIZE
-VOLTAGE_LIMIT_MV = _codec_py.VOLTAGE_LIMIT_MV
-BATTERY_LIMIT_MV = _codec_py.BATTERY_LIMIT_MV
-
-GLOVE_BYTE = {Side.LEFT: _codec_py.GLOVE_LEFT_BYTE, Side.RIGHT: _codec_py.GLOVE_RIGHT_BYTE}
+GLOVE_BYTE = {Side.LEFT: 0x4C, Side.RIGHT: 0x52}
 BYTE_GLOVE = {v: k for k, v in GLOVE_BYTE.items()}
 
 _STRUCT = struct.Struct("<BBHIH12HH")
@@ -61,12 +45,33 @@ assert _STRUCT.size == FRAME_SIZE
 
 
 def kernel_backend() -> str:
-    """Name of the active codec kernel: 'compiled' or 'pure-python'."""
-    return _BACKEND
+    """Name of the codec kernel, recorded with benchmark runs."""
+    return "pure-python"
+
+
+def _build_table() -> tuple[int, ...]:
+    # CRC-16/CCITT-FALSE: poly 0x1021, MSB first, init 0xFFFF, no final xor
+    table = []
+    for byte in range(256):
+        crc = byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
+        table.append(crc)
+    return tuple(table)
+
+
+_TABLE = _build_table()
 
 
 def crc16(data, start: int = 0, length: int = -1) -> int:
-    return _kernel.crc16(data, start, length)
+    """CRC-16/CCITT-FALSE over data[start:start+length] (length -1 = to end)."""
+    if length < 0:
+        length = len(data) - start
+    crc = 0xFFFF
+    table = _TABLE
+    for i in range(start, start + length):
+        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ data[i]]
+    return crc
 
 
 class CodecError(GripstreamError):
@@ -157,19 +162,29 @@ def encode_frame(frame: Frame) -> bytes:
         *frame.voltages_mv,
         0,
     )
-    crc = _kernel.crc16(body, 1, 33)
+    crc = crc16(body, 1, 33)
     return body[:34] + crc.to_bytes(2, "little")
 
 
-def _frame_at(buf: bytes, off: int) -> Frame:
-    # caller guarantees the 36 bytes at off passed sync/CRC/field checks
-    fields = _STRUCT.unpack_from(buf, off)
+def _field_error(fields) -> str | None:
+    """Why the unpacked fields of a checksum-valid frame are out of range, or None."""
+    if fields[1] not in BYTE_GLOVE:
+        return f"unknown glove id 0x{fields[1]:02X}"
+    if fields[4] > BATTERY_LIMIT_MV:
+        return f"battery {fields[4]} mV above {BATTERY_LIMIT_MV}"
+    if max(fields[5:17]) >= VOLTAGE_LIMIT_MV:
+        i, v = next((i, v) for i, v in enumerate(fields[5:17]) if v >= VOLTAGE_LIMIT_MV)
+        return f"S{i + 1} voltage {v} mV not below {VOLTAGE_LIMIT_MV}"
+    return None
+
+
+def _frame_of(fields) -> Frame:
     return Frame(
         glove=BYTE_GLOVE[fields[1]],
         seq=fields[2],
         timestamp_ms=fields[3],
         battery_mv=fields[4],
-        voltages_mv=tuple(fields[5:17]),
+        voltages_mv=fields[5:17],
     )
 
 
@@ -186,54 +201,54 @@ def decode_frame(data: bytes) -> Frame:
     if buf[0] != SYNC_BYTE:
         raise SyncLossError(f"expected sync byte 0x{SYNC_BYTE:02X}, got 0x{buf[0]:02X}")
     stored = buf[34] | (buf[35] << 8)
-    computed = _kernel.crc16(buf, 1, 33)
+    computed = crc16(buf, 1, 33)
     if stored != computed:
         raise CrcMismatchError(f"checksum 0x{stored:04X} != computed 0x{computed:04X}")
     fields = _STRUCT.unpack(buf)
-    if fields[1] not in BYTE_GLOVE:
-        raise FrameFormatError(f"unknown glove id 0x{fields[1]:02X}")
-    if fields[4] > BATTERY_LIMIT_MV:
-        raise FrameFormatError(f"battery {fields[4]} mV above {BATTERY_LIMIT_MV}")
-    for i, v in enumerate(fields[5:17]):
-        if v >= VOLTAGE_LIMIT_MV:
-            raise FrameFormatError(f"S{i + 1} voltage {v} mV not below {VOLTAGE_LIMIT_MV}")
-    return _frame_at(buf, 0)
-
-
-_EVENT_FOR_KIND = {
-    _codec_py.KIND_BAD_CRC: EventKind.CRC_MISMATCH,
-    _codec_py.KIND_GARBAGE: EventKind.SYNC_LOSS,
-    _codec_py.KIND_BAD_FIELDS: EventKind.FORMAT_ERROR,
-}
+    problem = _field_error(fields)
+    if problem:
+        raise FrameFormatError(problem)
+    return _frame_of(fields)
 
 
 def scan_stream_offsets(
     buffer,
 ) -> tuple[list[tuple[int, Frame]], list[StreamEvent], bytes]:
-    """Like scan_stream but pairs each frame with its byte offset."""
-    buf = bytes(buffer)
-    items, tail = _kernel.scan_indices(buf)
-    frames: list[tuple[int, Frame]] = []
-    events: list[StreamEvent] = []
-    for kind, off in items:
-        if kind == _codec_py.KIND_FRAME:
-            frames.append((off, _frame_at(buf, off)))
-        else:
-            events.append(StreamEvent(_EVENT_FOR_KIND[kind], off))
-    return frames, events, buf[tail:]
-
-
-def scan_stream(buffer) -> tuple[list[Frame], list[StreamEvent], bytes]:
     """Extract every intact frame from a buffer, resynchronizing past damage.
 
-    Returns (frames, events, remainder). Garbage runs surface as one
+    Returns (frames, events, remainder): frames pairs each decoded Frame
+    with its byte offset in the buffer. Garbage runs surface as one
     SYNC_LOSS event each, failed checksums as CRC_MISMATCH (scan resumes one
     byte later), checksum-valid frames with out-of-range fields as
-    FORMAT_ERROR. The remainder is a trailing partial frame, to be fed back
-    with the next chunk.
+    FORMAT_ERROR (consumed whole). The remainder is a trailing partial
+    frame, to be fed back with the next chunk.
     """
-    frames, events, remainder = scan_stream_offsets(buffer)
-    return [f for _, f in frames], events, remainder
+    buf = bytes(buffer)
+    frames: list[tuple[int, Frame]] = []
+    events: list[StreamEvent] = []
+    n = len(buf)
+    i = 0
+    while i < n:
+        if buf[i] != SYNC_BYTE:
+            events.append(StreamEvent(EventKind.SYNC_LOSS, i))
+            i = buf.find(SYNC_BYTE, i)
+            if i < 0:
+                break
+            continue
+        if n - i < FRAME_SIZE:
+            return frames, events, buf[i:]
+        stored = buf[i + 34] | (buf[i + 35] << 8)
+        if crc16(buf, i + 1, 33) != stored:
+            events.append(StreamEvent(EventKind.CRC_MISMATCH, i))
+            i += 1
+            continue
+        fields = _STRUCT.unpack_from(buf, i)
+        if _field_error(fields):
+            events.append(StreamEvent(EventKind.FORMAT_ERROR, i))
+        else:
+            frames.append((i, _frame_of(fields)))
+        i += FRAME_SIZE
+    return frames, events, b""
 
 
 def required_bandwidth(gloves: int, cfg: GloveConfig) -> float:

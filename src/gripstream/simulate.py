@@ -255,12 +255,10 @@ def emit_frames(
     traj = np.asarray(trajectories, dtype=float)
     if traj.ndim != 2 or traj.shape[0] != 12:
         raise ConfigError(f"trajectories must be shaped (12, n), got {traj.shape}")
+    volts = np.rint(voltage_from_force(traj, cal, cfg)).astype(np.int64).T.tolist()
     frames = []
-    for k in range(traj.shape[1]):
+    for k, row in enumerate(volts):
         ts = round(k * cfg.sample_period_ms)
-        volts = tuple(
-            int(round(voltage_from_force(float(traj[s, k]), cal, cfg))) for s in range(12)
-        )
         battery = int(round(battery_start_mv - battery_drain_mv_per_s * ts / 1000.0))
         battery = min(max(battery, 0), BATTERY_LIMIT_MV)
         frames.append(
@@ -269,7 +267,7 @@ def emit_frames(
                 seq=k & 0xFFFF,
                 timestamp_ms=ts,
                 battery_mv=battery,
-                voltages_mv=volts,
+                voltages_mv=row,
             )
         )
     return frames

@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from gripstream.core import (
@@ -112,6 +114,27 @@ def test_conversion_domain_errors():
         voltage_from_force(-0.5, CAL, CFG)
     with pytest.raises(DomainError):
         voltage_from_force(20.0001, CAL, CFG)
+
+
+@pytest.mark.parametrize("cfg", [CFG, RATIONAL_CFG], ids=["linear", "rational"])
+def test_array_conversion_equals_elementwise(cfg):
+    rng = random.Random(14)
+    volts = [0.0, 1500.0] + [rng.uniform(0.0, 3299.9) for _ in range(98)]
+    forces = force_from_voltage(volts, CAL, cfg)
+    assert forces.tolist() == [force_from_voltage(v, CAL, cfg) for v in volts]
+    grid = np.array([rng.uniform(0.0, CAL.max_force_n) for _ in range(36)]).reshape(12, 3)
+    back = voltage_from_force(grid, CAL, cfg)
+    assert back.shape == (12, 3)
+    assert back.ravel().tolist() == [voltage_from_force(f, CAL, cfg) for f in grid.ravel()]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_conversion_rejects_non_finite(bad):
+    for convert in (force_from_voltage, voltage_from_force):
+        with pytest.raises(DomainError):
+            convert(bad, CAL, CFG)
+        with pytest.raises(DomainError, match="sample index 1"):
+            convert([1.0, bad, 2.0], CAL, CFG)
 
 
 def test_calibration_validation():

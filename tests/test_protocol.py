@@ -20,10 +20,10 @@ from gripstream.protocol import (
     encode_frame,
     kernel_backend,
     required_bandwidth,
-    scan_stream,
     scan_stream_offsets,
 )
 from gripstream.errors import DomainError
+from gripstream.ingest import SessionBuilder
 
 from helpers import frame_run, random_frame, wire
 
@@ -103,10 +103,15 @@ def test_encode_validates_fields():
     assert decode_frame(encode_frame(good)) == good
 
 
+def at_offsets(frames, first: int = 0) -> list:
+    """(offset, frame) pairs for frames laid back to back from `first`."""
+    return [(first + FRAME_SIZE * k, f) for k, f in enumerate(frames)]
+
+
 def test_scan_clean_stream_has_no_events():
     frames = frame_run(random.Random(25), 3)
-    got, events, remainder = scan_stream(wire(frames))
-    assert got == frames
+    pairs, events, remainder = scan_stream_offsets(wire(frames))
+    assert pairs == at_offsets(frames)
     assert events == []
     assert remainder == b""
 
@@ -114,16 +119,16 @@ def test_scan_clean_stream_has_no_events():
 def test_scan_skips_garbage_with_single_event():
     frames = frame_run(random.Random(26), 1)
     blob = b"\x01\x02\x03\x04\x05" + wire(frames)
-    got, events, remainder = scan_stream(blob)
-    assert got == frames
+    pairs, events, remainder = scan_stream_offsets(blob)
+    assert pairs == at_offsets(frames, 5)
     assert events == [StreamEvent(EventKind.SYNC_LOSS, 0)]
     assert remainder == b""
 
 
 def test_scan_reports_trailing_garbage():
     frames = frame_run(random.Random(27), 1)
-    got, events, remainder = scan_stream(wire(frames) + b"zzz")
-    assert got == frames
+    pairs, events, remainder = scan_stream_offsets(wire(frames) + b"zzz")
+    assert pairs == at_offsets(frames)
     assert events == [StreamEvent(EventKind.SYNC_LOSS, 36)]
     assert remainder == b""
 
@@ -131,12 +136,12 @@ def test_scan_reports_trailing_garbage():
 def test_scan_buffers_partial_frame():
     frames = frame_run(random.Random(28), 2)
     blob = wire(frames)
-    got, events, remainder = scan_stream(blob[:50])
-    assert got == frames[:1]
+    pairs, events, remainder = scan_stream_offsets(blob[:50])
+    assert pairs == at_offsets(frames[:1])
     assert events == []
     assert remainder == blob[36:50]
-    got2, events2, remainder2 = scan_stream(remainder + blob[50:])
-    assert got2 == frames[1:]
+    pairs2, events2, remainder2 = scan_stream_offsets(remainder + blob[50:])
+    assert pairs2 == at_offsets(frames[1:])
     assert events2 == []
     assert remainder2 == b""
 
@@ -147,9 +152,9 @@ def test_scan_chunk_split_never_loses_frames():
     blob = wire(frames)
     for _ in range(50):
         cut = rng.randrange(len(blob) + 1)
-        first, events1, rem = scan_stream(blob[:cut])
-        second, events2, rem2 = scan_stream(rem + blob[cut:])
-        assert first + second == frames
+        first, events1, rem = scan_stream_offsets(blob[:cut])
+        second, events2, rem2 = scan_stream_offsets(rem + blob[cut:])
+        assert [f for _, f in first + second] == frames
         assert events1 == events2 == []
         assert rem2 == b""
 
@@ -158,19 +163,17 @@ def test_scan_resyncs_after_crc_damage():
     frames = frame_run(random.Random(30), 3)
     blob = bytearray(wire(frames))
     blob[40] ^= 0xFF  # inside the second frame
-    got, events, remainder = scan_stream(bytes(blob))
+    pairs, events, remainder = scan_stream_offsets(bytes(blob))
     # first and third frames survive; the damaged one surfaces as events
-    assert got[0] == frames[0]
-    assert got[-1] == frames[2]
-    assert len(got) == 2
+    assert pairs == [(0, frames[0]), (72, frames[2])]
     assert any(e.kind is EventKind.CRC_MISMATCH for e in events)
 
 
 def test_scan_consumes_field_invalid_frames_whole():
     frames = frame_run(random.Random(31), 1)
     bad = raw_frame(battery=BATTERY_LIMIT_MV + 100)
-    got, events, remainder = scan_stream(bad + wire(frames))
-    assert got == frames
+    pairs, events, remainder = scan_stream_offsets(bad + wire(frames))
+    assert pairs == at_offsets(frames, 36)
     assert events == [StreamEvent(EventKind.FORMAT_ERROR, 0)]
     assert remainder == b""
 
@@ -190,8 +193,8 @@ def test_single_bit_flips_never_yield_a_different_frame():
         for bit in range(FRAME_SIZE * 8):
             damaged = bytearray(blob)
             damaged[bit // 8] ^= 1 << (bit % 8)
-            got, _, _ = scan_stream(bytes(damaged))
-            assert got == []  # either rejected or buffered, never misread
+            pairs, _, _ = scan_stream_offsets(bytes(damaged))
+            assert pairs == []  # either rejected or buffered, never misread
 
 
 def test_sequence_gap_event_requires_missing_frames():
@@ -212,30 +215,41 @@ def test_required_bandwidth_budget():
 
 
 def test_kernel_backend_reports_selection():
-    assert kernel_backend() in ("compiled", "pure-python")
+    assert kernel_backend() == "pure-python"
 
 
-def test_backends_agree_on_arbitrary_buffers():
-    compiled = pytest.importorskip("gripstream.protocol._codec")
-    from gripstream.protocol import _codec_py as pure
+def random_buffer(rng: random.Random) -> bytes:
+    """Up to 250 bytes mixing valid frames, bit-rotted frames and garbage."""
+    parts = []
+    for _ in range(rng.randrange(6)):
+        roll = rng.random()
+        if roll < 0.5:
+            parts.append(encode_frame(random_frame(rng)))
+        elif roll < 0.8:
+            blob = bytearray(encode_frame(random_frame(rng)))
+            blob[rng.randrange(36)] ^= 1 << rng.randrange(8)
+            parts.append(bytes(blob))
+        else:
+            parts.append(bytes(rng.randrange(256) for _ in range(rng.randrange(30))))
+    return b"".join(parts)[: rng.randrange(250)]
 
+
+def fed(chunks) -> tuple:
+    """What a SessionBuilder makes of the chunks: session, pending bytes, events."""
+    builder = SessionBuilder()
+    for chunk in chunks:
+        builder.feed(chunk)
+    events = sorted(builder.events, key=lambda e: (e.at_byte_offset, e.kind.value))
+    return builder.session(), builder.pending_bytes, events
+
+
+def test_arbitrary_buffers_decode_exactly_and_split_anywhere():
     rng = random.Random(34)
     for _ in range(60):
-        # buffers mixing valid frames, corruption, and garbage
-        parts = []
-        for _ in range(rng.randrange(6)):
-            roll = rng.random()
-            if roll < 0.5:
-                parts.append(encode_frame(random_frame(rng)))
-            elif roll < 0.8:
-                blob = bytearray(encode_frame(random_frame(rng)))
-                blob[rng.randrange(36)] ^= 1 << rng.randrange(8)
-                parts.append(bytes(blob))
-            else:
-                parts.append(bytes(rng.randrange(256) for _ in range(rng.randrange(30))))
-        buf = b"".join(parts)[: rng.randrange(250)]
-        assert compiled.crc16(buf) == pure.crc16(buf)
-        items_c, tail_c = compiled.scan_indices(buf)
-        items_p, tail_p = pure.scan_indices(buf)
-        assert items_c == items_p
-        assert tail_c == tail_p
+        buf = random_buffer(rng)
+        pairs, _, _ = scan_stream_offsets(buf)
+        for off, frame in pairs:
+            assert decode_frame(buf[off : off + FRAME_SIZE]) == frame
+        whole = fed([buf])
+        for cut in range(len(buf) + 1):
+            assert fed([buf[:cut], buf[cut:]]) == whole, f"split at byte {cut}"
