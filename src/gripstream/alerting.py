@@ -14,7 +14,7 @@ event therefore always shows the current state of that episode.
 
 from dataclasses import dataclass
 
-from gripstream.core import Calibration, GloveConfig, Side
+from gripstream.core import Calibration, GloveConfig, Side, force_from_voltage
 from gripstream.errors import ConfigError, GripstreamError
 from gripstream.ingest import SENSOR_IDS, Session
 
@@ -152,14 +152,12 @@ def monitor_session(
 
     Events still open at the end of the session keep cleared=None.
     """
-    from gripstream.analytics import sensor_profile
-
     policy = policy or AlertPolicy()
     monitor = GripMonitor(policy, glove=session.hand.side)
     watched = [sid for sid in SENSOR_IDS if policy.watches(sid)]
-    profiles = {sid: sensor_profile(session, sid, cal, cfg).points for sid in watched}
-    for i in range(session.frame_count):
-        for sid in watched:
-            ts, force = profiles[sid][i]
+    forces = force_from_voltage(session.voltages_mv[:, [sid - 1 for sid in watched]],
+                                cal or Calibration(), cfg or GloveConfig())
+    for ts, row in zip(session.timestamps_ms.tolist(), forces.tolist()):
+        for sid, force in zip(watched, row):
             monitor.step(sid, ts, force)
     return monitor.alerts

@@ -37,28 +37,29 @@ class UnbalancedDesignError(AnalyticsError):
     """Two-way ANOVA needs a complete table with equal cell sizes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForceSeries:
-    """One sensor's force-over-time curve for one session."""
+    """One sensor's force-over-time curve for one session, as two columns."""
 
     sensor: int
     hand: Hand
     condition: str
-    points: tuple[tuple[int, float], ...]
+    timestamps_ms: np.ndarray
+    forces_n: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple((int(t), float(f)) for t, f in self.points))
-        for i, (ts, force) in enumerate(self.points):
-            if force < 0:
-                raise AnalyticsError(f"negative force {force} at point {i}")
-            if i and ts <= self.points[i - 1][0]:
-                raise AnalyticsError(f"timestamps not strictly increasing at point {i}")
-
-    def forces(self) -> np.ndarray:
-        return np.array([f for _, f in self.points], dtype=float)
+    @property
+    def points(self) -> tuple[tuple[int, float], ...]:
+        """(timestamp_ms, force_n) pairs."""
+        return tuple(zip(self.timestamps_ms.tolist(), self.forces_n.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.timestamps_ms)
+
+
+def _sensor_column(session: Session, sensor: int) -> np.ndarray:
+    if sensor not in SENSOR_IDS:
+        raise AnalyticsError(f"sensor S{sensor} not present in session")
+    return session.voltages_mv[:, sensor - 1]
 
 
 def sensor_profile(
@@ -68,17 +69,14 @@ def sensor_profile(
     cfg: GloveConfig | None = None,
 ) -> ForceSeries:
     """Force profile of one sensor; length and ordering preserved."""
-    cal = cal or Calibration()
-    cfg = cfg or GloveConfig()
-    if sensor not in session.samples:
-        raise AnalyticsError(f"sensor S{sensor} not present in session")
-    series = session.samples[sensor]
-    forces = force_from_voltage([mv for _, mv in series], cal, cfg)
+    forces = force_from_voltage(_sensor_column(session, sensor), cal or Calibration(),
+                                cfg or GloveConfig())
     return ForceSeries(
         sensor=sensor,
         hand=session.hand,
         condition=session.condition,
-        points=tuple((ts, float(f)) for (ts, _), f in zip(series, forces)),
+        timestamps_ms=session.timestamps_ms,
+        forces_n=forces,
     )
 
 
@@ -103,7 +101,7 @@ class SeriesStats:
 def aggregate_stats(series) -> SeriesStats:
     """Mean, max, sample sd, and count of a force series or plain values."""
     if isinstance(series, ForceSeries):
-        values = [f for _, f in series.points]
+        values = series.forces_n.tolist()
     else:
         values = [float(v) for v in series]
     n = len(values)
@@ -120,15 +118,12 @@ def session_mean_force(
     cal: Calibration | None = None,
     cfg: GloveConfig | None = None,
 ) -> float:
-    cal = cal or Calibration()
-    cfg = cfg or GloveConfig()
-    series = session.samples.get(sensor)
-    if series is None:
-        raise AnalyticsError(f"sensor S{sensor} not present in session")
-    if not series:
+    column = _sensor_column(session, sensor)
+    if not len(column):
         raise InsufficientDataError(f"sensor S{sensor} has no samples")
-    forces = force_from_voltage([mv for _, mv in series], cal, cfg)
-    return float(forces.mean())
+    # the mean of the sensor's own 1-D column: a row-wise mean of the matrix
+    # would sum in another order and change the last bits
+    return float(force_from_voltage(column, cal or Calibration(), cfg or GloveConfig()).mean())
 
 
 def contribution_shares(
@@ -176,20 +171,20 @@ def population_average(
     if not keys:
         return {}
     keys = [k for k in GROUP_KEYS if k in keys]
+    groups = _observation_groups(sessions, SENSOR_IDS, keys, cal, cfg)
+    return {key: math.fsum(vals) / len(vals) for key, vals in groups.items()}
+
+
+def _observation_groups(sessions, sensors, keys, cal, cfg) -> dict[tuple[str, ...], list[float]]:
+    """Per-(session, sensor) mean forces, the observation unit, grouped by `keys` labels."""
     groups: dict[tuple[str, ...], list[float]] = {}
-    for session in sessions:
-        for sid in SENSOR_IDS:
-            parts = {
-                "hand": session.hand.dominance.value,
-                "sensor": f"S{sid}",
-                "condition": session.condition,
-            }
-            key = tuple(parts[k] for k in keys)
-            groups.setdefault(key, []).append(session_mean_force(session, sid, cal, cfg))
-    return {
-        key: math.fsum(vals) / len(vals)
-        for key, vals in sorted(groups.items(), key=lambda kv: _group_sort_key(kv[0]))
-    }
+    for s in sessions:
+        labels = {"hand": s.hand.dominance.value, "condition": s.condition}
+        for sid in sensors:
+            labels["sensor"] = f"S{sid}"
+            key = tuple(labels[k] for k in keys)
+            groups.setdefault(key, []).append(session_mean_force(s, sid, cal, cfg))
+    return dict(sorted(groups.items(), key=lambda kv: _group_sort_key(kv[0])))
 
 
 def _group_sort_key(key: tuple[str, ...]) -> tuple:
@@ -488,34 +483,16 @@ def anova_from_sessions(
         raise ConfigError("need one or two factors")
     if len(set(factors)) != len(factors):
         raise ConfigError("duplicate factors")
-    sids = list(sensors) if sensors is not None else list(SENSOR_IDS)
-    records = []
-    for session in sessions:
-        for sid in sids:
-            parts = {
-                "hand": session.hand.dominance.value,
-                "sensor": f"S{sid}",
-                "condition": session.condition,
-            }
-            records.append((parts, session_mean_force(session, sid, cal, cfg)))
-    if not records:
+    sensors = SENSOR_IDS if sensors is None else list(sensors)
+    groups = _observation_groups(sessions, sensors, factors, cal, cfg)
+    if not groups:
         raise InsufficientDataError("no observations")
     if len(factors) == 1:
-        key = factors[0]
-        groups: dict[str, list[float]] = {}
-        for parts, value in records:
-            groups.setdefault(parts[key], []).append(value)
-        ordered = sorted(groups, key=lambda lv: _group_sort_key((lv,)))
-        return anova_oneway([groups[lv] for lv in ordered])
-    key_a, key_b = factors
+        return anova_oneway(groups.values())
     table: dict[str, dict[str, list[float]]] = {}
-    for parts, value in records:
-        table.setdefault(parts[key_a], {}).setdefault(parts[key_b], []).append(value)
-    ordered_table = {
-        a: dict(sorted(cells.items(), key=lambda kv: _group_sort_key((kv[0],))))
-        for a, cells in sorted(table.items(), key=lambda kv: _group_sort_key((kv[0],)))
-    }
-    return anova_twoway(ordered_table, factor_a=key_a, factor_b=key_b)
+    for (a, b), values in groups.items():
+        table.setdefault(a, {})[b] = values
+    return anova_twoway(table, factor_a=factors[0], factor_b=factors[1])
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,14 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock) -> 
     monitor = None
     cursor = 0
     watched = [sid for sid in SENSOR_IDS if policy.watches(sid)]
+    lost = None
     try:
         with conn:
             while True:
-                chunk = conn.recv(4096)
+                try:
+                    chunk = conn.recv(4096)
+                except OSError as exc:  # e.g. a reset: record what arrived, then fail
+                    chunk, lost = b"", exc
                 if not chunk:
                     break
                 _, events = builder.feed(chunk)
@@ -222,6 +226,8 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock) -> 
                 f"{summary.gap_count} gap(s), battery {summary.battery_final_mv} mV",
                 file=sys.stderr,
             )
+        if lost is not None:
+            raise lost
     except Exception as exc:  # surfaced after join; threads must not die silently
         with lock:
             failures.append(exc)

@@ -1,26 +1,34 @@
 """Stream ingestion: frame ordering, session recording, and file round trips.
 
 A SessionBuilder owns the decoder state for one glove connection. Bytes go
-in (in arbitrary chunks), ordered per-sensor samples come out; anomalies
-(CRC damage, sequence gaps, duplicates, stale timestamps) are surfaced as
-events rather than exceptions so a live link never kills the recorder.
+in (in arbitrary chunks), ordered frames come out; anomalies (CRC damage,
+sequence gaps, duplicates, stale timestamps) are surfaced as events rather
+than exceptions so a live link never kills the recorder.
 
-Completed sessions are plain value objects. They serialize to one TSV per
-sensor plus a battery trace and a key-value metadata file, and load back
-bit-exact.
+A completed Session keeps one row per frame: timestamp, 12 sensor voltages
+and battery. It serializes to one TSV per sensor plus a battery trace, all
+sharing one timestamp column, and a key-value metadata file, and loads
+back bit-exact.
 """
 
 import csv
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from gripstream.core import Dominance, Hand, Side, parse_kv_text
 from gripstream.errors import GripstreamError
 from gripstream.protocol import SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets
 
 SENSOR_IDS = tuple(range(1, 13))
+_SENSOR_LABELS = tuple(f"S{sid}" for sid in SENSOR_IDS)
 
 _SEQ_MOD = 0x10000
+_TS_MAX = np.iinfo(np.int64).max
+_VALUE_MAX = np.iinfo(np.uint16).max
 
 
 class IngestError(GripstreamError):
@@ -47,41 +55,90 @@ class RecordError(IngestError):
         self.completed = list(completed)
 
 
-@dataclass
-class Session:
-    """One glove's recording: metadata plus ordered per-sensor samples.
+def _exact(values, dtype) -> np.ndarray:
+    """values as an array of dtype; IngestError if a value would wrap or round."""
+    given = np.asarray(values)
+    column = given.astype(dtype, copy=False)
+    if not np.array_equal(column, given):
+        raise IngestError(f"session column holds values outside {np.dtype(dtype).name}")
+    return column
 
-    samples maps sensor id 1..12 to (timestamp_ms, voltage_mv) pairs;
-    battery_trace holds (timestamp_ms, battery_mv); gaps keeps the sequence
-    gap events observed during ingestion.
+
+class _SensorPairs(Mapping):
+    """Sensor id -> (timestamp_ms, voltage_mv) pairs, built on access."""
+
+    def __init__(self, session: "Session"):
+        self._session = session
+
+    def __getitem__(self, sid: int) -> list[tuple[int, int]]:
+        if sid not in SENSOR_IDS:
+            raise KeyError(sid)
+        return list(zip(self._session.timestamps_ms.tolist(),
+                        self._session.voltages_mv[:, sid - 1].tolist()))
+
+    def __iter__(self):
+        return iter(SENSOR_IDS)
+
+    def __len__(self) -> int:
+        return len(SENSOR_IDS)
+
+
+@dataclass(eq=False)
+class Session:
+    """One glove's recording: metadata plus one row per decoded frame.
+
+    timestamps_ms (int64, (n,)) strictly increases; voltages_mv (uint16,
+    (n, 12)) holds S1..S12 and battery_mv (uint16, (n,)) the battery at
+    those times; gaps keeps the sequence gap events seen during ingestion.
+    samples and battery_trace give the same data as (timestamp_ms, value) pairs.
     """
 
     subject: str
     hand: Hand
     condition: str
     started_at: str
-    samples: dict[int, list[tuple[int, int]]]
-    battery_trace: list[tuple[int, int]] = field(default_factory=list)
+    timestamps_ms: np.ndarray
+    voltages_mv: np.ndarray
+    battery_mv: np.ndarray
     gaps: list[StreamEvent] = field(default_factory=list)
 
     def __post_init__(self):
-        missing = [sid for sid in SENSOR_IDS if sid not in self.samples]
-        if missing or len(self.samples) != 12:
-            raise IngestError(f"session must carry all 12 sensors, missing {missing}")
-        for sid in SENSOR_IDS:
-            series = self.samples[sid]
-            for i in range(1, len(series)):
-                if series[i][0] <= series[i - 1][0]:
-                    raise IngestError(
-                        f"sensor S{sid} timestamps not strictly increasing at index {i}"
-                    )
+        self.timestamps_ms = _exact(self.timestamps_ms, np.int64)
+        self.voltages_mv = _exact(self.voltages_mv, np.uint16)
+        self.battery_mv = _exact(self.battery_mv, np.uint16)
+        n = self.timestamps_ms.size
+        shapes = (self.timestamps_ms.shape, self.voltages_mv.shape, self.battery_mv.shape)
+        if shapes != ((n,), (n, len(SENSOR_IDS)), (n,)):
+            raise IngestError(f"timestamp, voltage and battery columns disagree: shapes {shapes}")
+        stalls = np.flatnonzero(np.diff(self.timestamps_ms) <= 0)
+        if stalls.size:
+            raise IngestError(f"timestamps not strictly increasing at index {stalls[0] + 1}")
         for ev in self.gaps:
             if ev.kind is not EventKind.SEQUENCE_GAP:
                 raise IngestError(f"gaps may only hold sequence-gap events, got {ev.kind}")
 
+    def __eq__(self, other):
+        if not isinstance(other, Session):
+            return NotImplemented
+        return (
+            (self.subject, self.hand, self.condition, self.started_at, self.gaps)
+            == (other.subject, other.hand, other.condition, other.started_at, other.gaps)
+            and np.array_equal(self.timestamps_ms, other.timestamps_ms)
+            and np.array_equal(self.voltages_mv, other.voltages_mv)
+            and np.array_equal(self.battery_mv, other.battery_mv)
+        )
+
+    @property
+    def samples(self) -> Mapping[int, list[tuple[int, int]]]:
+        return _SensorPairs(self)
+
+    @property
+    def battery_trace(self) -> list[tuple[int, int]]:
+        return list(zip(self.timestamps_ms.tolist(), self.battery_mv.tolist()))
+
     @property
     def frame_count(self) -> int:
-        return len(self.samples[1])
+        return len(self.timestamps_ms)
 
     @property
     def stem(self) -> str:
@@ -94,8 +151,8 @@ class SessionBuilder:
     Feed byte chunks as they arrive; chunk boundaries are immaterial. The
     builder locks onto the first glove id it sees (or the one given) and
     rejects frames from the other glove, duplicate (seq, timestamp) pairs,
-    and frames whose timestamp does not advance, so the finished session
-    always satisfies the per-sensor ordering invariant.
+    and frames whose timestamp does not advance, so the finished session's
+    timestamps strictly increase. It keeps one list per frame field.
     """
 
     def __init__(
@@ -112,19 +169,18 @@ class SessionBuilder:
         self.dominant_side = dominant_side
         self.started_at = started_at
         self.events: list[StreamEvent] = []
-        self._samples: dict[int, list[tuple[int, int]]] = {sid: [] for sid in SENSOR_IDS}
-        self._battery: list[tuple[int, int]] = []
+        self._ts: list[int] = []
+        self._seq: list[int] = []
+        self._battery: list[int] = []
+        self._mv: list[tuple[int, ...]] = []
         self._gaps: list[StreamEvent] = []
         self._tail = b""
         self._base = 0  # absolute stream offset of the carried tail's first byte
         self._in_garbage = False  # the last chunk ended inside a reported garbage run
-        self._last_seq: int | None = None
-        self._last_ts: int | None = None
-        self._seen: set[tuple[int, int]] = set()
 
     @property
     def frames(self) -> int:
-        return len(self._battery)
+        return len(self._ts)
 
     @property
     def pending_bytes(self) -> int:
@@ -132,13 +188,12 @@ class SessionBuilder:
         return len(self._tail)
 
     def frame_samples(self, index: int) -> tuple[int, tuple[int, ...]]:
-        """Timestamp and the 12 voltages of decoded frame `index`.
+        """Timestamp and the 12 voltages of accepted frame `index`.
 
         Lets a live consumer (e.g. an alert monitor) walk frames as they
         land without snapshotting the whole session after every feed.
         """
-        ts = self._battery[index][0]
-        return ts, tuple(self._samples[sid][index][1] for sid in SENSOR_IDS)
+        return self._ts[index], self._mv[index]
 
     def feed(self, data: bytes) -> tuple[int, list[StreamEvent]]:
         """Consume a chunk; returns (samples appended, events this chunk).
@@ -159,6 +214,7 @@ class SessionBuilder:
             self._in_garbage = ends_in_garbage
         events = [replace(ev, at_byte_offset=self._base + ev.at_byte_offset) for ev in scan_events]
         appended = 0
+        accepted_ts = self._ts
         for off, frame in frames:
             abs_off = self._base + off
             if self.hand is None:
@@ -167,25 +223,24 @@ class SessionBuilder:
             elif frame.glove is not self.hand.side:
                 events.append(StreamEvent(EventKind.FORMAT_ERROR, abs_off))
                 continue
-            key = (frame.seq, frame.timestamp_ms)
-            if key in self._seen:
-                events.append(StreamEvent(EventKind.DUPLICATE_FRAME, abs_off))
+            ts = frame.timestamp_ms
+            if accepted_ts and ts <= accepted_ts[-1]:
+                # accepted timestamps are strictly increasing, so at most one can match
+                i = bisect_left(accepted_ts, ts)
+                replayed = accepted_ts[i] == ts and self._seq[i] == frame.seq
+                kind = EventKind.DUPLICATE_FRAME if replayed else EventKind.OUT_OF_ORDER
+                events.append(StreamEvent(kind, abs_off))
                 continue
-            if self._last_ts is not None and frame.timestamp_ms <= self._last_ts:
-                events.append(StreamEvent(EventKind.OUT_OF_ORDER, abs_off))
-                continue
-            if self._last_seq is not None:
-                missing = (frame.seq - (self._last_seq + 1)) % _SEQ_MOD
+            if self._seq:
+                missing = (frame.seq - (self._seq[-1] + 1)) % _SEQ_MOD
                 if missing:
                     gap = StreamEvent(EventKind.SEQUENCE_GAP, abs_off, missing_count=missing)
                     events.append(gap)
                     self._gaps.append(gap)
-            self._seen.add(key)
-            self._last_seq = frame.seq
-            self._last_ts = frame.timestamp_ms
-            for sid in SENSOR_IDS:
-                self._samples[sid].append((frame.timestamp_ms, frame.voltages_mv[sid - 1]))
-            self._battery.append((frame.timestamp_ms, frame.battery_mv))
+            accepted_ts.append(ts)
+            self._seq.append(frame.seq)
+            self._battery.append(frame.battery_mv)
+            self._mv.append(frame.voltages_mv)
             appended += 12
         self._base += len(buf) - len(remainder)
         self._tail = remainder
@@ -193,18 +248,18 @@ class SessionBuilder:
         return appended, events
 
     def session(self) -> Session:
-        """Snapshot the accumulated samples as an immutable-by-convention value."""
+        """Snapshot the accepted frames as columns of an immutable-by-convention Session."""
         if self.hand is None:
             # nothing decoded yet; an empty session still needs a hand label
-            dom = Dominance.DOMINANT
-            self.hand = Hand(side=self.dominant_side, dominance=dom)
+            self.hand = Hand(side=self.dominant_side, dominance=Dominance.DOMINANT)
         return Session(
             subject=self.subject,
             hand=self.hand,
             condition=self.condition,
             started_at=self.started_at,
-            samples={sid: list(series) for sid, series in self._samples.items()},
-            battery_trace=list(self._battery),
+            timestamps_ms=np.array(self._ts, dtype=np.int64),
+            voltages_mv=np.array(self._mv, dtype=np.uint16).reshape(-1, len(SENSOR_IDS)),
+            battery_mv=np.array(self._battery, dtype=np.uint16),
             gaps=list(self._gaps),
         )
 
@@ -220,36 +275,35 @@ class Manifest:
     line_counts: dict[int, int]
 
 
-def _write_pairs(path: Path, pairs) -> None:
+def _column_paths(directory: Path, stem: str) -> list[Path]:
+    """The files of a session's 12 sensor columns and its battery column, in that order."""
+    return [directory / f"{stem}_{suffix}.tsv" for suffix in [*_SENSOR_LABELS, "battery"]]
+
+
+def _write_tsv(path: Path, timestamps: list[int], values: list[int]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for ts, value in pairs:
-            fh.write(f"{ts}\t{value}\n")
+        fh.write("".join([f"{ts}\t{value}\n" for ts, value in zip(timestamps, values)]))
 
 
 def record_session(session: Session, directory) -> Manifest:
     """Write one TSV per sensor, a battery trace, and a metadata file.
 
     Files are named <subject>_<hand>_<condition>_S<k>.tsv with lines
-    "timestamp_ms<TAB>voltage_mv". The metadata file goes last so its
-    presence marks a complete recording.
+    "timestamp_ms<TAB>voltage_mv". The metadata file is removed first and
+    written last, so its presence marks a complete recording.
     """
     directory = Path(directory)
-    stem = session.stem
+    meta_path = directory / f"{session.stem}_meta.txt"
+    paths = _column_paths(directory, session.stem)
+    columns = np.column_stack([session.voltages_mv, session.battery_mv])
+    timestamps = session.timestamps_ms.tolist()
     completed: list[Path] = []
-    sensor_paths = {}
-    line_counts = {}
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        for sid in SENSOR_IDS:
-            path = directory / f"{stem}_S{sid}.tsv"
-            _write_pairs(path, session.samples[sid])
+        meta_path.unlink(missing_ok=True)
+        for k, path in enumerate(paths):
+            _write_tsv(path, timestamps, columns[:, k].tolist())
             completed.append(path)
-            sensor_paths[sid] = path
-            line_counts[sid] = len(session.samples[sid])
-        battery_path = directory / f"{stem}_battery.tsv"
-        _write_pairs(battery_path, session.battery_trace)
-        completed.append(battery_path)
-        meta_path = directory / f"{stem}_meta.txt"
         lines = [
             f"subject = {session.subject}",
             f"hand = {session.hand.side.value}",
@@ -268,19 +322,20 @@ def record_session(session: Session, directory) -> Manifest:
     return Manifest(
         directory=directory,
         meta_path=meta_path,
-        battery_path=battery_path,
-        sensor_paths=sensor_paths,
-        line_counts=line_counts,
+        battery_path=paths[-1],
+        sensor_paths=dict(zip(SENSOR_IDS, paths)),
+        line_counts={sid: session.frame_count for sid in SENSOR_IDS},
     )
 
 
-def _read_pairs(path: Path, what: str) -> list[tuple[int, int]]:
-    pairs = []
+def _read_tsv(path: Path) -> tuple[list[int], list[int]]:
+    """Timestamp and value columns of one recorded file, checked line by line."""
+    timestamps, values = [], []
     last_ts = None
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise StructureError(f"missing {what} file {path}")
+        raise StructureError(f"missing file {path}")
     for line_no, line in enumerate(text.splitlines(), start=1):
         parts = line.split("\t")
         if len(parts) != 2:
@@ -289,13 +344,14 @@ def _read_pairs(path: Path, what: str) -> list[tuple[int, int]]:
             ts, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(path, line_no, f"non-integer field in {line!r}")
-        if ts < 0 or value < 0:
-            raise ParseError(path, line_no, "negative value")
+        if not (0 <= ts <= _TS_MAX and 0 <= value <= _VALUE_MAX):
+            raise ParseError(path, line_no, f"value out of range in {line!r}")
         if last_ts is not None and ts <= last_ts:
             raise ParseError(path, line_no, f"timestamp {ts} not after {last_ts}")
         last_ts = ts
-        pairs.append((ts, value))
-    return pairs
+        timestamps.append(ts)
+        values.append(value)
+    return timestamps, values
 
 
 def _meta_field(meta: dict, key: str, path: Path) -> str:
@@ -334,24 +390,24 @@ def _load_from_meta(meta_path: Path) -> Session:
                 )
             except ValueError:
                 raise StructureError(f"{meta_path}: bad gap entry {item!r}")
-    directory = meta_path.parent
-    stem = f"{subject}_{side_txt}_{condition}"
-    samples = {}
-    for sid in SENSOR_IDS:
-        pairs = _read_pairs(directory / f"{stem}_S{sid}.tsv", f"sensor S{sid}")
-        if len(pairs) != frames:
-            raise StructureError(
-                f"{directory / f'{stem}_S{sid}.tsv'} has {len(pairs)} lines, metadata says {frames}"
-            )
-        samples[sid] = pairs
-    battery = _read_pairs(directory / f"{stem}_battery.tsv", "battery")
+    timestamps, columns = None, []
+    for path in _column_paths(meta_path.parent, f"{subject}_{side_txt}_{condition}"):
+        ts, values = _read_tsv(path)
+        if len(ts) != frames:
+            raise StructureError(f"{path} has {len(ts)} lines, metadata says {frames}")
+        if timestamps is not None and ts != timestamps:
+            i = next(i for i, (got, want) in enumerate(zip(ts, timestamps)) if got != want)
+            raise ParseError(path, i + 1, f"timestamp {ts[i]} differs from S1's {timestamps[i]}")
+        timestamps = ts
+        columns.append(values)
     return Session(
         subject=subject,
         hand=hand,
         condition=condition,
         started_at=meta.get("started_at", ""),
-        samples=samples,
-        battery_trace=battery,
+        timestamps_ms=timestamps,
+        voltages_mv=np.array(columns[:-1], dtype=np.uint16).T,
+        battery_mv=columns[-1],
         gaps=gaps,
     )
 
@@ -390,7 +446,6 @@ class SessionSummary:
     hand: Hand
     condition: str
     frames: int
-    sample_counts: dict[int, int]
     duration_s: float
     gap_count: int
     missing_frames: int
@@ -401,22 +456,19 @@ class SessionSummary:
 
 def session_summary(session: Session) -> SessionSummary:
     """Counts, duration, and extrema for a session; zeros when empty."""
-    counts = {sid: len(session.samples[sid]) for sid in SENSOR_IDS}
-    all_ts = [ts for series in session.samples.values() for ts, _ in series]
-    all_mv = [mv for series in session.samples.values() for _, mv in series]
-    duration_s = (max(all_ts) - min(all_ts)) / 1000.0 if all_ts else 0.0
+    n = session.frame_count
+    ts, volts = session.timestamps_ms, session.voltages_mv
     return SessionSummary(
         subject=session.subject,
         hand=session.hand,
         condition=session.condition,
-        frames=session.frame_count,
-        sample_counts=counts,
-        duration_s=duration_s,
+        frames=n,
+        duration_s=int(ts[-1] - ts[0]) / 1000.0 if n else 0.0,
         gap_count=len(session.gaps),
         missing_frames=sum(ev.missing_count for ev in session.gaps),
-        min_voltage_mv=min(all_mv) if all_mv else 0,
-        max_voltage_mv=max(all_mv) if all_mv else 0,
-        battery_final_mv=session.battery_trace[-1][1] if session.battery_trace else 0,
+        min_voltage_mv=int(volts.min()) if n else 0,
+        max_voltage_mv=int(volts.max()) if n else 0,
+        battery_final_mv=int(session.battery_mv[-1]) if n else 0,
     )
 
 
@@ -429,22 +481,22 @@ def export_csv(sessions, dest) -> int:
     Rows are ordered by timestamp, then glove, then sensor, so exports are
     deterministic regardless of session order.
     """
-    if isinstance(sessions, Session):
-        sessions = [sessions]
-    rows = []
-    for session in sessions:
-        glove = session.hand.side.value
-        for sid in SENSOR_IDS:
-            rows.extend((ts, glove, sid, mv) for ts, mv in session.samples[sid])
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    sessions = [sessions] if isinstance(sessions, Session) else list(sessions)
+    width = len(SENSOR_IDS)
+    ts = np.concatenate([np.empty(0, np.int64), *(s.timestamps_ms for s in sessions)]).repeat(width)
+    glove = np.repeat([s.hand.side.value for s in sessions], [s.frame_count * width for s in sessions])
+    mv = np.concatenate([np.empty((0, width), np.uint16), *(s.voltages_mv for s in sessions)]).ravel()
+    sensor = np.tile(np.arange(width), len(ts) // width)
+    order = np.lexsort((sensor, glove, ts))  # stable: ties keep session order
+    labels = [_SENSOR_LABELS[k] for k in sensor[order].tolist()]
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for ts, glove, sid, mv in rows:
-            writer.writerow((ts, glove, f"S{sid}", mv))
+        writer.writerows(zip(ts[order].tolist(), glove[order].tolist(), labels,
+                             mv[order].tolist()))
     finally:
         if own:
             fh.close()
-    return len(rows)
+    return len(order)

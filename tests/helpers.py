@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from gripstream.core import Dominance, Hand, Side
 from gripstream.ingest import Session, SessionBuilder
 from gripstream.protocol import BATTERY_LIMIT_MV, VOLTAGE_LIMIT_MV, Frame, encode_frame
@@ -48,3 +50,16 @@ def build_session(frames, subject: str = "anon", condition: str = "quiet",
     )
     builder.feed(wire(frames))
     return builder.session()
+
+
+def mv_session(series_by_sensor, condition: str = "quiet",
+               dominance: Dominance = Dominance.DOMINANT, subject: str = "a",
+               side: Side = Side.RIGHT) -> Session:
+    """Session with the given per-sensor millivolt lists at 20 ms steps; the rest sit at 0."""
+    length = max((len(v) for v in series_by_sensor.values()), default=0)
+    volts = np.zeros((length, 12), dtype=np.uint16)
+    for sid, mvs in series_by_sensor.items():
+        volts[:, sid - 1] = mvs
+    return Session(subject, Hand(side, dominance), condition, "",
+                   timestamps_ms=20 * np.arange(length), voltages_mv=volts,
+                   battery_mv=np.zeros(length))

@@ -26,7 +26,6 @@ from gripstream.core import (
     ConversionMode,
     Dominance,
     GloveConfig,
-    Hand,
     Side,
     divider_voltage,
     force_from_voltage,
@@ -34,7 +33,6 @@ from gripstream.core import (
     voltage_from_force,
 )
 from gripstream.ingest import (
-    Session,
     SessionBuilder,
     load_session,
     record_session,
@@ -52,7 +50,7 @@ from gripstream.simulate import (
     synthesize_session,
 )
 
-from helpers import frame_run, random_frame
+from helpers import frame_run, mv_session, random_frame
 
 
 @pytest.fixture
@@ -270,19 +268,13 @@ def test_08_expert_and_novice_populations_separate(report):
 def test_09_overforce_alert_latency_and_stability(report):
     # ramp: force = (t + 10) / 125 N sampled at 50 Hz, crossing 8 N after 990 ms
     ramp = {7: [int(1.2 * t + 12) for t in range(0, 2000, 20)]}
-    samples = {sid: [(20 * k, ramp.get(sid, [0] * 100)[k]) for k in range(100)]
-               for sid in range(1, 13)}
-    session_ramp = Session("acc", Hand(Side.RIGHT, Dominance.DOMINANT), "quiet", "",
-                           samples)
+    session_ramp = mv_session(ramp, subject="acc")
     alerts = monitor_session(session_ramp, AlertPolicy(threshold_n=8.0, debounce=2))
     onset_ok = len(alerts) == 1 and alerts[0].onset_timestamp_ms <= 1040
 
     # oscillation: one crossing, then values rattling inside the release band
     wobble = [1275, 1275] + [1140 if k % 2 else 1260 for k in range(30)]
-    samples = {sid: [(20 * k, wobble[k] if sid == 3 else 0) for k in range(len(wobble))]
-               for sid in range(1, 13)}
-    session_wobble = Session("acc", Hand(Side.RIGHT, Dominance.DOMINANT), "quiet", "",
-                             samples)
+    session_wobble = mv_session({3: wobble}, subject="acc")
     wobble_alerts = monitor_session(session_wobble,
                                     AlertPolicy(threshold_n=8.0, hysteresis_n=0.5,
                                                 debounce=2))

@@ -13,23 +13,12 @@ from gripstream.alerting import (
 from gripstream.core import (
     Calibration,
     ConfigError,
-    Dominance,
     GloveConfig,
-    Hand,
     Side,
     force_from_voltage,
 )
-from gripstream.ingest import Session
 
-
-def mv_session(series_by_sensor, side=Side.RIGHT):
-    """Session with the given per-sensor millivolt lists; the rest sit at 0."""
-    length = max((len(v) for v in series_by_sensor.values()), default=0)
-    samples = {}
-    for sid in range(1, 13):
-        mvs = series_by_sensor.get(sid, [0] * length)
-        samples[sid] = [(20 * k, mv) for k, mv in enumerate(mvs)]
-    return Session("a", Hand(side, Dominance.DOMINANT), "quiet", "", samples)
+from helpers import mv_session
 
 
 def test_policy_validation():

@@ -32,23 +32,11 @@ from gripstream.core import (
     Dominance,
     DomainError,
     GloveConfig,
-    Hand,
-    Side,
 )
-from gripstream.ingest import Session
+
+from helpers import mv_session
 
 RATIONAL_CFG = GloveConfig(conversion_mode=ConversionMode.RATIONAL)
-
-
-def mv_session(series_by_sensor, condition="quiet", dominance=Dominance.DOMINANT,
-               subject="a", side=Side.RIGHT):
-    """Session with the given per-sensor millivolt lists; the rest sit at 0."""
-    length = max((len(v) for v in series_by_sensor.values()), default=0)
-    samples = {}
-    for sid in range(1, 13):
-        mvs = series_by_sensor.get(sid, [0] * length)
-        samples[sid] = [(20 * k, mv) for k, mv in enumerate(mvs)]
-    return Session(subject, Hand(side, dominance), condition, "", samples)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +63,7 @@ def test_profile_preserves_length_and_is_monotone():
     for cfg in (GloveConfig(), RATIONAL_CFG):
         series = sensor_profile(mv_session({7: mvs}), 7, cfg=cfg)
         assert len(series) == 200
-        forces = series.forces()
+        forces = series.forces_n
         assert np.all(np.diff(forces) > 0)
 
 

@@ -1,5 +1,6 @@
 import io
 import socket
+import struct
 import subprocess
 import sys
 
@@ -288,3 +289,33 @@ def test_serve_ingests_alerts_and_records(tmp_path):
     assert "session live_R_quiet: 50 frames, 0 gap(s)" in stderr
     (session,) = load_sessions(out)
     assert session.subject == "live" and session.frame_count == 50
+
+
+def test_serve_records_what_arrived_before_a_reset(tmp_path):
+    out = tmp_path / "live"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "1",
+         "--subject", "cut", "--threshold", "3", "--sensors", "S4", "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(proc.stderr.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(high_force_blob(duration_s=1.0, seed=9))
+            line = proc.stderr.readline()
+            while line and "ALERT" not in line:
+                line = proc.stderr.readline()
+            assert "ALERT" in line
+            # linger 0: close sends a reset instead of a clean end of stream
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 2, stderr
+    assert "error:" in stderr
+    (session,) = load_sessions(out)
+    assert session.subject == "cut" and session.frame_count > 0

@@ -3,7 +3,10 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gripstream.ingest
 from gripstream.core import Dominance, Hand, Side
 from gripstream.ingest import (
     IngestError,
@@ -18,7 +21,7 @@ from gripstream.ingest import (
     record_session,
     session_summary,
 )
-from gripstream.protocol import EventKind, StreamEvent, encode_frame
+from gripstream.protocol import EventKind, Frame, StreamEvent, encode_frame
 
 from helpers import build_session, frame_run, random_frame, wire
 
@@ -142,18 +145,24 @@ def test_frame_samples_accessor_tracks_feed():
 
 def test_session_invariants_enforced():
     good = build_session(frame_run(random.Random(50), 5))
+
+    def columns(timestamps=good.timestamps_ms, voltages=good.voltages_mv,
+                battery=good.battery_mv, gaps=()):
+        return Session("s", good.hand, "c", "", timestamps, voltages, battery, gaps=list(gaps))
+
+    assert columns().frame_count == 5
     with pytest.raises(IngestError):
-        Session("s", good.hand, "c", "", {1: []})  # missing sensors
-    bad_samples = {sid: list(series) for sid, series in good.samples.items()}
-    bad_samples[3] = [(40, 100), (20, 100)]
+        columns(voltages=good.voltages_mv[:, :11])  # wrong column count
     with pytest.raises(IngestError):
-        Session("s", good.hand, "c", "", bad_samples)
+        columns(voltages=good.voltages_mv[:4])  # columns of unequal length
     with pytest.raises(IngestError):
-        Session(
-            "s", good.hand, "c", "",
-            {sid: [] for sid in range(1, 13)},
-            gaps=[StreamEvent(EventKind.SYNC_LOSS, 0)],
-        )
+        columns(battery=good.battery_mv[:4])
+    with pytest.raises(IngestError):
+        columns(battery=[-1] * 5)  # would wrap to 65535 as uint16
+    with pytest.raises(IngestError):
+        columns(timestamps=[0, 20, 40, 40, 60])  # not strictly increasing
+    with pytest.raises(IngestError):
+        columns(gaps=[StreamEvent(EventKind.SYNC_LOSS, 0)])
 
 
 def test_record_writes_per_sensor_files(tmp_path):
@@ -238,6 +247,19 @@ def test_load_rejects_bad_fields(tmp_path):
     assert "S9" in str(err.value.path)
 
 
+@pytest.mark.parametrize("suffix", ["S5", "battery"])
+def test_load_rejects_disagreeing_timestamps(tmp_path, suffix):
+    session = build_session(frame_run(random.Random(62), 5), subject="m")
+    record_session(session, tmp_path)
+    path = tmp_path / f"m_R_quiet_{suffix}.tsv"
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    path.write_text("".join(f"{int(ts) + 7}\t{value}\n" for ts, value in rows))
+    with pytest.raises(ParseError) as err:
+        load_session(tmp_path)
+    assert err.value.path == path
+    assert err.value.line_no == 1
+
+
 def test_load_rejects_missing_sensor_file(tmp_path):
     session = build_session(frame_run(random.Random(56), 5), subject="m")
     record_session(session, tmp_path)
@@ -276,6 +298,25 @@ def test_record_error_names_completed_files(tmp_path):
     ]
 
 
+def test_failed_rerecord_leaves_no_metadata_behind(tmp_path, monkeypatch):
+    first = build_session(frame_run(random.Random(63), 10), subject="m")
+    second = build_session(frame_run(random.Random(64), 10), subject="m")
+    record_session(first, tmp_path)
+    write = gripstream.ingest._write_tsv
+
+    def failing_at_s7(path, *columns):
+        if path.name.endswith("_S7.tsv"):
+            raise OSError("disk full")
+        write(path, *columns)
+
+    monkeypatch.setattr(gripstream.ingest, "_write_tsv", failing_at_s7)
+    with pytest.raises(RecordError):
+        record_session(second, tmp_path)
+    # S1-S6 hold the second session and S7-S12 the first: nothing may load
+    with pytest.raises(StructureError):
+        load_session(tmp_path)
+
+
 def test_export_csv_is_flat_and_ordered(tmp_path):
     rng = random.Random(61)
     right = build_session(frame_run(rng, 4, glove=Side.RIGHT), subject="x")
@@ -293,3 +334,97 @@ def test_export_csv_is_flat_and_ordered(tmp_path):
     path = tmp_path / "flat.csv"
     export_csv([right, left], path)
     assert path.read_text().splitlines()[0] == lines[0]
+
+
+# ---------------------------------------------------------------------------
+# the builder's ordering rules against a reference model
+
+_LINK_OPS = ("next", "skip", "replay", "same_ts", "stale", "other_glove")
+
+
+@st.composite
+def flaky_links(draw):
+    """Frames as a flaky link delivers them, and the byte positions to cut the wire at."""
+    glove = draw(st.sampled_from([Side.LEFT, Side.RIGHT]))
+    seq = draw(st.sampled_from([0, 0xFFFE]) | st.integers(0, 0xFFFF))
+    ts = draw(st.integers(0, 1000))
+    frames = []
+    for k, op in enumerate(draw(st.lists(st.sampled_from(_LINK_OPS), max_size=40))):
+        volts = tuple((131 * k + 17 * i) % 3300 for i in range(12))
+        if op == "replay" and frames:
+            frames.append(draw(st.sampled_from(frames)))
+            continue
+        if op == "same_ts" and frames:
+            earlier = draw(st.sampled_from(frames))
+            frame_seq = draw(st.sampled_from([earlier.seq, (earlier.seq + 1) & 0xFFFF]))
+            frames.append(Frame(glove, frame_seq, earlier.timestamp_ms, 4000 - k, volts))
+        elif op == "stale":
+            frames.append(Frame(glove, draw(st.integers(0, 0xFFFF)), draw(st.integers(0, ts)),
+                                4000 - k, volts))
+        elif op == "other_glove":
+            other = Side.RIGHT if glove is Side.LEFT else Side.LEFT
+            frames.append(Frame(other, (seq + 1) & 0xFFFF, ts + 1, 4000 - k, volts))
+        else:
+            step = 1 if op != "skip" else draw(st.integers(2, 0x20000))  # may wrap, even to 0
+            seq = (seq + step) & 0xFFFF
+            ts += draw(st.integers(1, 40))
+            frames.append(Frame(glove, seq, ts, 4000 - k, volts))
+    blob = wire(frames)
+    cuts = sorted(draw(st.lists(st.integers(0, len(blob)), max_size=6)))
+    return frames, blob, cuts
+
+
+def reference_ingest(frames):
+    """(events, accepted frames) under the builder's rules, kept with a set of seen frames.
+
+    The first frame fixes the glove; another glove's frame is a format
+    error. A (seq, timestamp) pair already accepted is a duplicate, any
+    other timestamp that does not advance is out of order, and a seq that
+    skips ahead (mod 2**16) is a gap of the skipped count.
+    """
+    side, seen, last = None, set(), None
+    events, accepted = [], []
+    for k, frame in enumerate(frames):
+        offset = 36 * k
+        if side is None:
+            side = frame.glove
+        elif frame.glove is not side:
+            events.append((EventKind.FORMAT_ERROR, offset, 0))
+            continue
+        if (frame.seq, frame.timestamp_ms) in seen:
+            events.append((EventKind.DUPLICATE_FRAME, offset, 0))
+            continue
+        if last is not None and frame.timestamp_ms <= last.timestamp_ms:
+            events.append((EventKind.OUT_OF_ORDER, offset, 0))
+            continue
+        missing = 0 if last is None else (frame.seq - last.seq - 1) % 0x10000
+        if missing:
+            events.append((EventKind.SEQUENCE_GAP, offset, missing))
+        seen.add((frame.seq, frame.timestamp_ms))
+        last = frame
+        accepted.append(frame)
+    return events, accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(flaky_links())
+def test_builder_matches_reference_model_under_any_chunking(link):
+    frames, blob, cuts = link
+    want_events, accepted = reference_ingest(frames)
+    builder = SessionBuilder()
+    appended = 0
+    for lo, hi in zip([0] + cuts, cuts + [len(blob)]):
+        appended += builder.feed(blob[lo:hi])[0]
+    got_events = [(ev.kind, ev.at_byte_offset, ev.missing_count) for ev in builder.events]
+    assert got_events == want_events
+    assert appended == 12 * len(accepted)
+    session = builder.session()
+    assert session.timestamps_ms.tolist() == [f.timestamp_ms for f in accepted]
+    assert session.voltages_mv.tolist() == [list(f.voltages_mv) for f in accepted]
+    assert session.battery_mv.tolist() == [f.battery_mv for f in accepted]
+    assert [(ev.at_byte_offset, ev.missing_count) for ev in session.gaps] == [
+        (offset, missing) for kind, offset, missing in want_events
+        if kind is EventKind.SEQUENCE_GAP
+    ]
+    for i, frame in enumerate(accepted):
+        assert builder.frame_samples(i) == (frame.timestamp_ms, frame.voltages_mv)
