@@ -174,7 +174,7 @@ def _cmd_simulate(args) -> int:
             log.info("wrote %d raw bytes to %s", len(blob), raw_path)
         if args.out:
             session = session_from_capture(blob, side, dominant, args.subject, args.condition,
-                                           started)
+                                           started, cfg)
             manifest = record_session(session, args.out)
             print(f"recorded {manifest.meta_path}", file=sys.stderr)
     return 0
@@ -186,6 +186,7 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock) -> 
         condition=args.condition,
         dominant_side=_parse_side(args.dominant),
         started_at=started,
+        sample_period_ms=cfg.sample_period_ms,
     )
     monitor = None
     cursor = 0
@@ -273,6 +274,7 @@ def _cmd_record(args) -> int:
         condition=args.condition,
         dominant_side=dominant,
         started_at=_now(),
+        sample_period_ms=cfg.sample_period_ms,
     )
     appended, events = builder.feed(data)
     session = builder.session()

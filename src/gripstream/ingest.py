@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gripstream.core import Dominance, Hand, Side, parse_kv_text
+from gripstream.core import Dominance, GloveConfig, Hand, Side, parse_kv_text
 from gripstream.errors import GripstreamError
 from gripstream.protocol import SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets
 
@@ -152,7 +152,10 @@ class SessionBuilder:
     builder locks onto the first glove id it sees (or the one given) and
     rejects frames from the other glove, duplicate (seq, timestamp) pairs,
     and frames whose timestamp does not advance, so the finished session's
-    timestamps strictly increase. It keeps one list per frame field.
+    timestamps strictly increase. A sequence gap counts the frames the
+    16-bit seq skipped, plus 65,536 for each whole wrap that the timestamp
+    step, at sample_period_ms per frame, says went by unseen. It keeps one
+    list per frame field.
     """
 
     def __init__(
@@ -162,12 +165,14 @@ class SessionBuilder:
         hand: Hand | None = None,
         dominant_side: Side = Side.RIGHT,
         started_at: str = "",
+        sample_period_ms: float = GloveConfig().sample_period_ms,
     ):
         self.subject = subject
         self.condition = condition
         self.hand = hand
         self.dominant_side = dominant_side
         self.started_at = started_at
+        self.sample_period_ms = sample_period_ms
         self.events: list[StreamEvent] = []
         self._ts: list[int] = []
         self._seq: list[int] = []
@@ -233,6 +238,9 @@ class SessionBuilder:
                 continue
             if self._seq:
                 missing = (frame.seq - (self._seq[-1] + 1)) % _SEQ_MOD
+                # add the whole wraps the clock says went by (RFC 3550 A.1)
+                elapsed = round((ts - accepted_ts[-1]) / self.sample_period_ms) - 1
+                missing += _SEQ_MOD * max(0, round((elapsed - missing) / _SEQ_MOD))
                 if missing:
                     gap = StreamEvent(EventKind.SEQUENCE_GAP, abs_off, missing_count=missing)
                     events.append(gap)

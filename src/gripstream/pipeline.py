@@ -30,6 +30,7 @@ def session_from_capture(
     subject: str = "anon",
     condition: str = "quiet",
     started_at: str = "",
+    cfg: GloveConfig | None = None,
 ) -> Session:
     """Decode one glove's capture into a Session labelled with its hand."""
     dominance = Dominance.DOMINANT if side is dominant else Dominance.NON_DOMINANT
@@ -38,6 +39,7 @@ def session_from_capture(
         condition=condition,
         hand=Hand(side=side, dominance=dominance),
         started_at=started_at,
+        sample_period_ms=(cfg or GloveConfig()).sample_period_ms,
     )
     builder.feed(blob)
     return builder.session()
@@ -53,6 +55,6 @@ def run_plan(
 ) -> dict[Side, Session]:
     """Execute a session plan through the full codec round trip."""
     return {
-        side: session_from_capture(blob, side, plan.dominant, subject, condition, started_at)
+        side: session_from_capture(blob, side, plan.dominant, subject, condition, started_at, cfg)
         for side, blob in capture_plan(plan, cal, cfg).items()
     }

@@ -21,11 +21,13 @@ byte, checksum, and field ranges all validate, and scan_stream_offsets
 resynchronizes on the next sync byte after any corruption, reporting what
 it skipped as StreamEvents.
 
-Checksum, encoding, decoding and scanning are plain Python: there is one
-codec kernel and no build step.
+The checksum is the standard library's binascii.crc_hqx(data, 0xFFFF),
+which is CRC-16/CCITT-FALSE and runs in C; encoding, decoding and scanning
+are plain Python around it. There is one codec kernel and no build step.
 """
 
 import struct
+from binascii import crc_hqx
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,29 +51,12 @@ def kernel_backend() -> str:
     return "pure-python"
 
 
-def _build_table() -> tuple[int, ...]:
-    # CRC-16/CCITT-FALSE: poly 0x1021, MSB first, init 0xFFFF, no final xor
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_TABLE = _build_table()
-
-
 def crc16(data, start: int = 0, length: int = -1) -> int:
     """CRC-16/CCITT-FALSE over data[start:start+length] (length -1 = to end)."""
-    if length < 0:
-        length = len(data) - start
-    crc = 0xFFFF
-    table = _TABLE
-    for i in range(start, start + length):
-        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ data[i]]
-    return crc
+    end = len(data) if length < 0 else start + length
+    if not 0 <= start <= end <= len(data):
+        raise IndexError(f"CRC range [{start}, {end}) outside {len(data)} bytes")
+    return crc_hqx(data[start:end], 0xFFFF)
 
 
 class CodecError(GripstreamError):
@@ -132,7 +117,7 @@ class Frame:
     voltages_mv: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "voltages_mv", tuple(int(v) for v in self.voltages_mv))
+        object.__setattr__(self, "voltages_mv", tuple(map(int, self.voltages_mv)))
 
     def validate(self) -> None:
         if not isinstance(self.glove, Side):
@@ -162,8 +147,7 @@ def encode_frame(frame: Frame) -> bytes:
         *frame.voltages_mv,
         0,
     )
-    crc = crc16(body, 1, 33)
-    return body[:34] + crc.to_bytes(2, "little")
+    return body[:34] + crc_hqx(body[1:34], 0xFFFF).to_bytes(2, "little")
 
 
 def _field_error(fields) -> str | None:
@@ -201,7 +185,7 @@ def decode_frame(data: bytes) -> Frame:
     if buf[0] != SYNC_BYTE:
         raise SyncLossError(f"expected sync byte 0x{SYNC_BYTE:02X}, got 0x{buf[0]:02X}")
     stored = buf[34] | (buf[35] << 8)
-    computed = crc16(buf, 1, 33)
+    computed = crc_hqx(buf[1:34], 0xFFFF)
     if stored != computed:
         raise CrcMismatchError(f"checksum 0x{stored:04X} != computed 0x{computed:04X}")
     fields = _STRUCT.unpack(buf)
@@ -238,7 +222,7 @@ def scan_stream_offsets(
         if n - i < FRAME_SIZE:
             return frames, events, buf[i:]
         stored = buf[i + 34] | (buf[i + 35] << 8)
-        if crc16(buf, i + 1, 33) != stored:
+        if crc_hqx(buf[i + 1:i + 34], 0xFFFF) != stored:
             events.append(StreamEvent(EventKind.CRC_MISMATCH, i))
             i += 1
             continue

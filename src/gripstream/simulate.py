@@ -12,7 +12,6 @@ PCG64 seeded via SeedSequence([seed, glove_index]) and spawned once per
 sensor, so trajectories are reproducible and independent per channel.
 """
 
-import io
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -256,21 +255,16 @@ def emit_frames(
     if traj.ndim != 2 or traj.shape[0] != 12:
         raise ConfigError(f"trajectories must be shaped (12, n), got {traj.shape}")
     volts = np.rint(voltage_from_force(traj, cal, cfg)).astype(np.int64).T.tolist()
-    frames = []
-    for k, row in enumerate(volts):
-        ts = round(k * cfg.sample_period_ms)
-        battery = int(round(battery_start_mv - battery_drain_mv_per_s * ts / 1000.0))
-        battery = min(max(battery, 0), BATTERY_LIMIT_MV)
-        frames.append(
-            Frame(
-                glove=side,
-                seq=k & 0xFFFF,
-                timestamp_ms=ts,
-                battery_mv=battery,
-                voltages_mv=row,
-            )
-        )
-    return frames
+    k = np.arange(len(volts))
+    # np.rint rounds half to even, as round() does
+    ts = np.rint(k * cfg.sample_period_ms)
+    battery = np.clip(np.rint(battery_start_mv - battery_drain_mv_per_s * ts / 1000.0),
+                      0, BATTERY_LIMIT_MV)
+    return [
+        Frame(side, seq, t, b, row)
+        for seq, t, b, row in zip((k & 0xFFFF).tolist(), ts.astype(np.int64).tolist(),
+                                  battery.astype(np.int64).tolist(), volts)
+    ]
 
 
 @dataclass
@@ -331,9 +325,7 @@ def stream_session(frames, sink, pace: str = PACE_FAST) -> EmissionReport:
 
 def encode_session(frames) -> bytes:
     """Concatenated wire bytes for a frame sequence (file capture form)."""
-    buf = io.BytesIO()
-    stream_session(frames, buf, PACE_FAST)
-    return buf.getvalue()
+    return b"".join(map(encode_frame, frames))
 
 
 def load_plan_file(path: str | Path) -> dict[str, str]:

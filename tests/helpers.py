@@ -9,6 +9,30 @@ from gripstream.ingest import Session, SessionBuilder
 from gripstream.protocol import BATTERY_LIMIT_MV, VOLTAGE_LIMIT_MV, Frame, encode_frame
 
 
+def _crc_table() -> tuple[int, ...]:
+    # CRC-16/CCITT-FALSE: poly 0x1021, MSB first, init 0xFFFF, no final xor
+    table = []
+    for byte in range(256):
+        crc = byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
+        table.append(crc)
+    return tuple(table)
+
+
+_CRC_TABLE = _crc_table()
+
+
+def reference_crc16(data, start: int = 0, length: int = -1) -> int:
+    """Table-driven CRC-16/CCITT-FALSE (Sarwate, CACM 31(8), 1988), the oracle for crc16."""
+    if length < 0:
+        length = len(data) - start
+    crc = 0xFFFF
+    for i in range(start, start + length):
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ data[i]]
+    return crc
+
+
 def random_frame(rng: random.Random, glove: Side | None = None, seq: int | None = None,
                  timestamp_ms: int | None = None) -> Frame:
     return Frame(

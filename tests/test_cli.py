@@ -8,8 +8,9 @@ import pytest
 
 from gripstream.analytics import anova_from_sessions
 from gripstream.cli import main
-from gripstream.core import Calibration, Dominance, GloveConfig, Side
+from gripstream.core import Calibration, Dominance, GloveConfig, Side, save_config
 from gripstream.ingest import load_sessions
+from gripstream.protocol import Frame, encode_frame
 from gripstream.simulate import (
     SessionPlan,
     emit_frames,
@@ -134,6 +135,20 @@ def test_record_reads_stdin_and_reports_partial_tail(tmp_path, capsys, monkeypat
     assert "25 frames" in err and "20 byte(s) of trailing partial frame" in err
     (session,) = load_sessions(out)
     assert session.frame_count == 25
+
+
+def test_record_counts_an_outage_in_the_configured_sample_period(tmp_path, capsys):
+    # 65,536 frames missing at 10 ms: the seq steps by one, the clock by 655,370 ms
+    before = Frame(Side.RIGHT, 9, 0, 4000, (0,) * 12)
+    after = Frame(Side.RIGHT, 10, 10 * 65537, 4000, (0,) * 12)
+    raw = tmp_path / "cap.bin"
+    raw.write_bytes(encode_frame(before) + encode_frame(after))
+    config = tmp_path / "glove.cfg"
+    save_config(config, GloveConfig(sample_period_ms=10.0), Calibration())
+    out = tmp_path / "rec"
+    assert main(["record", "--in", str(raw), "--out", str(out), "--config", str(config)]) == 0
+    (session,) = load_sessions(out)
+    assert [ev.missing_count for ev in session.gaps] == [65536]
 
 
 # ---------------------------------------------------------------------------

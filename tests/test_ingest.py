@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gripstream.ingest
-from gripstream.core import Dominance, Hand, Side
+from gripstream.core import Dominance, GloveConfig, Hand, Side
 from gripstream.ingest import (
     IngestError,
     ParseError,
@@ -21,6 +21,7 @@ from gripstream.ingest import (
     record_session,
     session_summary,
 )
+from gripstream.pipeline import session_from_capture
 from gripstream.protocol import EventKind, Frame, StreamEvent, encode_frame
 
 from helpers import build_session, frame_run, random_frame, wire
@@ -85,6 +86,33 @@ def test_sequence_gap_across_wrap_counts_missing():
     _, events = builder.feed(wire(frames))
     gaps = [e for e in events if e.kind is EventKind.SEQUENCE_GAP]
     assert len(gaps) == 1 and gaps[0].missing_count == 2  # 65535 and 0 never arrived
+
+
+def outage(missing: int, period_ms: int = 20) -> bytes:
+    """Two frames with `missing` frames between them, in seq and in time."""
+    rng = random.Random(missing)
+    return wire([
+        random_frame(rng, glove=Side.LEFT, seq=5, timestamp_ms=100),
+        random_frame(rng, glove=Side.LEFT, seq=(5 + missing + 1) & 0xFFFF,
+                     timestamp_ms=100 + period_ms * (missing + 1)),
+    ])
+
+
+@pytest.mark.parametrize("missing", [1, 65535, 65536, 65537, 70000, 3 * 65536 + 5])
+def test_long_outage_counts_every_missing_frame(missing):
+    # the 16-bit seq alone reads 65,536 missing as none and 70,000 as 4,464
+    builder = SessionBuilder()
+    _, events = builder.feed(outage(missing))
+    assert [(e.kind, e.missing_count) for e in events] == [(EventKind.SEQUENCE_GAP, missing)]
+
+
+def test_outage_is_measured_in_the_configured_sample_period():
+    blob = outage(65536, period_ms=10)
+    # at the default 20 ms the same clock step spans half a wrap: no frame is missing
+    assert session_from_capture(blob, Side.LEFT, Side.LEFT).gaps == []
+    session = session_from_capture(blob, Side.LEFT, Side.LEFT,
+                                   cfg=GloveConfig(sample_period_ms=10.0))
+    assert [ev.missing_count for ev in session.gaps] == [65536]
 
 
 def test_stale_timestamp_dropped():
@@ -428,3 +456,79 @@ def test_builder_matches_reference_model_under_any_chunking(link):
     ]
     for i, frame in enumerate(accepted):
         assert builder.frame_samples(i) == (frame.timestamp_ms, frame.voltages_mv)
+
+
+# ---------------------------------------------------------------------------
+# damaged links: what arrives is what was sent, and every lost frame is counted
+
+_DAMAGE_OPS = ("send", "drop", "duplicate", "flip", "garbage")
+
+
+@st.composite
+def damaged_links(draw, ops=_DAMAGE_OPS):
+    """A glove's frames at 20 ms, damaged on the way, and where to cut the wire.
+
+    Returns (sent, blob, cuts, delivered): sent maps each frame's position in
+    the glove's unbroken run, which counts one outage of 65,536 frames or
+    more when drawn, to its Frame; delivered lists the positions whose frame
+    reached the wire intact at least once, in wire order.
+    """
+    seq0 = draw(st.integers(0, 0xFFFF))
+    long_outage = draw(st.none() | st.integers(0x10000, 4 * 0x10000))
+    plan = draw(st.lists(st.sampled_from(ops), min_size=1, max_size=30))
+    at = draw(st.integers(0, len(plan)))
+    sent, parts, delivered = {}, [], []
+    pos = 0
+    for k, op in enumerate(plan):
+        if k == at and long_outage is not None:
+            pos += long_outage
+        volts = tuple(draw(st.lists(st.integers(0, 3299), min_size=12, max_size=12)))
+        frame = Frame(Side.RIGHT, (seq0 + pos) & 0xFFFF, 20 * pos, 4000 - k, volts)
+        sent[pos] = frame
+        blob = encode_frame(frame)
+        if op == "garbage":
+            parts.append(draw(st.binary(min_size=1, max_size=50)))
+        if op == "flip":
+            damaged = bytearray(blob)
+            # CRC-16/CCITT detects any 3 bit errors at this length
+            for bit in draw(st.sets(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3)):
+                damaged[bit // 8] ^= 1 << (bit % 8)
+            parts.append(bytes(damaged))
+        elif op != "drop":
+            parts.append(blob * (2 if op == "duplicate" else 1))
+            delivered.append(pos)
+        pos += 1
+    blob = b"".join(parts)
+    cuts = sorted(draw(st.lists(st.integers(0, len(blob)), max_size=6)))
+    return sent, blob, cuts, delivered
+
+
+def fed_in_pieces(blob, cuts) -> SessionBuilder:
+    builder = SessionBuilder()
+    for lo, hi in zip([0] + cuts, cuts + [len(blob)]):
+        builder.feed(blob[lo:hi])
+    return builder
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_links())
+def test_corruption_never_yields_a_frame_that_was_not_sent(link):
+    sent, blob, cuts, _ = link
+    builder = fed_in_pieces(blob, cuts)
+    session = builder.session()
+    by_time = {frame.timestamp_ms: frame for frame in sent.values()}
+    for ts, volts, battery in zip(session.timestamps_ms.tolist(), session.voltages_mv.tolist(),
+                                  session.battery_mv.tolist()):
+        frame = by_time[ts]
+        assert (volts, battery) == (list(frame.voltages_mv), frame.battery_mv)
+    assert builder.frames == len(session.timestamps_ms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_links(ops=("send", "drop", "duplicate")))
+def test_gap_totals_equal_the_frames_dropped(link):
+    sent, blob, cuts, delivered = link
+    session = fed_in_pieces(blob, cuts).session()
+    assert session.timestamps_ms.tolist() == [sent[pos].timestamp_ms for pos in delivered]
+    dropped = delivered[-1] - delivered[0] + 1 - len(delivered) if delivered else 0
+    assert sum(ev.missing_count for ev in session.gaps) == dropped

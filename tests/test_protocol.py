@@ -2,6 +2,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gripstream.core import GloveConfig, Side
 from gripstream.protocol import (
@@ -25,7 +27,7 @@ from gripstream.protocol import (
 from gripstream.errors import DomainError
 from gripstream.ingest import SessionBuilder
 
-from helpers import frame_run, random_frame, wire
+from helpers import frame_run, random_frame, reference_crc16, wire
 
 
 def raw_frame(glove_byte=0x52, seq=0, ts=0, battery=4200, voltages=(0,) * 12) -> bytes:
@@ -45,6 +47,31 @@ def test_crc_range_arguments():
     data = b"xx123456789yy"
     assert crc16(data, 2, 9) == 0x29B1
     assert crc16(data, 2) == crc16(data[2:])
+    for start, length in ((2, 12), (14, -1), (-1, 3)):
+        with pytest.raises(IndexError):
+            crc16(data, start, length)
+
+
+@given(st.integers(0, 80), st.sampled_from([bytes, bytearray, memoryview]), st.data())
+def test_crc_equals_table_driven_reference(size, kind, data):
+    payload = data.draw(st.binary(min_size=size, max_size=size), label="payload")
+    start = data.draw(st.integers(0, len(payload)), label="start")
+    length = data.draw(st.integers(-1, len(payload) - start), label="length")
+    assert crc16(kind(payload), start, length) == reference_crc16(payload, start, length)
+
+
+def test_documented_example_frame_is_byte_exact():
+    # the example in docs/protocol.md, CRC 0x2267 in its last two bytes
+    frame = Frame(Side.RIGHT, 7, 140, 4187,
+                  (1500, 1482, 1519, 1497, 1503, 1488, 760, 745, 770, 752, 381, 368))
+    blob = bytes.fromhex(
+        "a5 52 07 00 8c 00 00 00 5b 10 dc 05"
+        "ca 05 ef 05 d9 05 df 05 d0 05 f8 02"
+        "e9 02 02 03 f0 02 7d 01 70 01 67 22"
+    )
+    assert encode_frame(frame) == blob
+    assert decode_frame(blob) == frame
+    assert crc16(blob, 1, 33) == reference_crc16(blob, 1, 33) == 0x2267
 
 
 def test_frame_wire_size_and_round_trip():

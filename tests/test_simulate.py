@@ -158,6 +158,25 @@ def test_emit_frames_quantization_and_cadence():
     assert frames[-1].battery_mv == 4190
 
 
+@pytest.mark.parametrize("period_ms, drain_mv_per_s", [
+    (2.5, 250.0),  # .5 ties in both the timestamp and the battery
+    (16.6667, 1.0),
+    (20.0, -300.0),  # charges past the battery limit
+    (7.5, 9000.0),  # drains to zero
+])
+def test_emit_frames_columns_match_per_frame_rounding(period_ms, drain_mv_per_s):
+    cfg = GloveConfig(sample_period_ms=period_ms)
+    frames = emit_frames(np.zeros((12, 66_000)), CAL, cfg, battery_drain_mv_per_s=drain_mv_per_s)
+    want = []
+    for k in range(66_000):
+        ts = round(k * period_ms)
+        battery = min(max(round(4200 - drain_mv_per_s * ts / 1000.0), 0), 4300)
+        want.append((k % 65536, ts, battery))
+    got = [(f.seq, f.timestamp_ms, f.battery_mv) for f in frames]
+    assert got == want
+    assert {type(v) for row in got for v in row} == {int}
+
+
 def test_emit_frames_rejects_bad_shape():
     with pytest.raises(ConfigError):
         emit_frames(np.zeros((11, 4)), CAL, CFG)
