@@ -15,22 +15,16 @@ import argparse
 import random
 import time
 
+import numpy as np
+
 from gripstream.core import Side
-from gripstream.protocol import FRAME_SIZE, Frame, crc16, encode_frame, scan_stream_offsets
+from gripstream.protocol import FRAME_SIZE, crc16, encode_records, scan_stream_offsets
 
 
 def random_frames(rng: random.Random, count: int) -> bytes:
-    out = bytearray()
-    for k in range(count):
-        frame = Frame(
-            glove=Side.RIGHT,
-            seq=k & 0xFFFF,
-            timestamp_ms=20 * k,
-            battery_mv=4200,
-            voltages_mv=tuple(rng.randrange(0, 3300) for _ in range(12)),
-        )
-        out += encode_frame(frame)
-    return bytes(out)
+    volts = [[rng.randrange(0, 3300) for _ in range(12)] for _ in range(count)]
+    k = np.arange(count)
+    return encode_records(Side.RIGHT, k & 0xFFFF, 20 * k, np.full(count, 4200), volts).tobytes()
 
 
 def salt_stream(clean: bytes, rng: random.Random) -> bytes:

@@ -180,7 +180,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock) -> None:
+def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock, stems) -> None:
     builder = SessionBuilder(
         subject=args.subject,
         condition=args.condition,
@@ -217,7 +217,11 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock) -> 
                     cursor += 1
         session = builder.session()
         summary = session_summary(session)
-        if args.out:
+        with lock:
+            # a second connection of one glove would overwrite the first one's files
+            taken = bool(args.out) and session.stem in stems
+            stems.add(session.stem)
+        if args.out and not taken:
             manifest = record_session(session, args.out)
             with lock:
                 print(f"recorded {manifest.meta_path}", file=sys.stderr)
@@ -227,6 +231,9 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock) -> 
                 f"{summary.gap_count} gap(s), battery {summary.battery_final_mv} mV",
                 file=sys.stderr,
             )
+        if taken:
+            raise GripstreamError(f"session {session.stem} already came from another connection; "
+                                  f"these {summary.frames} frames were not recorded")
         if lost is not None:
             raise lost
     except Exception as exc:  # surfaced after join; threads must not die silently
@@ -245,13 +252,14 @@ def _cmd_serve(args) -> int:
         print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
         lock = threading.Lock()
         failures: list[Exception] = []
+        stems: set[str] = set()
         threads = []
         for _ in range(args.sessions):
             conn, addr = server.accept()
             log.info("connection from %s:%d", *addr)
             t = threading.Thread(
                 target=_serve_connection,
-                args=(conn, args, cfg, cal, policy, _now(), failures, lock),
+                args=(conn, args, cfg, cal, policy, _now(), failures, lock, stems),
             )
             t.start()
             threads.append(t)

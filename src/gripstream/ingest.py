@@ -12,6 +12,7 @@ back bit-exact.
 """
 
 import csv
+from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -21,7 +22,8 @@ import numpy as np
 
 from gripstream.core import Dominance, GloveConfig, Hand, Side, parse_kv_text
 from gripstream.errors import GripstreamError
-from gripstream.protocol import SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets
+from gripstream.protocol import (BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT, SYNC_BYTE,
+                                 EventKind, StreamEvent, scan_stream_offsets)
 
 SENSOR_IDS = tuple(range(1, 13))
 _SENSOR_LABELS = tuple(f"S{sid}" for sid in SENSOR_IDS)
@@ -154,8 +156,8 @@ class SessionBuilder:
     and frames whose timestamp does not advance, so the finished session's
     timestamps strictly increase. A sequence gap counts the frames the
     16-bit seq skipped, plus 65,536 for each whole wrap that the timestamp
-    step, at sample_period_ms per frame, says went by unseen. It keeps one
-    list per frame field.
+    step, at sample_period_ms per frame, says went by unseen. It keeps each
+    accepted frame's 36 wire bytes, plus its timestamp for the ordering rules.
     """
 
     def __init__(
@@ -174,10 +176,9 @@ class SessionBuilder:
         self.started_at = started_at
         self.sample_period_ms = sample_period_ms
         self.events: list[StreamEvent] = []
-        self._ts: list[int] = []
-        self._seq: list[int] = []
-        self._battery: list[int] = []
-        self._mv: list[tuple[int, ...]] = []
+        self._records = bytearray()  # accepted frames back to back, FRAME_DTYPE rows
+        self._ts = array("q")
+        self._last_seq = 0
         self._gaps: list[StreamEvent] = []
         self._tail = b""
         self._base = 0  # absolute stream offset of the carried tail's first byte
@@ -198,7 +199,8 @@ class SessionBuilder:
         Lets a live consumer (e.g. an alert monitor) walk frames as they
         land without snapshotting the whole session after every feed.
         """
-        return self._ts[index], self._mv[index]
+        fields = FRAME_STRUCT.unpack_from(self._records, FRAME_SIZE * range(self.frames)[index])
+        return fields[3], fields[5:17]
 
     def feed(self, data: bytes) -> tuple[int, list[StreamEvent]]:
         """Consume a chunk; returns (samples appended, events this chunk).
@@ -220,24 +222,25 @@ class SessionBuilder:
         events = [replace(ev, at_byte_offset=self._base + ev.at_byte_offset) for ev in scan_events]
         appended = 0
         accepted_ts = self._ts
-        for off, frame in frames:
+        for off, fields in frames:
             abs_off = self._base + off
+            glove, seq, ts = BYTE_GLOVE[fields[1]], fields[2], fields[3]
             if self.hand is None:
-                dom = Dominance.DOMINANT if frame.glove is self.dominant_side else Dominance.NON_DOMINANT
-                self.hand = Hand(side=frame.glove, dominance=dom)
-            elif frame.glove is not self.hand.side:
+                dom = Dominance.DOMINANT if glove is self.dominant_side else Dominance.NON_DOMINANT
+                self.hand = Hand(side=glove, dominance=dom)
+            elif glove is not self.hand.side:
                 events.append(StreamEvent(EventKind.FORMAT_ERROR, abs_off))
                 continue
-            ts = frame.timestamp_ms
             if accepted_ts and ts <= accepted_ts[-1]:
                 # accepted timestamps are strictly increasing, so at most one can match
                 i = bisect_left(accepted_ts, ts)
-                replayed = accepted_ts[i] == ts and self._seq[i] == frame.seq
+                replayed = (accepted_ts[i] == ts
+                            and FRAME_STRUCT.unpack_from(self._records, FRAME_SIZE * i)[2] == seq)
                 kind = EventKind.DUPLICATE_FRAME if replayed else EventKind.OUT_OF_ORDER
                 events.append(StreamEvent(kind, abs_off))
                 continue
-            if self._seq:
-                missing = (frame.seq - (self._seq[-1] + 1)) % _SEQ_MOD
+            if accepted_ts:
+                missing = (seq - (self._last_seq + 1)) % _SEQ_MOD
                 # add the whole wraps the clock says went by (RFC 3550 A.1)
                 elapsed = round((ts - accepted_ts[-1]) / self.sample_period_ms) - 1
                 missing += _SEQ_MOD * max(0, round((elapsed - missing) / _SEQ_MOD))
@@ -246,9 +249,8 @@ class SessionBuilder:
                     events.append(gap)
                     self._gaps.append(gap)
             accepted_ts.append(ts)
-            self._seq.append(frame.seq)
-            self._battery.append(frame.battery_mv)
-            self._mv.append(frame.voltages_mv)
+            self._last_seq = seq
+            self._records += buf[off:off + FRAME_SIZE]
             appended += 12
         self._base += len(buf) - len(remainder)
         self._tail = remainder
@@ -260,27 +262,28 @@ class SessionBuilder:
         if self.hand is None:
             # nothing decoded yet; an empty session still needs a hand label
             self.hand = Hand(side=self.dominant_side, dominance=Dominance.DOMINANT)
+        # copies, so the bytearray is not left exported and later feeds can grow it
+        rows = np.frombuffer(self._records, FRAME_DTYPE)
         return Session(
             subject=self.subject,
             hand=self.hand,
             condition=self.condition,
             started_at=self.started_at,
-            timestamps_ms=np.array(self._ts, dtype=np.int64),
-            voltages_mv=np.array(self._mv, dtype=np.uint16).reshape(-1, len(SENSOR_IDS)),
-            battery_mv=np.array(self._battery, dtype=np.uint16),
+            timestamps_ms=rows["timestamp_ms"].astype(np.int64),
+            voltages_mv=rows["voltages_mv"].copy(),
+            battery_mv=rows["battery_mv"].copy(),
             gaps=list(self._gaps),
         )
 
 
 @dataclass(frozen=True)
 class Manifest:
-    """Paths written by record_session plus per-sensor line counts."""
+    """Paths written by record_session."""
 
     directory: Path
     meta_path: Path
     battery_path: Path
     sensor_paths: dict[int, Path]
-    line_counts: dict[int, int]
 
 
 def _column_paths(directory: Path, stem: str) -> list[Path]:
@@ -332,7 +335,6 @@ def record_session(session: Session, directory) -> Manifest:
         meta_path=meta_path,
         battery_path=paths[-1],
         sensor_paths=dict(zip(SENSOR_IDS, paths)),
-        line_counts={sid: session.frame_count for sid in SENSOR_IDS},
     )
 
 

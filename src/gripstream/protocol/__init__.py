@@ -21,15 +21,20 @@ byte, checksum, and field ranges all validate, and scan_stream_offsets
 resynchronizes on the next sync byte after any corruption, reporting what
 it skipped as StreamEvents.
 
-The checksum is the standard library's binascii.crc_hqx(data, 0xFFFF),
-which is CRC-16/CCITT-FALSE and runs in C; encoding, decoding and scanning
-are plain Python around it. There is one codec kernel and no build step.
+FRAME_DTYPE (numpy) and FRAME_STRUCT (struct) mirror the layout above; no
+other module declares it. Bulk paths move whole records: encode_records
+returns a FRAME_DTYPE array whose bytes are the capture, scan_stream_offsets
+each intact frame's offset with its unpacked fields. Frame, encode_frame and
+decode_frame are the single-frame API. The checksum is the standard
+library's binascii.crc_hqx(data, 0xFFFF), CRC-16/CCITT-FALSE in C.
 """
 
 import struct
 from binascii import crc_hqx
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from gripstream.core import GloveConfig, Side
 from gripstream.errors import DomainError, GripstreamError
@@ -42,8 +47,10 @@ BATTERY_LIMIT_MV = 4300
 GLOVE_BYTE = {Side.LEFT: 0x4C, Side.RIGHT: 0x52}
 BYTE_GLOVE = {v: k for k, v in GLOVE_BYTE.items()}
 
-_STRUCT = struct.Struct("<BBHIH12HH")
-assert _STRUCT.size == FRAME_SIZE
+FRAME_STRUCT = struct.Struct("<BBHIH12HH")
+FRAME_DTYPE = np.dtype([("sync", "u1"), ("glove", "u1"), ("seq", "<u2"), ("timestamp_ms", "<u4"),
+                        ("battery_mv", "<u2"), ("voltages_mv", "<u2", (12,)), ("crc", "<u2")])
+assert FRAME_STRUCT.size == FRAME_DTYPE.itemsize == FRAME_SIZE
 
 
 def kernel_backend() -> str:
@@ -117,37 +124,39 @@ class Frame:
     voltages_mv: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "voltages_mv", tuple(map(int, self.voltages_mv)))
+        object.__setattr__(self, "voltages_mv", tuple(self.voltages_mv))
 
-    def validate(self) -> None:
-        if not isinstance(self.glove, Side):
-            raise EncodeError(f"glove must be a Side, got {self.glove!r}")
-        if not 0 <= self.seq <= 0xFFFF:
-            raise EncodeError(f"sequence {self.seq} outside u16 range")
-        if not 0 <= self.timestamp_ms <= 0xFFFFFFFF:
-            raise EncodeError(f"timestamp {self.timestamp_ms} outside u32 range")
-        if not 0 <= self.battery_mv <= BATTERY_LIMIT_MV:
-            raise EncodeError(f"battery {self.battery_mv} mV outside [0, {BATTERY_LIMIT_MV}]")
-        if len(self.voltages_mv) != 12:
-            raise EncodeError(f"expected 12 voltages, got {len(self.voltages_mv)}")
-        for i, v in enumerate(self.voltages_mv):
-            if not 0 <= v < VOLTAGE_LIMIT_MV:
-                raise EncodeError(f"S{i + 1} voltage {v} mV outside [0, {VOLTAGE_LIMIT_MV})")
+
+def encode_records(glove: Side, seq, timestamp_ms, battery_mv, voltages_mv) -> np.ndarray:
+    """FRAME_DTYPE records of n frames from one glove, checksums filled in.
+
+    Takes n values per field and n rows of S1..S12; each must be an integer
+    in its field's range, or EncodeError names the field and the first bad value.
+    """
+    if not isinstance(glove, Side):
+        raise EncodeError(f"glove must be a Side, got {glove!r}")
+    records = np.zeros(len(seq), FRAME_DTYPE)
+    for name, values, high in (("seq", seq, 0xFFFF), ("timestamp_ms", timestamp_ms, 0xFFFFFFFF),
+                               ("battery_mv", battery_mv, BATTERY_LIMIT_MV),
+                               ("voltages_mv", voltages_mv, VOLTAGE_LIMIT_MV - 1)):
+        column = np.asarray(values, dtype=float)  # exact for every in-range value
+        if column.shape != records[name].shape:
+            raise EncodeError(f"{name} shaped {column.shape}, expected {records[name].shape}")
+        bad = ~((column >= 0) & (column <= high) & (column == np.trunc(column)))
+        if bad.any():
+            raise EncodeError(f"{name} {column[bad][0].item()!r} is not an integer in [0, {high}]")
+        records[name] = column
+    records["sync"] = SYNC_BYTE
+    records["glove"] = GLOVE_BYTE[glove]
+    body = records.tobytes()
+    records["crc"] = [crc_hqx(body[i:i + 33], 0xFFFF) for i in range(1, len(body), FRAME_SIZE)]
+    return records
 
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame to its 36-byte wire form."""
-    frame.validate()
-    body = _STRUCT.pack(
-        SYNC_BYTE,
-        GLOVE_BYTE[frame.glove],
-        frame.seq,
-        frame.timestamp_ms,
-        frame.battery_mv,
-        *frame.voltages_mv,
-        0,
-    )
-    return body[:34] + crc_hqx(body[1:34], 0xFFFF).to_bytes(2, "little")
+    return encode_records(frame.glove, [frame.seq], [frame.timestamp_ms], [frame.battery_mv],
+                          [frame.voltages_mv]).tobytes()
 
 
 def _field_error(fields) -> str | None:
@@ -160,16 +169,6 @@ def _field_error(fields) -> str | None:
         i, v = next((i, v) for i, v in enumerate(fields[5:17]) if v >= VOLTAGE_LIMIT_MV)
         return f"S{i + 1} voltage {v} mV not below {VOLTAGE_LIMIT_MV}"
     return None
-
-
-def _frame_of(fields) -> Frame:
-    return Frame(
-        glove=BYTE_GLOVE[fields[1]],
-        seq=fields[2],
-        timestamp_ms=fields[3],
-        battery_mv=fields[4],
-        voltages_mv=fields[5:17],
-    )
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -188,27 +187,28 @@ def decode_frame(data: bytes) -> Frame:
     computed = crc_hqx(buf[1:34], 0xFFFF)
     if stored != computed:
         raise CrcMismatchError(f"checksum 0x{stored:04X} != computed 0x{computed:04X}")
-    fields = _STRUCT.unpack(buf)
+    fields = FRAME_STRUCT.unpack(buf)
     problem = _field_error(fields)
     if problem:
         raise FrameFormatError(problem)
-    return _frame_of(fields)
+    return Frame(BYTE_GLOVE[fields[1]], fields[2], fields[3], fields[4], fields[5:17])
 
 
 def scan_stream_offsets(
     buffer,
-) -> tuple[list[tuple[int, Frame]], list[StreamEvent], bytes]:
+) -> tuple[list[tuple[int, tuple[int, ...]]], list[StreamEvent], bytes]:
     """Extract every intact frame from a buffer, resynchronizing past damage.
 
-    Returns (frames, events, remainder): frames pairs each decoded Frame
-    with its byte offset in the buffer. Garbage runs surface as one
-    SYNC_LOSS event each, failed checksums as CRC_MISMATCH (scan resumes one
-    byte later), checksum-valid frames with out-of-range fields as
-    FORMAT_ERROR (consumed whole). The remainder is a trailing partial
-    frame, to be fed back with the next chunk.
+    Returns (frames, events, remainder): frames pairs each intact frame's
+    byte offset in the buffer with its FRAME_STRUCT fields (sync, glove
+    byte, seq, timestamp_ms, battery_mv, S1..S12, crc). Garbage runs
+    surface as one SYNC_LOSS event each, failed checksums as CRC_MISMATCH
+    (scan resumes one byte later), checksum-valid frames with out-of-range
+    fields as FORMAT_ERROR (consumed whole). The remainder is a trailing
+    partial frame, to be fed back with the next chunk.
     """
     buf = bytes(buffer)
-    frames: list[tuple[int, Frame]] = []
+    frames: list[tuple[int, tuple[int, ...]]] = []
     events: list[StreamEvent] = []
     n = len(buf)
     i = 0
@@ -226,11 +226,11 @@ def scan_stream_offsets(
             events.append(StreamEvent(EventKind.CRC_MISMATCH, i))
             i += 1
             continue
-        fields = _STRUCT.unpack_from(buf, i)
+        fields = FRAME_STRUCT.unpack_from(buf, i)
         if _field_error(fields):
             events.append(StreamEvent(EventKind.FORMAT_ERROR, i))
         else:
-            frames.append((i, _frame_of(fields)))
+            frames.append((i, fields))
         i += FRAME_SIZE
     return frames, events, b""
 

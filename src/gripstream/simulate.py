@@ -1,4 +1,4 @@
-"""Glove emulator: force trajectories, frame emission, paced streaming.
+"""Glove emulator: force trajectories, wire-record emission, paced streaming.
 
 A SessionPlan describes one recording session for one or two gloves. Each
 glove gets a ProfilePreset: 12 per-sensor base forces plus gain knobs for
@@ -21,7 +21,7 @@ import numpy as np
 
 from gripstream.core import Calibration, GloveConfig, Side, parse_kv_text, voltage_from_force
 from gripstream.errors import ConfigError, GripstreamError
-from gripstream.protocol import BATTERY_LIMIT_MV, Frame, encode_frame
+from gripstream.protocol import BATTERY_LIMIT_MV, encode_records
 
 FORCE_CEILING_N = 20.0
 
@@ -243,8 +243,8 @@ def emit_frames(
     side: Side = Side.RIGHT,
     battery_start_mv: int = 4200,
     battery_drain_mv_per_s: float = 1.0,
-) -> list[Frame]:
-    """Quantize a (12, n) force trajectory into n wire frames.
+) -> np.ndarray:
+    """Quantize a (12, n) force trajectory into n wire records (FRAME_DTYPE).
 
     Frame k is stamped k * sample_period with sequence k mod 65536; forces
     outside the calibrated range raise before anything is emitted.
@@ -254,17 +254,13 @@ def emit_frames(
     traj = np.asarray(trajectories, dtype=float)
     if traj.ndim != 2 or traj.shape[0] != 12:
         raise ConfigError(f"trajectories must be shaped (12, n), got {traj.shape}")
-    volts = np.rint(voltage_from_force(traj, cal, cfg)).astype(np.int64).T.tolist()
+    volts = np.rint(voltage_from_force(traj, cal, cfg)).T
     k = np.arange(len(volts))
     # np.rint rounds half to even, as round() does
     ts = np.rint(k * cfg.sample_period_ms)
     battery = np.clip(np.rint(battery_start_mv - battery_drain_mv_per_s * ts / 1000.0),
                       0, BATTERY_LIMIT_MV)
-    return [
-        Frame(side, seq, t, b, row)
-        for seq, t, b, row in zip((k & 0xFFFF).tolist(), ts.astype(np.int64).tolist(),
-                                  battery.astype(np.int64).tolist(), volts)
-    ]
+    return encode_records(side, k & 0xFFFF, ts, battery, volts)
 
 
 @dataclass
@@ -283,8 +279,8 @@ class EmissionError(GripstreamError):
         self.report = report
 
 
-def stream_session(frames, sink, pace: str = PACE_FAST) -> EmissionReport:
-    """Write encoded frames to a byte sink, optionally paced in real time.
+def stream_session(records, sink, pace: str = PACE_FAST) -> EmissionReport:
+    """Write wire records to a byte sink one frame at a time, optionally paced in real time.
 
     In realtime pace each frame is scheduled at its own timestamp relative
     to the first; the report records the worst deviation from that schedule.
@@ -293,13 +289,11 @@ def stream_session(frames, sink, pace: str = PACE_FAST) -> EmissionReport:
         raise ConfigError(f"pace must be '{PACE_FAST}' or '{PACE_REALTIME}', got {pace!r}")
     report = EmissionReport(max_jitter_ms=0.0 if pace == PACE_REALTIME else None)
     start = time.monotonic()
-    base_ts = None
-    for frame in frames:
-        data = encode_frame(frame)
+    timestamps = records["timestamp_ms"].tolist()
+    for timestamp_ms, record in zip(timestamps, records):
+        data = record.tobytes()
         if pace == PACE_REALTIME:
-            if base_ts is None:
-                base_ts = frame.timestamp_ms
-            due = start + (frame.timestamp_ms - base_ts) / 1000.0
+            due = start + (timestamp_ms - timestamps[0]) / 1000.0
             delay = due - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
@@ -323,9 +317,9 @@ def stream_session(frames, sink, pace: str = PACE_FAST) -> EmissionReport:
     return report
 
 
-def encode_session(frames) -> bytes:
-    """Concatenated wire bytes for a frame sequence (file capture form)."""
-    return b"".join(map(encode_frame, frames))
+def encode_session(records: np.ndarray) -> bytes:
+    """Concatenated wire bytes of emitted records (file capture form)."""
+    return records.tobytes()
 
 
 def load_plan_file(path: str | Path) -> dict[str, str]:

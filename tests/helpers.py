@@ -1,12 +1,20 @@
 """Shared fixtures-by-hand for the test suite."""
 
 import random
+import struct
 
 import numpy as np
 
 from gripstream.core import Dominance, Hand, Side
 from gripstream.ingest import Session, SessionBuilder
-from gripstream.protocol import BATTERY_LIMIT_MV, VOLTAGE_LIMIT_MV, Frame, encode_frame
+from gripstream.protocol import (
+    BATTERY_LIMIT_MV,
+    VOLTAGE_LIMIT_MV,
+    EventKind,
+    Frame,
+    StreamEvent,
+    encode_frame,
+)
 
 
 def _crc_table() -> tuple[int, ...]:
@@ -31,6 +39,41 @@ def reference_crc16(data, start: int = 0, length: int = -1) -> int:
     for i in range(start, start + length):
         crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ data[i]]
     return crc
+
+
+_GLOVES = {0x4C: Side.LEFT, 0x52: Side.RIGHT}
+
+
+def reference_scan(buf: bytes) -> tuple[list[tuple[int, Frame]], list[StreamEvent], bytes]:
+    """The Frame-building scanner, the oracle for scan_stream_offsets.
+
+    Same walk as docs/protocol.md describes: garbage up to the next 0xA5 is
+    one SYNC_LOSS, a failed CRC advances one byte, a checksum-valid frame
+    with a field out of range is one FORMAT_ERROR consumed whole, and a
+    trailing partial frame is the remainder.
+    """
+    frames, events = [], []
+    i = 0
+    while i < len(buf):
+        if buf[i] != 0xA5:
+            events.append(StreamEvent(EventKind.SYNC_LOSS, i))
+            i = buf.find(0xA5, i)
+            if i < 0:
+                break
+            continue
+        if len(buf) - i < 36:
+            return frames, events, buf[i:]
+        if reference_crc16(buf, i + 1, 33) != int.from_bytes(buf[i + 34:i + 36], "little"):
+            events.append(StreamEvent(EventKind.CRC_MISMATCH, i))
+            i += 1
+            continue
+        _, glove, seq, ts, battery, *volts, _ = struct.unpack_from("<BBHIH12HH", buf, i)
+        if glove not in _GLOVES or battery > BATTERY_LIMIT_MV or max(volts) >= VOLTAGE_LIMIT_MV:
+            events.append(StreamEvent(EventKind.FORMAT_ERROR, i))
+        else:
+            frames.append((i, Frame(_GLOVES[glove], seq, ts, battery, volts)))
+        i += 36
+    return frames, events, b""
 
 
 def random_frame(rng: random.Random, glove: Side | None = None, seq: int | None = None,

@@ -334,3 +334,35 @@ def test_serve_records_what_arrived_before_a_reset(tmp_path):
     assert "error:" in stderr
     (session,) = load_sessions(out)
     assert session.subject == "cut" and session.frame_count > 0
+
+
+def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
+    out = tmp_path / "live"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "2",
+         "--threshold", "19.9", "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(proc.stderr.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(high_force_blob(duration_s=2.0, seed=9))  # 100 frames
+        line = proc.stderr.readline()
+        while line and "recorded" not in line:
+            line = proc.stderr.readline()
+        assert "anon_R_quiet_meta.txt" in line
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(high_force_blob(duration_s=3.0, seed=10))  # 150 frames
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 2, stderr
+    assert not [line for line in stderr.splitlines() if line.startswith("recorded")]
+    assert "session anon_R_quiet: 150 frames" in stderr
+    assert "error: session anon_R_quiet already came from another connection" in stderr
+    (session,) = load_sessions(out)
+    assert session.frame_count == 100

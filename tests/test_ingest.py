@@ -21,8 +21,9 @@ from gripstream.ingest import (
     record_session,
     session_summary,
 )
-from gripstream.pipeline import session_from_capture
+from gripstream.pipeline import run_plan, session_from_capture
 from gripstream.protocol import EventKind, Frame, StreamEvent, encode_frame
+from gripstream.simulate import SessionPlan, get_preset
 
 from helpers import build_session, frame_run, random_frame, wire
 
@@ -171,6 +172,33 @@ def test_frame_samples_accessor_tracks_feed():
     assert volts == frames[0].voltages_mv
 
 
+def test_hot_path_builds_no_frame(monkeypatch):
+    plan = SessionPlan({Side.LEFT: get_preset("novice")}, duration_s=2.0, seed=6)
+    planned = run_plan(plan, subject="p")[Side.LEFT]
+    frames = frame_run(random.Random(53), 30)
+    blob = wire(frames)
+
+    def built(self):
+        raise AssertionError("a Frame was built")
+
+    monkeypatch.setattr(Frame, "__post_init__", built)
+    assert run_plan(plan, subject="p")[Side.LEFT] == planned
+    builder = SessionBuilder()
+    snapshots = []
+    for i in range(0, len(blob), 50):
+        builder.feed(blob[i : i + 50])
+        # snapshots held across later feeds must neither stop the builder growing nor change
+        snapshots.append(builder.session())
+    for snapshot in snapshots:
+        n = snapshot.frame_count
+        assert snapshot.timestamps_ms.tolist() == [f.timestamp_ms for f in frames[:n]]
+    session = builder.session()
+    assert session.timestamps_ms.tolist() == [f.timestamp_ms for f in frames]
+    assert session.voltages_mv.tolist() == [list(f.voltages_mv) for f in frames]
+    assert session.battery_mv.tolist() == [f.battery_mv for f in frames]
+    assert builder.frame_samples(29) == (frames[29].timestamp_ms, frames[29].voltages_mv)
+
+
 def test_session_invariants_enforced():
     good = build_session(frame_run(random.Random(50), 5))
 
@@ -199,7 +227,8 @@ def test_record_writes_per_sensor_files(tmp_path):
     manifest = record_session(session, tmp_path)
     sensor_files = sorted(tmp_path.glob("*_S*.tsv"))
     assert len(sensor_files) == 12
-    assert manifest.line_counts == {sid: 500 for sid in range(1, 13)}
+    for path in [*manifest.sensor_paths.values(), manifest.battery_path]:
+        assert len(path.read_text().splitlines()) == session.frame_count == 500
     path = tmp_path / "s01_R_hardrock_S7.tsv"
     assert path in sensor_files
     lines = path.read_text().splitlines()

@@ -2,13 +2,16 @@ import random
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gripstream.core import GloveConfig, Side
 from gripstream.protocol import (
     BATTERY_LIMIT_MV,
+    BYTE_GLOVE,
+    FRAME_DTYPE,
     FRAME_SIZE,
+    GLOVE_BYTE,
     VOLTAGE_LIMIT_MV,
     CrcMismatchError,
     EncodeError,
@@ -20,6 +23,7 @@ from gripstream.protocol import (
     crc16,
     decode_frame,
     encode_frame,
+    encode_records,
     kernel_backend,
     required_bandwidth,
     scan_stream_offsets,
@@ -27,7 +31,7 @@ from gripstream.protocol import (
 from gripstream.errors import DomainError
 from gripstream.ingest import SessionBuilder
 
-from helpers import frame_run, random_frame, reference_crc16, wire
+from helpers import frame_run, random_frame, reference_crc16, reference_scan, wire
 
 
 def raw_frame(glove_byte=0x52, seq=0, ts=0, battery=4200, voltages=(0,) * 12) -> bytes:
@@ -124,10 +128,24 @@ def test_encode_validates_fields():
         Frame(Side.LEFT, 0, 0, BATTERY_LIMIT_MV + 1, (0,) * 12),
         Frame(Side.LEFT, 0, 0, 0, (0,) * 11),
         Frame(Side.LEFT, 0, 0, 0, (VOLTAGE_LIMIT_MV,) + (0,) * 11),
+        Frame(Side.LEFT, 1.5, 0, 0, (0,) * 12),
+        Frame(Side.LEFT, 0, 0, 0, (1.7,) * 12),
+        Frame(Side.LEFT, 0, 2**32, 0, (0,) * 12),
+        Frame(Side.LEFT, 0, 0, 4000.5, (0,) * 12),
     ):
         with pytest.raises(EncodeError):
             encode_frame(bad)
     assert decode_frame(encode_frame(good)) == good
+
+
+def test_encode_records_equals_encode_frame_row_by_row():
+    frames = frame_run(random.Random(35), 20, glove=Side.LEFT)
+    records = encode_records(Side.LEFT, [f.seq for f in frames], [f.timestamp_ms for f in frames],
+                             [f.battery_mv for f in frames], [f.voltages_mv for f in frames])
+    assert records.dtype == FRAME_DTYPE and FRAME_DTYPE.itemsize == FRAME_SIZE
+    assert records.tobytes() == wire(frames)
+    with pytest.raises(EncodeError, match="battery_mv"):
+        encode_records(Side.LEFT, [0, 1], [0, 20], [4000, BATTERY_LIMIT_MV + 1], [(0,) * 12] * 2)
 
 
 def at_offsets(frames, first: int = 0) -> list:
@@ -135,10 +153,15 @@ def at_offsets(frames, first: int = 0) -> list:
     return [(first + FRAME_SIZE * k, f) for k, f in enumerate(frames)]
 
 
+def frames_of(pairs) -> list:
+    """The scanner's (offset, fields) pairs as (offset, Frame) pairs."""
+    return [(off, Frame(BYTE_GLOVE[f[1]], f[2], f[3], f[4], f[5:17])) for off, f in pairs]
+
+
 def test_scan_clean_stream_has_no_events():
     frames = frame_run(random.Random(25), 3)
     pairs, events, remainder = scan_stream_offsets(wire(frames))
-    assert pairs == at_offsets(frames)
+    assert frames_of(pairs) == at_offsets(frames)
     assert events == []
     assert remainder == b""
 
@@ -147,7 +170,7 @@ def test_scan_skips_garbage_with_single_event():
     frames = frame_run(random.Random(26), 1)
     blob = b"\x01\x02\x03\x04\x05" + wire(frames)
     pairs, events, remainder = scan_stream_offsets(blob)
-    assert pairs == at_offsets(frames, 5)
+    assert frames_of(pairs) == at_offsets(frames, 5)
     assert events == [StreamEvent(EventKind.SYNC_LOSS, 0)]
     assert remainder == b""
 
@@ -155,7 +178,7 @@ def test_scan_skips_garbage_with_single_event():
 def test_scan_reports_trailing_garbage():
     frames = frame_run(random.Random(27), 1)
     pairs, events, remainder = scan_stream_offsets(wire(frames) + b"zzz")
-    assert pairs == at_offsets(frames)
+    assert frames_of(pairs) == at_offsets(frames)
     assert events == [StreamEvent(EventKind.SYNC_LOSS, 36)]
     assert remainder == b""
 
@@ -164,11 +187,11 @@ def test_scan_buffers_partial_frame():
     frames = frame_run(random.Random(28), 2)
     blob = wire(frames)
     pairs, events, remainder = scan_stream_offsets(blob[:50])
-    assert pairs == at_offsets(frames[:1])
+    assert frames_of(pairs) == at_offsets(frames[:1])
     assert events == []
     assert remainder == blob[36:50]
     pairs2, events2, remainder2 = scan_stream_offsets(remainder + blob[50:])
-    assert pairs2 == at_offsets(frames[1:])
+    assert frames_of(pairs2) == at_offsets(frames[1:])
     assert events2 == []
     assert remainder2 == b""
 
@@ -181,7 +204,7 @@ def test_scan_chunk_split_never_loses_frames():
         cut = rng.randrange(len(blob) + 1)
         first, events1, rem = scan_stream_offsets(blob[:cut])
         second, events2, rem2 = scan_stream_offsets(rem + blob[cut:])
-        assert [f for _, f in first + second] == frames
+        assert [f for _, f in frames_of(first + second)] == frames
         assert events1 == events2 == []
         assert rem2 == b""
 
@@ -192,7 +215,7 @@ def test_scan_resyncs_after_crc_damage():
     blob[40] ^= 0xFF  # inside the second frame
     pairs, events, remainder = scan_stream_offsets(bytes(blob))
     # first and third frames survive; the damaged one surfaces as events
-    assert pairs == [(0, frames[0]), (72, frames[2])]
+    assert frames_of(pairs) == [(0, frames[0]), (72, frames[2])]
     assert any(e.kind is EventKind.CRC_MISMATCH for e in events)
 
 
@@ -200,7 +223,7 @@ def test_scan_consumes_field_invalid_frames_whole():
     frames = frame_run(random.Random(31), 1)
     bad = raw_frame(battery=BATTERY_LIMIT_MV + 100)
     pairs, events, remainder = scan_stream_offsets(bad + wire(frames))
-    assert pairs == at_offsets(frames, 36)
+    assert frames_of(pairs) == at_offsets(frames, 36)
     assert events == [StreamEvent(EventKind.FORMAT_ERROR, 0)]
     assert remainder == b""
 
@@ -275,8 +298,48 @@ def test_arbitrary_buffers_decode_exactly_and_split_anywhere():
     for _ in range(60):
         buf = random_buffer(rng)
         pairs, _, _ = scan_stream_offsets(buf)
-        for off, frame in pairs:
+        for off, frame in frames_of(pairs):
             assert decode_frame(buf[off : off + FRAME_SIZE]) == frame
         whole = fed([buf])
         for cut in range(len(buf) + 1):
             assert fed([buf[:cut], buf[cut:]]) == whole, f"split at byte {cut}"
+
+
+@st.composite
+def damaged_buffers(draw) -> bytes:
+    """random_buffer's mix, a clean run and checksum-valid frames at field limits,
+    then spliced garbage, flipped bits and a cut end."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    buf = bytearray(random_buffer(rng) + wire(frame_run(rng, draw(st.integers(0, 4)))))
+    for _ in range(draw(st.integers(0, 2))):  # checksum-valid, maybe with a field out of range
+        fields = dict(glove_byte=draw(st.sampled_from([0x4C, 0x52, 0x58])),
+                      battery=draw(st.sampled_from([4300, 4301])),
+                      voltages=(draw(st.sampled_from([3299, 3300])),) * 12)
+        at = FRAME_SIZE * draw(st.integers(0, len(buf) // FRAME_SIZE))
+        buf[at:at] = raw_frame(**fields)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(buf)))
+        buf[at:at] = draw(st.binary(max_size=40))
+    for _ in range(draw(st.integers(0, 3)) if buf else 0):
+        buf[draw(st.integers(0, len(buf) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(buf[: len(buf) - draw(st.integers(0, min(len(buf), 40)))])
+
+
+def scanned_as_oracle(buf: bytes) -> tuple:
+    """reference_scan of buf, each Frame written as the field tuple scan_stream_offsets gives."""
+    frames, events, remainder = reference_scan(buf)
+    pairs = [(off, (0xA5, GLOVE_BYTE[f.glove], f.seq, f.timestamp_ms, f.battery_mv,
+                    *f.voltages_mv, int.from_bytes(buf[off + 34:off + 36], "little")))
+             for off, f in frames]
+    return pairs, events, remainder
+
+
+@settings(max_examples=100, deadline=None)
+@given(damaged_buffers())
+def test_scan_equals_reference_scan_on_damaged_buffers_split_anywhere(buf):
+    assert scan_stream_offsets(buf) == scanned_as_oracle(buf)
+    for cut in range(len(buf) + 1):
+        first = scan_stream_offsets(buf[:cut])
+        assert first == scanned_as_oracle(buf[:cut]), f"first part of split at byte {cut}"
+        rest = first[2] + buf[cut:]
+        assert scan_stream_offsets(rest) == scanned_as_oracle(rest), f"split at byte {cut}"

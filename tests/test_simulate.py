@@ -6,6 +6,7 @@ import pytest
 
 from gripstream.core import Calibration, GloveConfig, Side
 from gripstream.errors import ConfigError
+from gripstream.protocol import GLOVE_BYTE
 from gripstream.simulate import (
     FORCE_CEILING_N,
     PRESETS,
@@ -147,15 +148,15 @@ def test_noise_stays_clamped():
 def test_emit_frames_quantization_and_cadence():
     plan = SessionPlan({Side.RIGHT: flat_preset(10.0)}, duration_s=10.0)
     traj = synthesize_session(plan, CAL, CFG)[Side.RIGHT]
-    frames = emit_frames(traj, CAL, CFG, side=Side.RIGHT)
-    assert len(frames) == 500
-    assert [f.seq for f in frames[:3]] == [0, 1, 2]
-    assert frames[-1].timestamp_ms == 9980
-    assert all(f.glove is Side.RIGHT for f in frames)
+    records = emit_frames(traj, CAL, CFG, side=Side.RIGHT)
+    assert len(records) == 500
+    assert records["seq"][:3].tolist() == [0, 1, 2]
+    assert records["timestamp_ms"][-1] == 9980
+    assert (records["glove"] == GLOVE_BYTE[Side.RIGHT]).all()
     # constant 10 N sits exactly on the calibration anchor
-    assert all(f.voltages_mv == (1500,) * 12 for f in frames)
-    assert frames[0].battery_mv == 4200
-    assert frames[-1].battery_mv == 4190
+    assert (records["voltages_mv"] == 1500).all()
+    assert records["battery_mv"][0] == 4200
+    assert records["battery_mv"][-1] == 4190
 
 
 @pytest.mark.parametrize("period_ms, drain_mv_per_s", [
@@ -166,13 +167,14 @@ def test_emit_frames_quantization_and_cadence():
 ])
 def test_emit_frames_columns_match_per_frame_rounding(period_ms, drain_mv_per_s):
     cfg = GloveConfig(sample_period_ms=period_ms)
-    frames = emit_frames(np.zeros((12, 66_000)), CAL, cfg, battery_drain_mv_per_s=drain_mv_per_s)
+    records = emit_frames(np.zeros((12, 66_000)), CAL, cfg, battery_drain_mv_per_s=drain_mv_per_s)
     want = []
     for k in range(66_000):
         ts = round(k * period_ms)
         battery = min(max(round(4200 - drain_mv_per_s * ts / 1000.0), 0), 4300)
         want.append((k % 65536, ts, battery))
-    got = [(f.seq, f.timestamp_ms, f.battery_mv) for f in frames]
+    got = list(zip(records["seq"].tolist(), records["timestamp_ms"].tolist(),
+                   records["battery_mv"].tolist()))
     assert got == want
     assert {type(v) for row in got for v in row} == {int}
 
