@@ -1,6 +1,6 @@
 """gripstream: a desk-scale grip-force glove telemetry pipeline.
 
-Emulates a 12-sensor force glove streaming framed voltage telemetry at
+Emulates a 12-sensor force glove emitting voltage frames stamped at
 50 Hz, decodes and records the stream, converts voltages to forces, and
 runs the grip-force analyses (profiles, contribution shares, ANOVA,
 expertise benchmarking) plus real-time over-force alerting.

@@ -14,7 +14,7 @@ event therefore always shows the current state of that episode.
 
 from dataclasses import dataclass
 
-from gripstream.core import Calibration, GloveConfig, Side, force_from_voltage
+from gripstream.core import Calibration, GloveConfig, Side, force_from_voltage, require_finite
 from gripstream.errors import ConfigError, GripstreamError
 from gripstream.ingest import SENSOR_IDS, Session
 
@@ -31,6 +31,7 @@ class AlertPolicy:
     sensor_scope: frozenset[int] | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.hysteresis_n < 0:
             raise ConfigError("hysteresis must be >= 0")
         if self.threshold_n <= self.hysteresis_n:

@@ -173,7 +173,7 @@ def _cmd_simulate(args) -> int:
             raw_path.write_bytes(blob)
             log.info("wrote %d raw bytes to %s", len(blob), raw_path)
         if args.out:
-            session = session_from_capture(blob, side, dominant, args.subject, args.condition,
+            session = session_from_capture(blob, dominant, args.subject, args.condition,
                                            started, cfg)
             manifest = record_session(session, args.out)
             print(f"recorded {manifest.meta_path}", file=sys.stderr)
@@ -192,11 +192,14 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock, ste
     cursor = 0
     watched = [sid for sid in SENSOR_IDS if policy.watches(sid)]
     lost = None
+    conn.settimeout(cfg.sample_period_ms)  # 1,000 sample periods (20 s at 50 Hz) without a byte
     try:
         with conn:
             while True:
                 try:
                     chunk = conn.recv(4096)
+                except TimeoutError:
+                    chunk, lost = b"", TimeoutError(f"no byte came for {cfg.sample_period_ms:g} s")
                 except OSError as exc:  # e.g. a reset: record what arrived, then fail
                     chunk, lost = b"", exc
                 if not chunk:

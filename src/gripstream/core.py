@@ -23,7 +23,8 @@ per glove, not per sensor: the sensors are matched closely enough that raw
 millivolt channels are directly comparable.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -32,6 +33,14 @@ import numpy as np
 from gripstream.errors import ConfigError, DomainError
 
 SENSOR_COUNT = 12
+
+
+def require_finite(config) -> None:
+    """ConfigError for the first NaN or infinite float field; NaN passes every range check."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 class SensorLocus(Enum):
@@ -138,6 +147,7 @@ class Calibration:
     anchor_force_n: float = 10.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.anchor_voltage_mv <= 0:
             raise ConfigError("anchor voltage must be positive")
         if self.anchor_force_n <= 0:
@@ -161,6 +171,7 @@ class GloveConfig:
     conversion_mode: ConversionMode = ConversionMode.LINEAR
 
     def __post_init__(self):
+        require_finite(self)
         if self.supply_voltage_v <= 0:
             raise ConfigError("supply voltage must be positive")
         if self.pulldown_ohm <= 0:

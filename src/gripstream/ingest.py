@@ -151,10 +151,10 @@ class SessionBuilder:
     """Decoder state for one glove connection.
 
     Feed byte chunks as they arrive; chunk boundaries are immaterial. The
-    builder locks onto the first glove id it sees (or the one given) and
-    rejects frames from the other glove, duplicate (seq, timestamp) pairs,
-    and frames whose timestamp does not advance, so the finished session's
-    timestamps strictly increase. A sequence gap counts the frames the
+    builder locks onto the first glove id it sees and rejects frames from
+    the other glove, duplicate (seq, timestamp) pairs, and frames whose
+    timestamp does not advance, so the finished session's timestamps
+    strictly increase. A sequence gap counts the frames the
     16-bit seq skipped, plus 65,536 for each whole wrap that the timestamp
     step, at sample_period_ms per frame, says went by unseen. It keeps each
     accepted frame's 36 wire bytes, plus its timestamp for the ordering rules.
@@ -164,14 +164,13 @@ class SessionBuilder:
         self,
         subject: str = "anon",
         condition: str = "quiet",
-        hand: Hand | None = None,
         dominant_side: Side = Side.RIGHT,
         started_at: str = "",
         sample_period_ms: float = GloveConfig().sample_period_ms,
     ):
         self.subject = subject
         self.condition = condition
-        self.hand = hand
+        self.hand: Hand | None = None
         self.dominant_side = dominant_side
         self.started_at = started_at
         self.sample_period_ms = sample_period_ms
@@ -259,14 +258,13 @@ class SessionBuilder:
 
     def session(self) -> Session:
         """Snapshot the accepted frames as columns of an immutable-by-convention Session."""
-        if self.hand is None:
-            # nothing decoded yet; an empty session still needs a hand label
-            self.hand = Hand(side=self.dominant_side, dominance=Dominance.DOMINANT)
+        # with nothing decoded yet, label the empty session without locking the glove
+        hand = self.hand or Hand(side=self.dominant_side, dominance=Dominance.DOMINANT)
         # copies, so the bytearray is not left exported and later feeds can grow it
         rows = np.frombuffer(self._records, FRAME_DTYPE)
         return Session(
             subject=self.subject,
-            hand=self.hand,
+            hand=hand,
             condition=self.condition,
             started_at=self.started_at,
             timestamps_ms=rows["timestamp_ms"].astype(np.int64),

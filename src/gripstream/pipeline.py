@@ -4,7 +4,7 @@ This is the same path a live capture takes (encode then decode), so
 anything asserted on these sessions holds for the transport pipeline too.
 """
 
-from gripstream.core import Calibration, Dominance, GloveConfig, Hand, Side
+from gripstream.core import Calibration, GloveConfig, Side
 from gripstream.ingest import Session, SessionBuilder
 from gripstream.simulate import SessionPlan, emit_frames, encode_session, synthesize_session
 
@@ -25,7 +25,6 @@ def capture_plan(
 
 def session_from_capture(
     blob: bytes,
-    side: Side,
     dominant: Side,
     subject: str = "anon",
     condition: str = "quiet",
@@ -33,11 +32,10 @@ def session_from_capture(
     cfg: GloveConfig | None = None,
 ) -> Session:
     """Decode one glove's capture into a Session labelled with its hand."""
-    dominance = Dominance.DOMINANT if side is dominant else Dominance.NON_DOMINANT
     builder = SessionBuilder(
         subject=subject,
         condition=condition,
-        hand=Hand(side=side, dominance=dominance),
+        dominant_side=dominant,
         started_at=started_at,
         sample_period_ms=(cfg or GloveConfig()).sample_period_ms,
     )
@@ -55,6 +53,6 @@ def run_plan(
 ) -> dict[Side, Session]:
     """Execute a session plan through the full codec round trip."""
     return {
-        side: session_from_capture(blob, side, plan.dominant, subject, condition, started_at, cfg)
+        side: session_from_capture(blob, plan.dominant, subject, condition, started_at, cfg)
         for side, blob in capture_plan(plan, cal, cfg).items()
     }

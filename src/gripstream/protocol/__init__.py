@@ -91,7 +91,6 @@ class FrameFormatError(DecodeError):
 
 
 class EventKind(Enum):
-    FRAME_DECODED = "frame_decoded"
     CRC_MISMATCH = "crc_mismatch"
     SYNC_LOSS = "sync_loss"
     SEQUENCE_GAP = "sequence_gap"

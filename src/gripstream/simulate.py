@@ -1,4 +1,4 @@
-"""Glove emulator: force trajectories, wire-record emission, paced streaming.
+"""Glove emulator: force trajectories and wire-record emission.
 
 A SessionPlan describes one recording session for one or two gloves. Each
 glove gets a ProfilePreset: 12 per-sensor base forces plus gain knobs for
@@ -13,14 +13,12 @@ sensor, so trajectories are reproducible and independent per channel.
 """
 
 import math
-import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gripstream.core import Calibration, GloveConfig, Side, parse_kv_text, voltage_from_force
-from gripstream.errors import ConfigError, GripstreamError
+from gripstream.core import Calibration, GloveConfig, Side, require_finite, voltage_from_force
+from gripstream.errors import ConfigError
 from gripstream.protocol import BATTERY_LIMIT_MV, encode_records
 
 FORCE_CEILING_N = 20.0
@@ -28,9 +26,6 @@ FORCE_CEILING_N = 20.0
 WAVEFORM_HOLD = "hold"
 WAVEFORM_LIFT = "lift"
 WAVEFORMS = (WAVEFORM_HOLD, WAVEFORM_LIFT)
-
-PACE_FAST = "fast"
-PACE_REALTIME = "realtime"
 
 # fingertip channel for each long finger in the standard layout
 FINGERTIP_SENSOR = {"index": 2, "middle": 3, "ring": 4, "little": 5}
@@ -61,6 +56,7 @@ class ProfilePreset:
         object.__setattr__(self, "base_force_n", tuple(float(f) for f in self.base_force_n))
         if len(self.base_force_n) != 12:
             raise ConfigError(f"preset needs 12 base forces, got {len(self.base_force_n)}")
+        require_finite(self)
         for f in self.base_force_n:
             if not 0.0 <= f <= FORCE_CEILING_N:
                 raise ConfigError(f"base force {f} N outside [0, {FORCE_CEILING_N}]")
@@ -182,6 +178,7 @@ class SessionPlan:
     def __post_init__(self):
         if not self.profiles or len(self.profiles) > 2:
             raise ConfigError("plan needs a profile for one or two gloves")
+        require_finite(self)
         if self.duration_s <= 0:
             raise ConfigError("duration must be positive")
         if self.waveform not in WAVEFORMS:
@@ -263,65 +260,6 @@ def emit_frames(
     return encode_records(side, k & 0xFFFF, ts, battery, volts)
 
 
-@dataclass
-class EmissionReport:
-    frames_sent: int = 0
-    bytes_sent: int = 0
-    elapsed_s: float = 0.0
-    max_jitter_ms: float | None = None
-
-
-class EmissionError(GripstreamError):
-    """Transport failed mid-stream; .report covers what was sent."""
-
-    def __init__(self, message: str, report: EmissionReport):
-        super().__init__(message)
-        self.report = report
-
-
-def stream_session(records, sink, pace: str = PACE_FAST) -> EmissionReport:
-    """Write wire records to a byte sink one frame at a time, optionally paced in real time.
-
-    In realtime pace each frame is scheduled at its own timestamp relative
-    to the first; the report records the worst deviation from that schedule.
-    """
-    if pace not in (PACE_FAST, PACE_REALTIME):
-        raise ConfigError(f"pace must be '{PACE_FAST}' or '{PACE_REALTIME}', got {pace!r}")
-    report = EmissionReport(max_jitter_ms=0.0 if pace == PACE_REALTIME else None)
-    start = time.monotonic()
-    timestamps = records["timestamp_ms"].tolist()
-    for timestamp_ms, record in zip(timestamps, records):
-        data = record.tobytes()
-        if pace == PACE_REALTIME:
-            due = start + (timestamp_ms - timestamps[0]) / 1000.0
-            delay = due - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            jitter = abs(time.monotonic() - due) * 1000.0
-            report.max_jitter_ms = max(report.max_jitter_ms, jitter)
-        try:
-            sink.write(data)
-        except OSError as exc:
-            report.elapsed_s = time.monotonic() - start
-            raise EmissionError(f"transport failed after {report.frames_sent} frames: {exc}", report)
-        report.frames_sent += 1
-        report.bytes_sent += len(data)
-    flush = getattr(sink, "flush", None)
-    if flush is not None:
-        try:
-            flush()
-        except OSError as exc:
-            report.elapsed_s = time.monotonic() - start
-            raise EmissionError(f"transport failed on flush: {exc}", report)
-    report.elapsed_s = time.monotonic() - start
-    return report
-
-
 def encode_session(records: np.ndarray) -> bytes:
     """Concatenated wire bytes of emitted records (file capture form)."""
     return records.tobytes()
-
-
-def load_plan_file(path: str | Path) -> dict[str, str]:
-    """Raw key-value pairs of a plan file; interpretation is up to the CLI."""
-    return parse_kv_text(Path(path).read_text(encoding="utf-8"))

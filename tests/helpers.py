@@ -109,10 +109,11 @@ def wire(frames) -> bytes:
 def build_session(frames, subject: str = "anon", condition: str = "quiet",
                   dominance: Dominance = Dominance.DOMINANT) -> Session:
     glove = frames[0].glove if frames else Side.RIGHT
+    other = Side.LEFT if glove is Side.RIGHT else Side.RIGHT
     builder = SessionBuilder(
         subject=subject,
         condition=condition,
-        hand=Hand(side=glove, dominance=dominance),
+        dominant_side=glove if dominance is Dominance.DOMINANT else other,
         started_at="2026-01-05T09:00:00",
     )
     builder.feed(wire(frames))

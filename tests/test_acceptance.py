@@ -4,7 +4,6 @@ Each test checks one shipping criterion and prints a single PASS/FAIL line
 (bypassing capture, so the verdicts show up in plain pytest output).
 """
 
-import io
 import math
 import random
 import time
@@ -46,7 +45,6 @@ from gripstream.simulate import (
     emit_frames,
     encode_session,
     get_preset,
-    stream_session,
     synthesize_session,
 )
 
@@ -90,9 +88,7 @@ def test_03_ten_second_session_conserves_every_sample(report):
                       duration_s=10.0, seed=1, dominant=Side.RIGHT)
     frames = emit_frames(synthesize_session(plan, cal, cfg)[Side.RIGHT], cal, cfg,
                          side=Side.RIGHT)
-    sink = io.BytesIO()
-    stream_session(frames, sink)
-    blob = sink.getvalue()
+    blob = encode_session(frames)
     builder = SessionBuilder(subject="acc", condition="quiet")
     rng = random.Random(7)
     appended, events = 0, []

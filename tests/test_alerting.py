@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -38,6 +39,13 @@ def test_policy_validation():
         AlertPolicy(sensor_scope={0, 3})
     with pytest.raises(ConfigError):
         AlertPolicy(sensor_scope=set())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["threshold_n", "hysteresis_n"])
+def test_policy_rejects_non_finite_numbers(name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        AlertPolicy(**{name: bad})
 
 
 def test_forces_at_or_below_threshold_never_alert():

@@ -84,6 +84,29 @@ def test_missing_inputs_are_data_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, code", [
+    ("simulate --duration nan", "", 2),
+    ("simulate --duration inf", "", 2),
+    ("simulate --noise-sd nan", "", 2),
+    ("simulate", "sample_period_ms = nan", 2),
+    ("monitor --threshold nan", "", 1),
+    ("monitor --threshold inf", "", 1),
+    ("analyze --shares S2,S3", "anchor_force_n = inf", 2),
+])
+def test_non_finite_numbers_exit_like_their_range_check(tmp_path, capsys, command, config, code):
+    argv = command.split()
+    new = tmp_path / "new"
+    argv += ["--out", str(new)] if argv[0] == "simulate" else ["--in", str(simulate_dir(tmp_path))]
+    if config:
+        (tmp_path / "glove.cfg").write_text(config + "\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "glove.cfg")]
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == "" and not new.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / record round trips
 
@@ -98,17 +121,19 @@ def test_simulate_writes_loadable_sessions(tmp_path, capsys):
 
 
 def test_simulate_both_hands_writes_two_sessions(tmp_path, capsys):
-    out = tmp_path / "pair"
-    raw = tmp_path / "cap.bin"
-    assert main(["simulate", "--hand", "both", "--duration", "0.5", "--out", str(out),
-                 "--raw", str(raw)]) == 0
-    capsys.readouterr()
-    sessions = load_sessions(out)
-    assert [s.hand.side for s in sessions] == [Side.LEFT, Side.RIGHT]
-    assert [s.hand.dominance for s in sessions] == [Dominance.NON_DOMINANT,
-                                                    Dominance.DOMINANT]
-    assert (tmp_path / "cap_L.bin").stat().st_size == 25 * 36
-    assert (tmp_path / "cap_R.bin").stat().st_size == 25 * 36
+    # each session's hand is read off its capture's glove byte
+    for dominant, dominance in (("L", [Dominance.DOMINANT, Dominance.NON_DOMINANT]),
+                                ("R", [Dominance.NON_DOMINANT, Dominance.DOMINANT])):
+        out = tmp_path / f"pair_{dominant}"
+        raw = tmp_path / f"cap{dominant}.bin"
+        assert main(["simulate", "--hand", "both", "--dominant", dominant, "--duration", "0.5",
+                     "--out", str(out), "--raw", str(raw)]) == 0
+        capsys.readouterr()
+        sessions = load_sessions(out)
+        assert [s.hand.side for s in sessions] == [Side.LEFT, Side.RIGHT]
+        assert [s.hand.dominance for s in sessions] == dominance
+        assert (tmp_path / f"cap{dominant}_L.bin").stat().st_size == 25 * 36
+        assert (tmp_path / f"cap{dominant}_R.bin").stat().st_size == 25 * 36
 
 
 def test_record_matches_simulate_for_the_same_stream(tmp_path, capsys):
@@ -334,6 +359,35 @@ def test_serve_records_what_arrived_before_a_reset(tmp_path):
     assert "error:" in stderr
     (session,) = load_sessions(out)
     assert session.subject == "cut" and session.frame_count > 0
+
+
+def test_serve_records_what_arrived_before_a_stall(tmp_path):
+    config = tmp_path / "glove.cfg"
+    cfg = GloveConfig(sample_period_ms=2.0)  # 1,000 periods: no byte for 2 s is a stall
+    save_config(config, cfg, Calibration())
+    plan = SessionPlan(profiles={Side.RIGHT: get_preset("steady")}, duration_s=0.1)
+    blob = encode_session(emit_frames(synthesize_session(plan, cfg=cfg)[Side.RIGHT], cfg=cfg))
+    out = tmp_path / "live"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "1",
+         "--config", str(config), "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(proc.stderr.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(blob)  # 50 frames, then silence with the socket held open
+            _, stderr = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 2, stderr
+    assert "error: no byte came for 2 s" in stderr
+    (session,) = load_sessions(out)
+    assert session.frame_count == 50
 
 
 def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):

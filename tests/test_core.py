@@ -145,6 +145,20 @@ def test_calibration_validation():
     assert Calibration().max_force_n == 20.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, name", [
+    (GloveConfig, "supply_voltage_v"),
+    (GloveConfig, "pulldown_ohm"),
+    (GloveConfig, "sample_period_ms"),
+    (GloveConfig, "battery_nominal_v"),
+    (Calibration, "anchor_voltage_mv"),
+    (Calibration, "anchor_force_n"),
+])
+def test_config_rejects_non_finite_numbers(cls, name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        cls(**{name: bad})
+
+
 def test_standard_layout_census():
     layout = standard_layout()
     assert len(layout) == 12

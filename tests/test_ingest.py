@@ -110,8 +110,8 @@ def test_long_outage_counts_every_missing_frame(missing):
 def test_outage_is_measured_in_the_configured_sample_period():
     blob = outage(65536, period_ms=10)
     # at the default 20 ms the same clock step spans half a wrap: no frame is missing
-    assert session_from_capture(blob, Side.LEFT, Side.LEFT).gaps == []
-    session = session_from_capture(blob, Side.LEFT, Side.LEFT,
+    assert session_from_capture(blob, Side.LEFT).gaps == []
+    session = session_from_capture(blob, Side.LEFT,
                                    cfg=GloveConfig(sample_period_ms=10.0))
     assert [ev.missing_count for ev in session.gaps] == [65536]
 
@@ -137,6 +137,14 @@ def test_builder_locks_onto_first_glove():
     assert builder.hand == Hand(Side.LEFT, Dominance.NON_DOMINANT)
     assert [e.kind for e in events] == [EventKind.FORMAT_ERROR]
     assert builder.frames == 1
+
+
+def test_snapshot_before_the_first_frame_does_not_lock_the_glove():
+    builder = SessionBuilder(dominant_side=Side.RIGHT)
+    assert builder.session().hand == Hand(Side.RIGHT, Dominance.DOMINANT)
+    _, events = builder.feed(wire(frame_run(random.Random(48), 3, glove=Side.LEFT)))
+    assert events == [] and builder.frames == 3
+    assert builder.session().hand == Hand(Side.LEFT, Dominance.NON_DOMINANT)
 
 
 def test_chunking_never_changes_the_session():

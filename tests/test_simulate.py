@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from gripstream.protocol import GLOVE_BYTE
 from gripstream.simulate import (
     FORCE_CEILING_N,
     PRESETS,
-    EmissionError,
     ProfilePreset,
     SessionPlan,
     condition_gain,
@@ -18,8 +16,6 @@ from gripstream.simulate import (
     emit_frames,
     encode_session,
     get_preset,
-    load_plan_file,
-    stream_session,
     synthesize_session,
     waveform_envelope,
 )
@@ -53,6 +49,13 @@ def test_preset_validation():
         contribution_preset("alien", {"thumb": 100.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["condition_gain", "hand_gain", "noise_sd_mv", "duration_scale"])
+def test_preset_rejects_non_finite_numbers(name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        ProfilePreset("odd", (1.0,) * 12, **{name: bad})
+
+
 def test_preset_scaled_clamps_at_ceiling():
     preset = flat_preset(15.0).scaled(2.0)
     assert set(preset.base_force_n) == {FORCE_CEILING_N}
@@ -75,6 +78,13 @@ def test_plan_validation():
         SessionPlan({Side.LEFT: profile}, waveform="sawtooth")
     with pytest.raises(ConfigError):
         SessionPlan({Side.LEFT: profile}, lift_period_s=-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["duration_s", "lift_period_s"])
+def test_plan_rejects_non_finite_numbers(name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        SessionPlan({Side.LEFT: flat_preset()}, **{name: bad})
 
 
 def test_synthesis_is_deterministic():
@@ -182,47 +192,3 @@ def test_emit_frames_columns_match_per_frame_rounding(period_ms, drain_mv_per_s)
 def test_emit_frames_rejects_bad_shape():
     with pytest.raises(ConfigError):
         emit_frames(np.zeros((11, 4)), CAL, CFG)
-
-
-def test_stream_session_fast_report():
-    frames = emit_frames(np.full((12, 25), 5.0), CAL, CFG)
-    sink = io.BytesIO()
-    report = stream_session(frames, sink)
-    assert report.frames_sent == 25
-    assert report.bytes_sent == 25 * 36
-    assert sink.getvalue() == encode_session(frames)
-    assert report.max_jitter_ms is None
-
-
-def test_stream_session_realtime_paces_output():
-    frames = emit_frames(np.full((12, 6), 1.0), CAL, CFG)
-    report = stream_session(frames, io.BytesIO(), pace="realtime")
-    # 6 frames at 20 ms cadence span 100 ms of schedule
-    assert report.elapsed_s >= 0.08
-    assert report.max_jitter_ms is not None
-
-
-class _FlakySink:
-    def __init__(self, fail_after: int):
-        self.fail_after = fail_after
-        self.writes = 0
-
-    def write(self, data: bytes) -> int:
-        if self.writes >= self.fail_after:
-            raise OSError("wire unplugged")
-        self.writes += 1
-        return len(data)
-
-
-def test_stream_session_reports_partial_progress_on_failure():
-    frames = emit_frames(np.full((12, 10), 2.0), CAL, CFG)
-    with pytest.raises(EmissionError) as err:
-        stream_session(frames, _FlakySink(fail_after=4))
-    assert err.value.report.frames_sent == 4
-    assert err.value.report.bytes_sent == 4 * 36
-
-
-def test_load_plan_file(tmp_path):
-    path = tmp_path / "plan.txt"
-    path.write_text("preset = steady\nseed = 4\n", encoding="utf-8")
-    assert load_plan_file(path) == {"preset": "steady", "seed": "4"}
