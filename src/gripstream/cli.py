@@ -250,6 +250,8 @@ def _cmd_serve(args) -> int:
     _parse_side(args.dominant)
     if not 1 <= args.sessions <= 2:
         raise CliUsageError("--sessions must be 1 or 2 (one per glove)")
+    if not 0 <= args.port <= 0xFFFF:
+        raise CliUsageError("--port must be 0..65535 (0 = ephemeral)")
     with socket.create_server(("127.0.0.1", args.port)) as server:
         host, port = server.getsockname()
         print(f"listening on {host}:{port}", file=sys.stderr, flush=True)

@@ -12,6 +12,7 @@ back bit-exact.
 """
 
 import csv
+import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -31,6 +32,8 @@ _SENSOR_LABELS = tuple(f"S{sid}" for sid in SENSOR_IDS)
 _SEQ_MOD = 0x10000
 _TS_MAX = np.iinfo(np.int64).max
 _VALUE_MAX = np.iinfo(np.uint16).max
+# digit runs past leading zeros fit uint64; a longer one would be out of range anyway
+_TSV_LINES = re.compile(rb"(?:0*[0-9]{1,19}\t0*[0-9]{1,5}\n)*")
 
 
 class IngestError(GripstreamError):
@@ -336,30 +339,25 @@ def record_session(session: Session, directory) -> Manifest:
     )
 
 
-def _read_tsv(path: Path) -> tuple[list[int], list[int]]:
-    """Timestamp and value columns of one recorded file, checked line by line."""
-    timestamps, values = [], []
-    last_ts = None
+def _read_tsv(path: Path) -> np.ndarray:
+    """(timestamp, value) rows of one recorded file as an (n, 2) int64 array.
+
+    Every line is ASCII digits, TAB, ASCII digits, LF; timestamps rise strictly.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except FileNotFoundError:
         raise StructureError(f"missing file {path}")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(parts)}")
-        try:
-            ts, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(path, line_no, f"non-integer field in {line!r}")
-        if not (0 <= ts <= _TS_MAX and 0 <= value <= _VALUE_MAX):
-            raise ParseError(path, line_no, f"value out of range in {line!r}")
-        if last_ts is not None and ts <= last_ts:
-            raise ParseError(path, line_no, f"timestamp {ts} not after {last_ts}")
-        last_ts = ts
-        timestamps.append(ts)
-        values.append(value)
-    return timestamps, values
+    end = _TSV_LINES.match(data).end()
+    rows = np.array(data[:end].split(), dtype=np.uint64).reshape(-1, 2)
+    bad = (rows[:, 0] > _TS_MAX) | (rows[:, 1] > _VALUE_MAX)
+    bad[1:] |= rows[1:, 0] <= rows[:-1, 0]
+    i = int(np.argmax(bad)) if bad.any() else len(rows)
+    if i < len(rows) or end < len(data):
+        text = data.split(b"\n", i + 1)[i].decode("utf-8", "backslashreplace")
+        raise ParseError(path, i + 1, f"{text!r} is not <timestamp>TAB<value>LF with a rising "
+                                      f"timestamp and a value up to {_VALUE_MAX}")
+    return rows.astype(np.int64)
 
 
 def _meta_field(meta: dict, key: str, path: Path) -> str:
@@ -400,13 +398,14 @@ def _load_from_meta(meta_path: Path) -> Session:
                 raise StructureError(f"{meta_path}: bad gap entry {item!r}")
     timestamps, columns = None, []
     for path in _column_paths(meta_path.parent, f"{subject}_{side_txt}_{condition}"):
-        ts, values = _read_tsv(path)
+        ts, values = _read_tsv(path).T
         if len(ts) != frames:
             raise StructureError(f"{path} has {len(ts)} lines, metadata says {frames}")
-        if timestamps is not None and ts != timestamps:
-            i = next(i for i, (got, want) in enumerate(zip(ts, timestamps)) if got != want)
+        timestamps = ts if timestamps is None else timestamps
+        differ = np.flatnonzero(ts != timestamps)
+        if differ.size:
+            i = differ[0]
             raise ParseError(path, i + 1, f"timestamp {ts[i]} differs from S1's {timestamps[i]}")
-        timestamps = ts
         columns.append(values)
     return Session(
         subject=subject,
@@ -414,7 +413,7 @@ def _load_from_meta(meta_path: Path) -> Session:
         condition=condition,
         started_at=meta.get("started_at", ""),
         timestamps_ms=timestamps,
-        voltages_mv=np.array(columns[:-1], dtype=np.uint16).T,
+        voltages_mv=np.column_stack(columns[:-1]),
         battery_mv=columns[-1],
         gaps=gaps,
     )

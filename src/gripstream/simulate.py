@@ -19,9 +19,10 @@ import numpy as np
 
 from gripstream.core import Calibration, GloveConfig, Side, require_finite, voltage_from_force
 from gripstream.errors import ConfigError
-from gripstream.protocol import BATTERY_LIMIT_MV, encode_records
+from gripstream.protocol import BATTERY_LIMIT_MV, FRAME_DTYPE, encode_records
 
 FORCE_CEILING_N = 20.0
+_TIMESTAMP_MAX_MS = np.iinfo(FRAME_DTYPE["timestamp_ms"]).max
 
 WAVEFORM_HOLD = "hold"
 WAVEFORM_LIFT = "lift"
@@ -179,6 +180,8 @@ class SessionPlan:
         if not self.profiles or len(self.profiles) > 2:
             raise ConfigError("plan needs a profile for one or two gloves")
         require_finite(self)
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.duration_s <= 0:
             raise ConfigError("duration must be positive")
         if self.waveform not in WAVEFORMS:
@@ -211,14 +214,22 @@ def synthesize_session(
     """
     cal = cal or Calibration()
     cfg = cfg or GloveConfig()
+    # float frame counts, so an overflowing duration reads inf and fails the check below
+    sizes = {side: np.rint(plan.duration_s * profile.duration_scale * 1000.0 / cfg.sample_period_ms)
+             for side, profile in plan.profiles.items()}
+    if min(sizes.values()) <= 0:
+        raise ConfigError("plan produces no samples; increase duration")
+    # emit_frames stamps frame k rint(k * sample_period_ms); refuse before allocating
+    last_ms = np.rint((max(sizes.values()) - 1) * cfg.sample_period_ms)
+    if last_ms > _TIMESTAMP_MAX_MS:
+        raise ConfigError(f"plan's last timestamp {last_ms:.0f} ms does not fit the timestamp_ms "
+                          f"field (at most {_TIMESTAMP_MAX_MS}); shorten the duration")
     out: dict[Side, np.ndarray] = {}
     for glove_index, side in enumerate((Side.LEFT, Side.RIGHT)):
         profile = plan.profiles.get(side)
         if profile is None:
             continue
-        n = round(plan.duration_s * profile.duration_scale * 1000.0 / cfg.sample_period_ms)
-        if n <= 0:
-            raise ConfigError("plan produces no samples; increase duration")
+        n = int(sizes[side])
         t_s = np.arange(n) * (cfg.sample_period_ms / 1000.0)
         envelope = waveform_envelope(plan.waveform, plan.lift_period_s, t_s)
         gain = profile.condition_gain * (profile.hand_gain if side is plan.dominant else 1.0)

@@ -1,12 +1,14 @@
 """Shared fixtures-by-hand for the test suite."""
 
 import random
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from gripstream.core import Dominance, Hand, Side
-from gripstream.ingest import Session, SessionBuilder
+from gripstream.ingest import ParseError, Session, SessionBuilder
 from gripstream.protocol import (
     BATTERY_LIMIT_MV,
     VOLTAGE_LIMIT_MV,
@@ -74,6 +76,34 @@ def reference_scan(buf: bytes) -> tuple[list[tuple[int, Frame]], list[StreamEven
             frames.append((i, Frame(_GLOVES[glove], seq, ts, battery, volts)))
         i += 36
     return frames, events, b""
+
+
+_DIGITS = re.compile(rb"[0-9]+")
+
+
+def reference_read_tsv(path) -> list[tuple[int, int]]:
+    """The line-by-line reader of one recorded TSV file, the oracle for load_session.
+
+    The same checks in the same order as the loop the bulk parse replaced,
+    with each field pinned to ASCII digits and a LF required on every line:
+    two TAB-separated fields, a timestamp within int64 and a value within
+    uint16, timestamps strictly rising. ParseError names the first bad line.
+    """
+    *lines, tail = Path(path).read_bytes().split(b"\n")
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split(b"\t")
+        if len(parts) != 2 or not all(map(_DIGITS.fullmatch, parts)):
+            raise ParseError(path, line_no, f"bad line {line!r}")
+        ts, value = int(parts[0]), int(parts[1])
+        if ts > 2**63 - 1 or value > 0xFFFF:
+            raise ParseError(path, line_no, f"value out of range in {line!r}")
+        if rows and ts <= rows[-1][0]:
+            raise ParseError(path, line_no, f"timestamp {ts} not after {rows[-1][0]}")
+        rows.append((ts, value))
+    if tail:
+        raise ParseError(path, len(lines) + 1, f"no LF after the last line {tail!r}")
+    return rows
 
 
 def random_frame(rng: random.Random, glove: Side | None = None, seq: int | None = None,

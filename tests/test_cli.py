@@ -74,6 +74,8 @@ def test_flag_validation_precedes_data_access(tmp_path, capsys):
     assert main(["plot", "--in", missing, "--units", "lbs"]) == 1
     assert main(["simulate", "--hand", "Q", "--out", missing]) == 1
     assert main(["serve", "--sessions", "3"]) == 1
+    assert main(["serve", "--port", "65536"]) == 1
+    assert main(["serve", "--port", "-1"]) == 1
     capsys.readouterr()
 
 
@@ -105,6 +107,18 @@ def test_non_finite_numbers_exit_like_their_range_check(tmp_path, capsys, comman
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
     assert captured.out == "" and not new.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--seed -1", "seed must be a non-negative integer"),
+    ("--duration 1e9", "does not fit the timestamp_ms field"),
+    ("--duration 1e308", "timestamp inf ms does not fit"),
+])
+def test_simulate_refuses_a_plan_it_cannot_run(tmp_path, capsys, flags, message):
+    raw = tmp_path / "x.bin"
+    assert main(["simulate", *flags.split(), "--raw", str(raw)]) == 2
+    assert message in capsys.readouterr().err
+    assert not raw.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import csv
 import io
 import random
+import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from gripstream.pipeline import run_plan, session_from_capture
 from gripstream.protocol import EventKind, Frame, StreamEvent, encode_frame
 from gripstream.simulate import SessionPlan, get_preset
 
-from helpers import build_session, frame_run, random_frame, wire
+from helpers import build_session, frame_run, random_frame, reference_read_tsv, wire
 
 
 def test_feed_appends_twelve_samples_per_frame():
@@ -299,17 +301,94 @@ def test_load_rejects_shuffled_lines(tmp_path):
     assert err.value.line_no == 5
 
 
-def test_load_rejects_bad_fields(tmp_path):
+_ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@pytest.mark.parametrize("line_no, edit", [
+    pytest.param(3, lambda ts, v: f"{ts}\tnotanumber\n", id="notanumber"),
+    pytest.param(3, lambda ts, v: f"{ts}\t {v}\n", id="leading-space"),
+    pytest.param(3, lambda ts, v: f"{ts}\t+{v}\n", id="leading-plus"),
+    pytest.param(3, lambda ts, v: f"{ts}\t{v}_0\n", id="underscore"),
+    pytest.param(3, lambda ts, v: f"{ts}\t{v.translate(_ARABIC_INDIC_DIGITS)}\n",
+                 id="non-ascii-digits"),
+    pytest.param(3, lambda ts, v: f"{ts}\t{v}\r\n", id="crlf"),
+    pytest.param(5, lambda ts, v: f"{ts}\t{v}", id="no-final-newline"),
+])
+def test_load_rejects_bad_fields(tmp_path, line_no, edit):
     session = build_session(frame_run(random.Random(55), 5), subject="m")
     record_session(session, tmp_path)
     path = tmp_path / "m_R_quiet_S9.tsv"
-    lines = path.read_text().splitlines()
-    lines[2] = "60\tnotanumber"
-    path.write_text("\n".join(lines) + "\n")
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line_no - 1] = edit(*lines[line_no - 1].rstrip("\n").split("\t"))
+    path.write_bytes("".join(lines).encode())
     with pytest.raises(ParseError) as err:
         load_session(tmp_path)
-    assert err.value.line_no == 3
-    assert "S9" in str(err.value.path)
+    assert (err.value.path, err.value.line_no) == (path, line_no)
+    assert repr(lines[line_no - 1].removesuffix("\n")) in str(err.value)
+
+
+_LOAD_SESSION = build_session(frame_run(random.Random(65), 8), subject="m")
+_EDIT_BYTES = st.sampled_from([b"\t", b"\n", b"0", b"7", b"99", b"9" * 19, b"1" * 20, b"\r", b" ",
+                               b"+", b"-", b"_", "٣".encode(), b"\xff", b"x"])
+
+
+def _mutate(draw, blob: bytes) -> bytes:
+    """One byte edit, insertion, deletion, run of leading zeros, swap or copy of a line."""
+    kind = draw(st.sampled_from(["edit", "insert", "delete", "zeros", "swap", "copy"]))
+    # half the edits land next to a separator, where most malformed fields begin or end
+    separators = [i for i, byte in enumerate(blob) if byte in b"\t\n"]
+    starts = [0, *(i + 1 for i in separators)]
+    at = draw(st.integers(0, len(blob)) | st.sampled_from([*starts, *separators]))
+    if kind == "edit":
+        return blob[:at] + draw(_EDIT_BYTES) + blob[at + 1:]
+    if kind == "insert":
+        return blob[:at] + draw(_EDIT_BYTES) + blob[at:]
+    if kind == "delete":
+        return blob[:at] + blob[at + draw(st.integers(1, 3)):]
+    if kind == "zeros":
+        at = draw(st.sampled_from(starts))
+        return blob[:at] + b"0" * draw(st.integers(1, 25)) + blob[at:]
+    lines = blob.split(b"\n")
+    i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    lines[i], lines[j] = (lines[j], lines[i]) if kind == "swap" else (lines[j], lines[j])
+    return b"\n".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_load_accepts_exactly_what_the_line_reader_accepts(data):
+    session = _LOAD_SESSION
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = record_session(session, tmp)
+        paths = [*manifest.sensor_paths.values(), manifest.battery_path]
+        k = data.draw(st.integers(0, len(paths) - 1), label="column")
+        blob = paths[k].read_bytes()
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            blob = _mutate(data.draw, blob)
+        paths[k].write_bytes(blob)
+        try:
+            rows = reference_read_tsv(paths[k])
+        except ParseError as want:
+            with pytest.raises(ParseError) as err:
+                load_session(manifest)
+            assert (err.value.path, err.value.line_no) == (want.path, want.line_no)
+            return
+        if len(rows) != session.frame_count:
+            with pytest.raises(StructureError):
+                load_session(manifest)
+            return
+        differ = np.flatnonzero([ts for ts, _ in rows] != session.timestamps_ms)
+        if differ.size:
+            # a changed S1 is caught by S2, which no longer agrees with it
+            with pytest.raises(ParseError) as err:
+                load_session(manifest)
+            assert (err.value.path, err.value.line_no) == (paths[max(k, 1)], differ[0] + 1)
+            return
+        loaded = load_session(manifest)
+    columns = np.column_stack([session.voltages_mv, session.battery_mv]).astype(np.int64)
+    columns[:, k] = [value for _, value in rows]
+    assert np.array_equal(loaded.timestamps_ms, session.timestamps_ms)
+    assert np.array_equal(np.column_stack([loaded.voltages_mv, loaded.battery_mv]), columns)
 
 
 @pytest.mark.parametrize("suffix", ["S5", "battery"])

@@ -78,6 +78,9 @@ def test_plan_validation():
         SessionPlan({Side.LEFT: profile}, waveform="sawtooth")
     with pytest.raises(ConfigError):
         SessionPlan({Side.LEFT: profile}, lift_period_s=-1)
+    for seed in (-1, 1.5, "1"):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            SessionPlan({Side.LEFT: profile}, seed=seed)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -85,6 +88,17 @@ def test_plan_validation():
 def test_plan_rejects_non_finite_numbers(name, bad):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         SessionPlan({Side.LEFT: flat_preset()}, **{name: bad})
+
+
+def test_plan_past_the_timestamp_field_is_refused():
+    cfg = GloveConfig(sample_period_ms=1e6)  # 1,000 s per frame keeps the arrays small
+    fits = SessionPlan({Side.RIGHT: flat_preset()}, duration_s=4295 * 1000.0)
+    records = emit_frames(synthesize_session(fits, CAL, cfg)[Side.RIGHT], CAL, cfg)
+    assert records["timestamp_ms"][-1] == 4294 * 10**6  # the last that fits in 0xFFFFFFFF
+    too_long = SessionPlan({Side.LEFT: flat_preset(), Side.RIGHT: flat_preset()},
+                           duration_s=4296 * 1000.0)
+    with pytest.raises(ConfigError, match="timestamp 4295000000 ms does not fit"):
+        synthesize_session(too_long, CAL, cfg)
 
 
 def test_synthesis_is_deterministic():
