@@ -94,10 +94,6 @@ class GripMonitor:
         self.alerts: list[AlertEvent] = []
         self._states: dict[int, _SensorState] = {sid: _SensorState() for sid in SENSOR_IDS}
 
-    @property
-    def open_alerts(self) -> list[AlertEvent]:
-        return [a for a in self.alerts if a.open]
-
     def step(self, sensor: int, timestamp_ms: int, force_n: float) -> list[AlertEvent]:
         """Advance one sample; returns alerts that opened at this sample.
 

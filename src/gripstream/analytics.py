@@ -83,35 +83,6 @@ def sensor_profile(
 # ---------------------------------------------------------------------------
 # descriptive statistics
 
-@dataclass(frozen=True)
-class SeriesStats:
-    mean: float
-    maximum: float
-    n: int
-    sd_value: float | None
-
-    @property
-    def sd(self) -> float:
-        """Sample standard deviation (n-1 denominator); needs n >= 2."""
-        if self.sd_value is None:
-            raise InsufficientDataError(f"sd undefined for {self.n} observation(s)")
-        return self.sd_value
-
-
-def aggregate_stats(series) -> SeriesStats:
-    """Mean, max, sample sd, and count of a force series or plain values."""
-    if isinstance(series, ForceSeries):
-        values = series.forces_n.tolist()
-    else:
-        values = [float(v) for v in series]
-    n = len(values)
-    if n == 0:
-        raise InsufficientDataError("no observations")
-    mean = math.fsum(values) / n
-    sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1)) if n >= 2 else None
-    return SeriesStats(mean=mean, maximum=max(values), n=n, sd_value=sd)
-
-
 def session_mean_force(
     session: Session,
     sensor: int,

@@ -30,6 +30,7 @@ from gripstream.ingest import (
     SENSOR_IDS,
     SessionBuilder,
     export_csv,
+    label_problem,
     load_sessions,
     record_session,
     session_summary,
@@ -103,6 +104,12 @@ def _parse_sensor_list(text: str) -> list[int]:
     return out
 
 
+def _check_labels(args) -> None:
+    problem = label_problem(args.subject, args.condition)
+    if problem:
+        raise CliUsageError(problem)
+
+
 def _parse_factors(text: str) -> list[str]:
     factors = [t.strip() for t in text.split(",") if t.strip()]
     if not 1 <= len(factors) <= 2:
@@ -151,6 +158,7 @@ def _cmd_simulate(args) -> int:
         raise CliUsageError(str(exc)) from None
     sides = _parse_sides(args.hand)
     dominant = _parse_side(args.dominant)
+    _check_labels(args)
     if not args.out and not args.raw:
         raise CliUsageError("simulate needs --out DIR and/or --raw FILE")
     profile = preset.with_gains(
@@ -248,6 +256,7 @@ def _cmd_serve(args) -> int:
     cfg, cal = _load_setup(args)
     policy = _policy_from_args(args)
     _parse_side(args.dominant)
+    _check_labels(args)
     if not 1 <= args.sessions <= 2:
         raise CliUsageError("--sessions must be 1 or 2 (one per glove)")
     if not 0 <= args.port <= 0xFFFF:
@@ -278,6 +287,7 @@ def _cmd_serve(args) -> int:
 def _cmd_record(args) -> int:
     cfg, cal = _load_setup(args)
     dominant = _parse_side(args.dominant)
+    _check_labels(args)
     if args.infile == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -526,6 +536,9 @@ def main(argv=None) -> int:
         return 1
     except (GripstreamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -198,12 +198,6 @@ class GloveConfig:
     def sample_rate_hz(self) -> float:
         return 1000.0 / self.sample_period_ms
 
-    def sensor(self, sid: int) -> SensorSpec:
-        for s in self.sensor_layout:
-            if s.sid == sid:
-                return s
-        raise ConfigError(f"no sensor S{sid} in layout")
-
     def sensors_at(self, locus: SensorLocus) -> list[SensorSpec]:
         return [s for s in self.sensor_layout if s.locus == locus]
 
@@ -288,9 +282,13 @@ def voltage_from_force(force_n, cal: Calibration, cfg: GloveConfig):
 # --- config file I/O ---------------------------------------------------------
 
 # Plain-text key-value format, one "key = value" per line, '#' comments.
-# Keys (SI units in the names): supply_voltage_v, pulldown_ohm,
-# sample_period_ms, battery_nominal_v, conversion_mode (linear|rational),
-# anchor_voltage_mv, anchor_force_n, sensor_S<k> = <locus>:<diameter_mm>.
+# Keys (SI units in the names): each float field of GloveConfig and Calibration
+# by its name, conversion_mode (linear|rational) and sensor_S<k> =
+# <locus>:<diameter_mm>. Any other key is refused, so a misspelled setting
+# cannot pass unread.
+_GLOVE_KEYS = ("supply_voltage_v", "pulldown_ohm", "sample_period_ms", "battery_nominal_v")
+_CALIBRATION_KEYS = ("anchor_voltage_mv", "anchor_force_n")
+_CONFIG_KEYS = (*_GLOVE_KEYS, "conversion_mode", *_CALIBRATION_KEYS)
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -323,16 +321,23 @@ def format_config(cfg: GloveConfig, cal: Calibration) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_float(kv: dict[str, str], key: str, default: float) -> float:
-    if key not in kv:
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {kv[key]!r}") from None
+def _floats(kv: dict[str, str], keys: tuple[str, ...]) -> dict[str, float]:
+    """The given keys that kv sets, as floats; unset keys keep the dataclass defaults."""
+    out = {}
+    for key in keys:
+        if key in kv:
+            try:
+                out[key] = float(kv[key])
+            except ValueError:
+                raise ConfigError(f"{key}: not a number: {kv[key]!r}") from None
+    return out
 
 
 def config_from_mapping(kv: dict[str, str]) -> tuple[GloveConfig, Calibration]:
+    unknown = next((k for k in kv if k not in _CONFIG_KEYS and not k.startswith("sensor_S")), None)
+    if unknown is not None:
+        raise ConfigError(f"unknown config key {unknown!r}; known: {', '.join(_CONFIG_KEYS)}, "
+                          f"sensor_S<k>")
     mode_name = kv.get("conversion_mode", ConversionMode.LINEAR.value)
     try:
         mode = ConversionMode(mode_name)
@@ -361,17 +366,11 @@ def config_from_mapping(kv: dict[str, str]) -> tuple[GloveConfig, Calibration]:
         layout.append(SensorSpec(sid, locus, dia))
 
     cfg = GloveConfig(
-        supply_voltage_v=_parse_float(kv, "supply_voltage_v", 3.3),
-        pulldown_ohm=_parse_float(kv, "pulldown_ohm", 10_000.0),
-        sample_period_ms=_parse_float(kv, "sample_period_ms", 20.0),
+        **_floats(kv, _GLOVE_KEYS),
         sensor_layout=tuple(sorted(layout, key=lambda s: s.sid)) or standard_layout(),
-        battery_nominal_v=_parse_float(kv, "battery_nominal_v", 4.2),
         conversion_mode=mode,
     )
-    cal = Calibration(
-        anchor_voltage_mv=_parse_float(kv, "anchor_voltage_mv", 1500.0),
-        anchor_force_n=_parse_float(kv, "anchor_force_n", 10.0),
-    )
+    cal = Calibration(**_floats(kv, _CALIBRATION_KEYS))
     if cal.anchor_voltage_mv >= cfg.supply_mv:
         raise ConfigError("anchor_voltage_mv must be below the supply rail")
     return cfg, cal

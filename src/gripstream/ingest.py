@@ -12,10 +12,12 @@ back bit-exact.
 """
 
 import csv
+import os
 import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,6 +36,8 @@ _TS_MAX = np.iinfo(np.int64).max
 _VALUE_MAX = np.iinfo(np.uint16).max
 # digit runs past leading zeros fit uint64; a longer one would be out of range anyway
 _TSV_LINES = re.compile(rb"(?:0*[0-9]{1,19}\t0*[0-9]{1,5}\n)*")
+# subject and condition name the session's files, so they stay inside one file name
+_LABEL = re.compile(r"\w[\w.-]*")
 
 
 class IngestError(GripstreamError):
@@ -58,6 +62,15 @@ class RecordError(IngestError):
     def __init__(self, message: str, completed: list[Path]):
         super().__init__(message)
         self.completed = list(completed)
+
+
+def label_problem(subject: str, condition: str) -> str | None:
+    """Why subject or condition cannot name a session's files, or None if both can."""
+    for what, label in (("subject", subject), ("condition", condition)):
+        if not _LABEL.fullmatch(label):
+            return (f"{what} {label!r} is not a label: a letter, digit or underscore, "
+                    f"then letters, digits, underscores, dots or dashes")
+    return None
 
 
 def _exact(values, dtype) -> np.ndarray:
@@ -96,6 +109,7 @@ class Session:
     (n, 12)) holds S1..S12 and battery_mv (uint16, (n,)) the battery at
     those times; gaps keeps the sequence gap events seen during ingestion.
     samples and battery_trace give the same data as (timestamp_ms, value) pairs.
+    subject and condition name the recorded files, so label_problem must pass them.
     """
 
     subject: str
@@ -108,6 +122,9 @@ class Session:
     gaps: list[StreamEvent] = field(default_factory=list)
 
     def __post_init__(self):
+        problem = label_problem(self.subject, self.condition)
+        if problem:
+            raise IngestError(problem)
         self.timestamps_ms = _exact(self.timestamps_ms, np.int64)
         self.voltages_mv = _exact(self.voltages_mv, np.uint16)
         self.battery_mv = _exact(self.battery_mv, np.uint16)
@@ -301,21 +318,22 @@ def record_session(session: Session, directory) -> Manifest:
     """Write one TSV per sensor, a battery trace, and a metadata file.
 
     Files are named <subject>_<hand>_<condition>_S<k>.tsv with lines
-    "timestamp_ms<TAB>voltage_mv". The metadata file is removed first and
-    written last, so its presence marks a complete recording.
+    "timestamp_ms<TAB>voltage_mv". All 14 are written under temporary
+    names first; then the old metadata is removed, the columns take their
+    final names and the metadata comes last, so its presence marks a complete
+    recording. A failure while writing leaves an earlier recording whole.
     """
     directory = Path(directory)
     meta_path = directory / f"{session.stem}_meta.txt"
-    paths = _column_paths(directory, session.stem)
+    paths = [*_column_paths(directory, session.stem), meta_path]
+    temps = [path.with_name(path.name + ".tmp") for path in paths]  # outside the *_meta.txt glob
     columns = np.column_stack([session.voltages_mv, session.battery_mv])
     timestamps = session.timestamps_ms.tolist()
     completed: list[Path] = []
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        meta_path.unlink(missing_ok=True)
-        for k, path in enumerate(paths):
-            _write_tsv(path, timestamps, columns[:, k].tolist())
-            completed.append(path)
+        for k, temp in enumerate(temps[:-1]):
+            _write_tsv(temp, timestamps, columns[:, k].tolist())
         lines = [
             f"subject = {session.subject}",
             f"hand = {session.hand.side.value}",
@@ -327,14 +345,20 @@ def record_session(session: Session, directory) -> Manifest:
         if session.gaps:
             gaps = ",".join(f"{ev.at_byte_offset}:{ev.missing_count}" for ev in session.gaps)
             lines.append(f"gaps = {gaps}")
-        meta_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        completed.append(meta_path)
+        temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        meta_path.unlink(missing_ok=True)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+            completed.append(path)
     except OSError as exc:
+        for temp in temps:
+            with suppress(OSError):
+                temp.unlink(missing_ok=True)
         raise RecordError(f"recording failed after {len(completed)} files: {exc}", completed)
     return Manifest(
         directory=directory,
         meta_path=meta_path,
-        battery_path=paths[-1],
+        battery_path=paths[-2],
         sensor_paths=dict(zip(SENSOR_IDS, paths)),
     )
 
@@ -378,6 +402,9 @@ def _load_from_meta(meta_path: Path) -> Session:
     side_txt = _meta_field(meta, "hand", meta_path)
     dom_txt = _meta_field(meta, "dominance", meta_path)
     condition = _meta_field(meta, "condition", meta_path)
+    problem = label_problem(subject, condition)
+    if problem:
+        raise StructureError(f"{meta_path}: {problem}")
     try:
         hand = Hand(side=Side(side_txt), dominance=Dominance(dom_txt))
     except ValueError as exc:
@@ -420,12 +447,10 @@ def _load_from_meta(meta_path: Path) -> Session:
 
 
 def load_session(source) -> Session:
-    """Load a recorded session from a Manifest, a metadata file, or a directory.
+    """Load a recorded session from its metadata file or its directory.
 
     A directory must hold exactly one session; use load_sessions for more.
     """
-    if isinstance(source, Manifest):
-        return _load_from_meta(source.meta_path)
     path = Path(source)
     if path.is_dir():
         metas = sorted(path.glob("*_meta.txt"))
@@ -488,7 +513,7 @@ def export_csv(sessions, dest) -> int:
     Rows are ordered by timestamp, then glove, then sensor, so exports are
     deterministic regardless of session order.
     """
-    sessions = [sessions] if isinstance(sessions, Session) else list(sessions)
+    sessions = list(sessions)
     width = len(SENSOR_IDS)
     ts = np.concatenate([np.empty(0, np.int64), *(s.timestamps_ms for s in sessions)]).repeat(width)
     glove = np.repeat([s.hand.side.value for s in sessions], [s.frame_count * width for s in sessions])

@@ -58,12 +58,9 @@ def kernel_backend() -> str:
     return "pure-python"
 
 
-def crc16(data, start: int = 0, length: int = -1) -> int:
-    """CRC-16/CCITT-FALSE over data[start:start+length] (length -1 = to end)."""
-    end = len(data) if length < 0 else start + length
-    if not 0 <= start <= end <= len(data):
-        raise IndexError(f"CRC range [{start}, {end}) outside {len(data)} bytes")
-    return crc_hqx(data[start:end], 0xFFFF)
+def crc16(data) -> int:
+    """CRC-16/CCITT-FALSE over all of data."""
+    return crc_hqx(data, 0xFFFF)
 
 
 class CodecError(GripstreamError):

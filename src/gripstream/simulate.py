@@ -14,6 +14,7 @@ sensor, so trajectories are reproducible and independent per channel.
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +37,9 @@ CONDITION_GAINS = {"quiet": 1.0, "soft": 1.0, "hardrock": 1.3}
 
 DOMINANT_HAND_GAIN = 1.15
 
+# the emulated battery starts at GloveConfig.battery_nominal_v and drains linearly
+BATTERY_DRAIN_MV_PER_S = 1.0
+
 
 def condition_gain(label: str) -> float:
     return CONDITION_GAINS.get(label, 1.0)
@@ -47,7 +51,6 @@ class ProfilePreset:
 
     name: str
     base_force_n: tuple[float, ...]
-    contribution: dict[str, float] | None = None
     condition_gain: float = 1.0
     hand_gain: float = DOMINANT_HAND_GAIN
     noise_sd_mv: float = 5.0
@@ -67,11 +70,6 @@ class ProfilePreset:
             raise ConfigError("noise sd must be non-negative")
         if self.duration_scale <= 0:
             raise ConfigError("duration scale must be positive")
-        if self.contribution is not None:
-            total = sum(self.contribution.values())
-            # reference tables arrive rounded, so the sum can miss 100 slightly
-            if not 98.0 <= total <= 102.0:
-                raise ConfigError(f"contribution shares must sum to ~100, got {total}")
 
     def scaled(self, factor: float) -> "ProfilePreset":
         """Same profile with base forces scaled (e.g. per-subject strength)."""
@@ -80,13 +78,11 @@ class ProfilePreset:
         scaled = tuple(min(f * factor, FORCE_CEILING_N) for f in self.base_force_n)
         return replace(self, base_force_n=scaled)
 
-    def with_gains(self, condition: float | None = None, hand: float | None = None,
+    def with_gains(self, condition: float | None = None,
                    noise_sd_mv: float | None = None) -> "ProfilePreset":
         kw = {}
         if condition is not None:
             kw["condition_gain"] = condition
-        if hand is not None:
-            kw["hand_gain"] = hand
         if noise_sd_mv is not None:
             kw["noise_sd_mv"] = noise_sd_mv
         return replace(self, **kw)
@@ -113,12 +109,15 @@ def contribution_preset(
     unknown = set(shares) - set(FINGERTIP_SENSOR)
     if unknown:
         raise ConfigError(f"unknown fingers in share table: {sorted(unknown)}")
+    total = sum(shares.values())
+    # reference tables arrive rounded, so the sum can miss 100 slightly
+    if not 98.0 <= total <= 102.0:
+        raise ConfigError(f"contribution shares must sum to ~100, got {total}")
     per_sensor = {FINGERTIP_SENSOR[f]: fingertip_total_n * pct / 100.0 for f, pct in shares.items()}
     per_sensor[1] = thumb_force_n
     return ProfilePreset(
         name=name,
         base_force_n=_bases(per_sensor, support_force_n),
-        contribution=dict(shares),
         **kwargs,
     )
 
@@ -174,7 +173,7 @@ class SessionPlan:
     seed: int = 0
     dominant: Side = Side.RIGHT
     waveform: str = WAVEFORM_HOLD
-    lift_period_s: float = 2.0
+    lift_period_s: ClassVar[float] = 2.0
 
     def __post_init__(self):
         if not self.profiles or len(self.profiles) > 2:
@@ -186,12 +185,6 @@ class SessionPlan:
             raise ConfigError("duration must be positive")
         if self.waveform not in WAVEFORMS:
             raise ConfigError(f"waveform must be one of {WAVEFORMS}, got {self.waveform!r}")
-        if self.lift_period_s <= 0:
-            raise ConfigError("lift period must be positive")
-
-    @property
-    def gloves(self) -> int:
-        return len(self.profiles)
 
 
 def waveform_envelope(kind: str, lift_period_s: float, t_s: np.ndarray) -> np.ndarray:
@@ -249,16 +242,19 @@ def emit_frames(
     cal: Calibration | None = None,
     cfg: GloveConfig | None = None,
     side: Side = Side.RIGHT,
-    battery_start_mv: int = 4200,
-    battery_drain_mv_per_s: float = 1.0,
 ) -> np.ndarray:
     """Quantize a (12, n) force trajectory into n wire records (FRAME_DTYPE).
 
-    Frame k is stamped k * sample_period with sequence k mod 65536; forces
-    outside the calibrated range raise before anything is emitted.
+    Frame k is stamped k * sample_period with sequence k mod 65536; the
+    battery starts at battery_nominal_v and drains BATTERY_DRAIN_MV_PER_S.
+    Forces outside the calibrated range raise before anything is emitted.
     """
     cal = cal or Calibration()
     cfg = cfg or GloveConfig()
+    battery_start_mv = cfg.battery_nominal_v * 1000.0
+    if not 0 < battery_start_mv <= BATTERY_LIMIT_MV:
+        raise ConfigError(f"battery_nominal_v {cfg.battery_nominal_v:g} V is outside "
+                          f"(0, {BATTERY_LIMIT_MV / 1000:g}] V, the battery field's range")
     traj = np.asarray(trajectories, dtype=float)
     if traj.ndim != 2 or traj.shape[0] != 12:
         raise ConfigError(f"trajectories must be shaped (12, n), got {traj.shape}")
@@ -266,8 +262,7 @@ def emit_frames(
     k = np.arange(len(volts))
     # np.rint rounds half to even, as round() does
     ts = np.rint(k * cfg.sample_period_ms)
-    battery = np.clip(np.rint(battery_start_mv - battery_drain_mv_per_s * ts / 1000.0),
-                      0, BATTERY_LIMIT_MV)
+    battery = np.maximum(np.rint(battery_start_mv - BATTERY_DRAIN_MV_PER_S * ts / 1000.0), 0)
     return encode_records(side, k & 0xFFFF, ts, battery, volts)
 
 

@@ -7,11 +7,14 @@ diffed and golden-tested byte for byte.
 import math
 from xml.sax.saxutils import escape
 
-from gripstream.errors import ConfigError, GripstreamError
+from gripstream.errors import GripstreamError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
+_WIDTH, _HEIGHT = 640, 360
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 58, 16, 30, 44
+_PLOT_W = _WIDTH - _MARGIN_L - _MARGIN_R
+_PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
 
 
 class NoDataError(GripstreamError):
@@ -44,14 +47,8 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def render_profile_svg(
-    series,
-    y_label: str = "force (N)",
-    title: str = "",
-    width: int = 640,
-    height: int = 360,
-) -> str:
-    """Render labeled (label, [(t_ms, value), ...]) series as an SVG chart.
+def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> str:
+    """Render labeled (label, [(t_ms, value), ...]) series as a 640x360 SVG chart.
 
     Empty series are skipped; if nothing remains there is nothing to plot
     and NoDataError is raised. The x axis is task time in seconds.
@@ -74,28 +71,21 @@ def render_profile_svg(
         v_hi = 1.0
     v_hi *= 1.05
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
-    if plot_w < 40 or plot_h < 40:
-        raise ConfigError(
-            f"canvas {width}x{height} leaves no room to draw after margins"
-        )
-
     def sx(t_s: float) -> float:
-        return _MARGIN_L + (t_s - t_lo) / (t_hi - t_lo) * plot_w
+        return _MARGIN_L + (t_s - t_lo) / (t_hi - t_lo) * _PLOT_W
 
     def sy(v: float) -> float:
-        return _MARGIN_T + plot_h - (v - v_lo) / (v_hi - v_lo) * plot_h
+        return _MARGIN_T + _PLOT_H - (v - v_lo) / (v_hi - v_lo) * _PLOT_H
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="19" text-anchor="middle" font-size="13">'
+            f'<text x="{_WIDTH / 2:.1f}" y="19" text-anchor="middle" font-size="13">'
             f"{escape(title)}</text>"
         )
 
@@ -104,16 +94,16 @@ def render_profile_svg(
         x = sx(t)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_MARGIN_T}" x2="{x:.2f}" '
-            f'y2="{_MARGIN_T + plot_h}" stroke="#dddddd" stroke-width="1"/>'
+            f'y2="{_MARGIN_T + _PLOT_H}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 16}" text-anchor="middle" '
+            f'<text x="{x:.2f}" y="{_MARGIN_T + _PLOT_H + 16}" text-anchor="middle" '
             f'font-size="11">{_fmt(t)}</text>'
         )
     for v in _ticks(v_lo, v_hi):
         y = sy(v)
         parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_MARGIN_L + plot_w}" '
+            f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_MARGIN_L + _PLOT_W}" '
             f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
@@ -123,20 +113,20 @@ def render_profile_svg(
 
     # axes
     parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T + plot_h}" x2="{_MARGIN_L + plot_w}" '
-        f'y2="{_MARGIN_T + plot_h}" stroke="black" stroke-width="1"/>'
+        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T + _PLOT_H}" x2="{_MARGIN_L + _PLOT_W}" '
+        f'y2="{_MARGIN_T + _PLOT_H}" stroke="black" stroke-width="1"/>'
     )
     parts.append(
         f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
-        f'y2="{_MARGIN_T + plot_h}" stroke="black" stroke-width="1"/>'
+        f'y2="{_MARGIN_T + _PLOT_H}" stroke="black" stroke-width="1"/>'
     )
     parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{_MARGIN_L + _PLOT_W / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
         f'font-size="12">task time (s)</text>'
     )
     parts.append(
-        f'<text x="14" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {_MARGIN_T + plot_h / 2:.1f})">{escape(y_label)}</text>'
+        f'<text x="14" y="{_MARGIN_T + _PLOT_H / 2:.1f}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 14 {_MARGIN_T + _PLOT_H / 2:.1f})">{escape(y_label)}</text>'
     )
 
     # one polyline per series
@@ -156,7 +146,7 @@ def render_profile_svg(
     for i, (label, _) in enumerate(drawable):
         color = PALETTE[i % len(PALETTE)]
         y = _MARGIN_T + 14 + i * 16
-        x = _MARGIN_L + plot_w - 130
+        x = _MARGIN_L + _PLOT_W - 130
         parts.append(
             f'<line x1="{x}" y1="{y - 4}" x2="{x + 18}" y2="{y - 4}" '
             f'stroke="{color}" stroke-width="2"/>'

@@ -33,13 +33,11 @@ def _crc_table() -> tuple[int, ...]:
 _CRC_TABLE = _crc_table()
 
 
-def reference_crc16(data, start: int = 0, length: int = -1) -> int:
+def reference_crc16(data) -> int:
     """Table-driven CRC-16/CCITT-FALSE (Sarwate, CACM 31(8), 1988), the oracle for crc16."""
-    if length < 0:
-        length = len(data) - start
     crc = 0xFFFF
-    for i in range(start, start + length):
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ data[i]]
+    for byte in data:
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
     return crc
 
 
@@ -65,7 +63,7 @@ def reference_scan(buf: bytes) -> tuple[list[tuple[int, Frame]], list[StreamEven
             continue
         if len(buf) - i < 36:
             return frames, events, buf[i:]
-        if reference_crc16(buf, i + 1, 33) != int.from_bytes(buf[i + 34:i + 36], "little"):
+        if reference_crc16(buf[i + 1:i + 34]) != int.from_bytes(buf[i + 34:i + 36], "little"):
             events.append(StreamEvent(EventKind.CRC_MISMATCH, i))
             i += 1
             continue

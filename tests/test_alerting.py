@@ -65,7 +65,7 @@ def test_debounce_delays_onset_and_keeps_run_peak():
     event = opened[0]
     assert event.onset_timestamp_ms == 1020
     assert event.peak_force_n == 8.5  # the debounce run counts toward the peak
-    assert event.open and monitor.open_alerts == [event]
+    assert event.open and monitor.alerts == [event]
 
 
 def test_single_spikes_between_dips_never_open():
@@ -93,7 +93,7 @@ def test_hysteresis_band_cannot_flap():
     monitor.step(6, 200, 7.49)
     assert not event.open
     assert event.cleared_timestamp_ms == 200
-    assert monitor.open_alerts == []
+    assert not any(alert.open for alert in monitor.alerts)
 
 
 def test_peak_updates_in_place_while_open():

@@ -13,7 +13,6 @@ from gripstream.analytics import (
     ExpertiseIndex,
     InsufficientDataError,
     UnbalancedDesignError,
-    aggregate_stats,
     anova_from_sessions,
     anova_oneway,
     anova_twoway,
@@ -74,32 +73,13 @@ def test_profile_unknown_sensor_and_empty_series():
     empty = sensor_profile(session, 1)
     assert len(empty) == 0
     with pytest.raises(InsufficientDataError):
-        aggregate_stats(empty)
+        session_mean_force(session, 1)
 
 
 def test_conversion_error_reports_sample_index():
     session = mv_session({2: [100, 200, 3300, 400]})
     with pytest.raises(DomainError, match="sample index 2"):
         sensor_profile(session, 2)
-
-
-def test_aggregate_stats_values():
-    stats = aggregate_stats([1.0, 2.0, 3.0])
-    assert stats.mean == 2.0 and stats.maximum == 3.0 and stats.n == 3
-    assert stats.sd == pytest.approx(1.0)
-    flat = aggregate_stats([2.0, 2.0, 2.0])
-    assert flat.sd == 0.0
-    single = aggregate_stats([5.0])
-    assert single.mean == 5.0 and single.n == 1
-    with pytest.raises(InsufficientDataError):
-        single.sd
-
-
-def test_aggregate_stats_accepts_force_series():
-    session = mv_session({3: [0, 750, 1500]})
-    stats = aggregate_stats(sensor_profile(session, 3))
-    assert stats.mean == pytest.approx(5.0)
-    assert stats.maximum == 10.0 and stats.n == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import socket
 import struct
@@ -119,6 +120,55 @@ def test_simulate_refuses_a_plan_it_cannot_run(tmp_path, capsys, flags, message)
     assert main(["simulate", *flags.split(), "--raw", str(raw)]) == 2
     assert message in capsys.readouterr().err
     assert not raw.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate --raw x.bin", "record --in x.bin", "serve"])
+@pytest.mark.parametrize("flag, label", [("--subject", "s#1"), ("--subject", "../esc"),
+                                         ("--subject", " s01"), ("--condition", "a\nb")])
+def test_labels_that_cannot_name_files_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                        command, flag, label):
+    def no_bind(*args, **kwargs):
+        raise AssertionError("serve bound a port before checking its labels")
+
+    monkeypatch.setattr(socket, "create_server", no_bind)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.bin").write_bytes(high_force_blob(duration_s=0.1))
+    argv = [*command.split(), flag, label, "--out", "rec/"]
+    assert main(argv) == 1
+    assert "is not a label" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
+
+
+def test_unknown_config_key_is_a_data_error(tmp_path, capsys):
+    config = tmp_path / "glove.cfg"
+    config.write_text("sample_perod_ms = 10\n", encoding="utf-8")
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "rec"),
+            "--raw", str(tmp_path / "x.bin")]
+    assert main(argv) == 2
+    assert "unknown config key 'sample_perod_ms'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["glove.cfg"]
+
+
+def test_simulate_starts_the_battery_at_the_configured_voltage(tmp_path, capsys):
+    config = tmp_path / "glove.cfg"
+    save_config(config, GloveConfig(battery_nominal_v=3.7), Calibration())
+    out = simulate_dir(tmp_path, config=config)
+    (session,) = load_sessions(out)
+    assert session.battery_mv[[0, -1]].tolist() == [3700, 3699]
+    save_config(config, GloveConfig(battery_nominal_v=4.5), Calibration())
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "hot")]) == 2
+    assert "battery_nominal_v 4.5 V" in capsys.readouterr().err
+    assert not (tmp_path / "hot").exists()
+
+
+def test_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 19.2 GiB")
+
+    monkeypatch.setattr("gripstream.cli.capture_plan", exhausted)
+    assert main(["simulate", "--raw", str(tmp_path / "x.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 19.2 GiB\n"
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +484,103 @@ def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
     assert "error: session anon_R_quiet already came from another connection" in stderr
     (session,) = load_sessions(out)
     assert session.frame_count == 100
+
+
+# ---------------------------------------------------------------------------
+# golden run: every output byte of a fixed-seed session pinned by digest
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_digest(directory) -> str:
+    """One digest over every file's name and contents, in name order."""
+    return _digest("".join(f"{p.name}\t{_digest(p.read_bytes())}\n"
+                           for p in sorted(directory.iterdir())).encode())
+
+
+GOLDEN = {
+    "analyze anova stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "analyze anova stdout": "d4b8594beb10fe1a8c0fb6819a232e11d4dfef82464dbabf41d7777d94bed9d8",
+    "analyze damaged stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "analyze damaged stdout": "db266b013d34bddc983c2f4462505e8198c992b7eaeaccc0899adccef9677330",
+    "analyze population stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "analyze population stdout": "aaff94ab4d6b7d2d0e37222a9fd5dc5cca8f2d5acf01cdaf481a6de5f40d52c6",
+    "analyze shares stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "analyze shares stdout": "4bac033edfeee17b873cfe8136631cc9bb55fbf8cce784a8796aae8f87b711f1",
+    "analyze summary stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "analyze summary stdout": "f25adc2cc914e9498cf710490282bb4d001782d46ab67149ce394f7a09ce5e30",
+    "damaged/": "ab764c19996abf3728ad2b21d33d610a6491f3b10f415ea78d4983cb687aa119",
+    "export stderr": "77cf356ef5c017160ebe2092309563176ce188c0753a7967abd04d58e69c22ba",
+    "export stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "flat.csv": "3d96bbc62435806ab8223b95caf80bfc0578608ff66f5af26780a422f5366e6a",
+    "monitor stderr": "a976b98755c3a53535a2dfe2d6a1b94a8ca5053bbd993d6f0a26382f6ae18d80",
+    "monitor stdout": "eb08d681d4f65802ee3f4330f5862e536c045cbb7c701ea42fe37f46fb2e45ae",
+    "mv.svg": "e0747d9c594d4c005b014717d919e7842cebea2e0baef57b7d1d292a39405fa7",
+    "n.svg": "478d84a1217f4a1a9f6ac90eaa804bceaf22acdc2c27b1e2859b8be7511224c5",
+    "plot mv stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "plot mv stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "plot n stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "plot n stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "rec/": "6c417cedd9d5975b88354247ff78dea478bab8ce18b4475f1ccd05ac551b8e5e",
+    "record stderr": "a60bc15871f4d73c4f1ec2a60f5d5822f938113cb11d20b1f82df89787756936",
+    "record stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "s01_hardrock_L.bin": "59e564da4b15ff60b9ca84441dd9f9c7b037894bbd352b252e9787e49b660890",
+    "s01_hardrock_R.bin": "2672064f7b558e9085cfbc78c9b6ebbe496151a9ce6508328e053ae96ecdb085",
+    "s01_quiet_L.bin": "de6a5d5c832100c718382023cf197b96ad91a78e9b1ee29663dba02ee23c4463",
+    "s01_quiet_R.bin": "975cfe0d6c3d517f3487458d61371b0ad067a82d815e1c2a05eae675539e1aaf",
+    "s02_hardrock_L.bin": "ef53655105a22374e0a3096798f84f63a95cea38be4eb20ab2bc61d75cf99a4b",
+    "s02_hardrock_R.bin": "db98dae378d16d5d952df322c974f9b8b2220aacee6dd49089dd458844a7955d",
+    "s02_quiet_L.bin": "975448223855b7467f926ac13619baf12d02c797b4354d5c9cdfd5d116f0ee52",
+    "s02_quiet_R.bin": "fd7146d0572d511d333f9862641792d720ae9ae18942f0aa535929aca049a88f",
+    "simulate s01 hardrock stderr": "29653418af21ffd3342252c8d9477590890fa5999e38c604668c2de6ded560f2",
+    "simulate s01 hardrock stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "simulate s01 quiet stderr": "b6fc8beef8b66ff456c92dcf132b4ac8fc199af83485631f203a11d1bfd553bc",
+    "simulate s01 quiet stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "simulate s02 hardrock stderr": "483039d1bfc7846544cf189a907528c6947a38b9bd06412edcfcaee8432c16e5",
+    "simulate s02 hardrock stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "simulate s02 quiet stderr": "0477bc7f20d9058c3d7d9550f67b97ca114d23baf2a540214256a384dd5ab9e8",
+    "simulate s02 quiet stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+def test_golden_cli_run_is_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("gripstream.cli._now", lambda: "2020-11-11T09:00:00")
+    got = {}
+
+    def run(name, *argv):
+        assert main(list(argv)) == 0, name
+        captured = capsys.readouterr()
+        got[f"{name} stdout"] = _digest(captured.out.encode())
+        got[f"{name} stderr"] = _digest(captured.err.encode())
+
+    seed = 0
+    for subject in ("s01", "s02"):
+        for condition in ("quiet", "hardrock"):
+            seed += 1
+            run(f"simulate {subject} {condition}", "simulate", "--preset", "precision_lift",
+                "--hand", "both", "--subject", subject, "--condition", condition,
+                "--seed", str(seed), "--duration", "3", "--waveform", "lift",
+                "--raw", f"{subject}_{condition}.bin", "--out", "rec")
+    damaged = bytearray((tmp_path / "s01_quiet_R.bin").read_bytes())
+    for at in range(100, len(damaged), 997):
+        damaged[at] ^= 0x5A
+    del damaged[2000:2000 + 36 * 3]  # three frames lost
+    (tmp_path / "damaged.bin").write_bytes(bytes(damaged[:-7]))  # and a partial tail
+    run("record", "record", "--in", "damaged.bin", "--out", "damaged", "--subject", "s03")
+    run("analyze summary", "analyze", "--in", "rec")
+    run("analyze damaged", "analyze", "--in", "damaged")
+    run("analyze shares", "analyze", "--in", "rec", "--shares", "S2,S3,S4,S5")
+    run("analyze anova", "analyze", "--in", "rec", "--anova", "hand,condition")
+    run("analyze population", "analyze", "--in", "rec", "--population", "hand")
+    run("monitor", "monitor", "--in", "rec")
+    run("export", "export", "--in", "rec", "--out", "flat.csv")
+    run("plot n", "plot", "--in", "rec", "--units", "n", "--out", "n.svg")
+    run("plot mv", "plot", "--in", "rec", "--units", "mv", "--out", "mv.svg")
+    for path in tmp_path.iterdir():
+        if path.is_dir():
+            got[f"{path.name}/"] = _tree_digest(path)
+        elif path.name != "damaged.bin":
+            got[path.name] = _digest(path.read_bytes())
+    assert got == GOLDEN

@@ -194,7 +194,7 @@ def test_glove_config_checks_layout():
 def test_cadence_and_rails():
     assert CFG.sample_rate_hz == pytest.approx(50.0)
     assert CFG.supply_mv == pytest.approx(3300.0)
-    assert CFG.sensor(4).locus is SensorLocus.FINGERTIP_RING
+    assert CFG.sensor_layout[3].locus is SensorLocus.FINGERTIP_RING
     assert [s.sid for s in CFG.sensors_at(SensorLocus.THENAR)] == [10]
 
 
@@ -219,6 +219,14 @@ def test_parse_kv_text():
     assert kv == {"a": "1", "b": "two words"}
     with pytest.raises(ConfigError):
         parse_kv_text("not a pair\n")
+
+
+@pytest.mark.parametrize("line", ["sample_perod_ms = 10", "battery_v = 3.7", "sensor = S1"])
+def test_load_config_refuses_a_key_it_does_not_read(tmp_path, line):
+    path = tmp_path / "glove.cfg"
+    path.write_text(f"supply_voltage_v = 3.3\n{line}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"unknown config key '{line.split()[0]}'"):
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_mode(tmp_path):

@@ -255,8 +255,6 @@ def test_record_load_round_trip_with_gaps(tmp_path):
                             dominance=Dominance.NON_DOMINANT)
     assert len(session.gaps) == 1 and session.gaps[0].missing_count == 3
     manifest = record_session(session, tmp_path)
-    loaded = load_session(manifest)
-    assert loaded == session
     assert load_session(tmp_path) == session
     assert load_session(manifest.meta_path) == session
 
@@ -370,21 +368,21 @@ def test_load_accepts_exactly_what_the_line_reader_accepts(data):
             rows = reference_read_tsv(paths[k])
         except ParseError as want:
             with pytest.raises(ParseError) as err:
-                load_session(manifest)
+                load_session(manifest.meta_path)
             assert (err.value.path, err.value.line_no) == (want.path, want.line_no)
             return
         if len(rows) != session.frame_count:
             with pytest.raises(StructureError):
-                load_session(manifest)
+                load_session(manifest.meta_path)
             return
         differ = np.flatnonzero([ts for ts, _ in rows] != session.timestamps_ms)
         if differ.size:
             # a changed S1 is caught by S2, which no longer agrees with it
             with pytest.raises(ParseError) as err:
-                load_session(manifest)
+                load_session(manifest.meta_path)
             assert (err.value.path, err.value.line_no) == (paths[max(k, 1)], differ[0] + 1)
             return
-        loaded = load_session(manifest)
+        loaded = load_session(manifest.meta_path)
     columns = np.column_stack([session.voltages_mv, session.battery_mv]).astype(np.int64)
     columns[:, k] = [value for _, value in rows]
     assert np.array_equal(loaded.timestamps_ms, session.timestamps_ms)
@@ -432,6 +430,32 @@ def test_load_requires_exactly_one_session_for_a_directory(tmp_path):
     assert [s.subject for s in loaded] == ["a", "b"]
 
 
+BAD_LABELS = ["s#1", " s01", "s\n01", "../esc", "a/b", "", ".hidden", "-x", "s 01"]
+
+
+@pytest.mark.parametrize("label", BAD_LABELS)
+def test_session_refuses_a_label_that_cannot_name_its_files(label):
+    for subject, condition in ((label, "quiet"), ("s01", label)):
+        with pytest.raises(IngestError, match="is not a label"):
+            build_session(frame_run(random.Random(65), 2), subject=subject, condition=condition)
+
+
+@pytest.mark.parametrize("label", ["anon", "s01", "hardrock", "p2", "S_1.b-2", "é"])
+def test_session_accepts_word_labels(label):
+    session = build_session(frame_run(random.Random(66), 2), subject=label, condition=label)
+    assert session.stem == f"{label}_R_{label}"
+
+
+def test_load_refuses_a_bad_label_before_opening_columns(tmp_path):
+    record_session(build_session(frame_run(random.Random(67), 3), subject="s1"), tmp_path)
+    meta = tmp_path / "s1_R_quiet_meta.txt"
+    meta.write_text(meta.read_text().replace("subject = s1", "subject = ../s1"))
+    for column in tmp_path.glob("*.tsv"):
+        column.unlink()
+    with pytest.raises(StructureError, match="subject '../s1' is not a label"):
+        load_session(meta)
+
+
 def test_record_error_names_completed_files(tmp_path):
     session = build_session(frame_run(random.Random(60), 3), subject="w")
     (tmp_path / "w_R_quiet_S5.tsv").mkdir(parents=True)
@@ -449,16 +473,18 @@ def test_failed_rerecord_leaves_no_metadata_behind(tmp_path, monkeypatch):
     write = gripstream.ingest._write_tsv
 
     def failing_at_s7(path, *columns):
-        if path.name.endswith("_S7.tsv"):
+        if "_S7.tsv" in path.name:
             raise OSError("disk full")
         write(path, *columns)
 
     monkeypatch.setattr(gripstream.ingest, "_write_tsv", failing_at_s7)
-    with pytest.raises(RecordError):
+    files = sorted(tmp_path.iterdir())
+    with pytest.raises(RecordError) as err:
         record_session(second, tmp_path)
-    # S1-S6 hold the second session and S7-S12 the first: nothing may load
-    with pytest.raises(StructureError):
-        load_session(tmp_path)
+    assert err.value.completed == []
+    # the second session's columns never took the final names: the first loads whole
+    assert sorted(tmp_path.iterdir()) == files
+    assert load_session(tmp_path) == first
 
 
 def test_export_csv_is_flat_and_ordered(tmp_path):

@@ -37,7 +37,7 @@ from helpers import frame_run, random_frame, reference_crc16, reference_scan, wi
 def raw_frame(glove_byte=0x52, seq=0, ts=0, battery=4200, voltages=(0,) * 12) -> bytes:
     """Hand-packed frame with a correct checksum but arbitrary field values."""
     body = struct.pack("<BBHIH12HH", 0xA5, glove_byte, seq, ts, battery, *voltages, 0)
-    return body[:34] + crc16(body, 1, 33).to_bytes(2, "little")
+    return body[:34] + crc16(body[1:34]).to_bytes(2, "little")
 
 
 def test_crc_check_value():
@@ -47,21 +47,9 @@ def test_crc_check_value():
     assert crc16(bytearray(b"123456789")) == 0x29B1
 
 
-def test_crc_range_arguments():
-    data = b"xx123456789yy"
-    assert crc16(data, 2, 9) == 0x29B1
-    assert crc16(data, 2) == crc16(data[2:])
-    for start, length in ((2, 12), (14, -1), (-1, 3)):
-        with pytest.raises(IndexError):
-            crc16(data, start, length)
-
-
-@given(st.integers(0, 80), st.sampled_from([bytes, bytearray, memoryview]), st.data())
-def test_crc_equals_table_driven_reference(size, kind, data):
-    payload = data.draw(st.binary(min_size=size, max_size=size), label="payload")
-    start = data.draw(st.integers(0, len(payload)), label="start")
-    length = data.draw(st.integers(-1, len(payload) - start), label="length")
-    assert crc16(kind(payload), start, length) == reference_crc16(payload, start, length)
+@given(st.binary(max_size=80), st.sampled_from([bytes, bytearray, memoryview]))
+def test_crc_equals_table_driven_reference(payload, kind):
+    assert crc16(kind(payload)) == reference_crc16(payload)
 
 
 def test_documented_example_frame_is_byte_exact():
@@ -75,7 +63,7 @@ def test_documented_example_frame_is_byte_exact():
     )
     assert encode_frame(frame) == blob
     assert decode_frame(blob) == frame
-    assert crc16(blob, 1, 33) == reference_crc16(blob, 1, 33) == 0x2267
+    assert crc16(blob[1:34]) == reference_crc16(blob[1:34]) == 0x2267
 
 
 def test_frame_wire_size_and_round_trip():

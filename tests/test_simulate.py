@@ -76,15 +76,13 @@ def test_plan_validation():
         SessionPlan({Side.LEFT: profile}, duration_s=0)
     with pytest.raises(ConfigError):
         SessionPlan({Side.LEFT: profile}, waveform="sawtooth")
-    with pytest.raises(ConfigError):
-        SessionPlan({Side.LEFT: profile}, lift_period_s=-1)
     for seed in (-1, 1.5, "1"):
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             SessionPlan({Side.LEFT: profile}, seed=seed)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["duration_s", "lift_period_s"])
+@pytest.mark.parametrize("name", ["duration_s"])
 def test_plan_rejects_non_finite_numbers(name, bad):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         SessionPlan({Side.LEFT: flat_preset()}, **{name: bad})
@@ -183,24 +181,32 @@ def test_emit_frames_quantization_and_cadence():
     assert records["battery_mv"][-1] == 4190
 
 
-@pytest.mark.parametrize("period_ms, drain_mv_per_s", [
-    (2.5, 250.0),  # .5 ties in both the timestamp and the battery
-    (16.6667, 1.0),
-    (20.0, -300.0),  # charges past the battery limit
-    (7.5, 9000.0),  # drains to zero
+@pytest.mark.parametrize("period_ms, battery_v", [
+    (2.5, 4.2),  # .5 ties in both the timestamp and the battery
+    (16.6667, 3.7),
+    (20.0, 4.3),  # starts at the battery limit
+    (7.5, 0.05),  # drains to zero
 ])
-def test_emit_frames_columns_match_per_frame_rounding(period_ms, drain_mv_per_s):
-    cfg = GloveConfig(sample_period_ms=period_ms)
-    records = emit_frames(np.zeros((12, 66_000)), CAL, cfg, battery_drain_mv_per_s=drain_mv_per_s)
+def test_emit_frames_columns_match_per_frame_rounding(period_ms, battery_v):
+    cfg = GloveConfig(sample_period_ms=period_ms, battery_nominal_v=battery_v)
+    records = emit_frames(np.zeros((12, 66_000)), CAL, cfg)
     want = []
     for k in range(66_000):
         ts = round(k * period_ms)
-        battery = min(max(round(4200 - drain_mv_per_s * ts / 1000.0), 0), 4300)
+        battery = max(round(battery_v * 1000.0 - ts / 1000.0), 0)
         want.append((k % 65536, ts, battery))
     got = list(zip(records["seq"].tolist(), records["timestamp_ms"].tolist(),
                    records["battery_mv"].tolist()))
     assert got == want
     assert {type(v) for row in got for v in row} == {int}
+
+
+def test_emit_frames_starts_the_battery_at_its_nominal_voltage():
+    records = emit_frames(np.zeros((12, 3)), CAL, GloveConfig(battery_nominal_v=3.7))
+    assert records["battery_mv"].tolist() == [3700, 3700, 3700]
+    for volts in (0.0, -1.0, 4.31):
+        with pytest.raises(ConfigError, match="battery_nominal_v"):
+            emit_frames(np.zeros((12, 3)), CAL, GloveConfig(battery_nominal_v=volts))
 
 
 def test_emit_frames_rejects_bad_shape():

@@ -2,7 +2,6 @@ import re
 
 import pytest
 
-from gripstream.errors import ConfigError
 from gripstream.svgplot import PALETTE, NoDataError, render_profile_svg
 
 RAMP = [(20 * k, 0.5 * k) for k in range(40)]
@@ -60,10 +59,3 @@ def test_constant_series_draws_horizontal_line():
     assert match is not None
     ys = {point.split(",")[1] for point in match.group(1).split()}
     assert len(ys) == 1
-
-
-def test_custom_canvas_size():
-    svg = render_profile_svg([("a", RAMP)], width=800, height=500)
-    assert 'width="800"' in svg and 'height="500"' in svg
-    with pytest.raises(ConfigError):
-        render_profile_svg([("a", RAMP)], width=10, height=10)
