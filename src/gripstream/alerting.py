@@ -1,10 +1,11 @@
 """Real-time over-force alerting with debounce and hysteresis.
 
-A GripMonitor watches converted forces sample by sample. An alert opens
-once `debounce` consecutive samples exceed the threshold (so a single noisy
-spike stays quiet) and closes only when force drops below threshold minus
-hysteresis (so values rattling around the threshold cannot flap). At most
-one alert is open per sensor at a time.
+A GripMonitor watches converted forces frame by frame: each step takes one
+timestamp and the force at every watched sensor. An alert opens once
+`debounce` consecutive samples of a sensor exceed the threshold (so a single
+noisy spike stays quiet) and closes only when force drops below threshold
+minus hysteresis (so values rattling around the threshold cannot flap). At
+most one alert is open per sensor at a time.
 
 AlertEvent objects are handed out the moment an alert opens and are updated
 in place as the episode evolves: peak_force_n grows while the alert is open
@@ -20,7 +21,7 @@ from gripstream.ingest import SENSOR_IDS, Session
 
 
 class SequencingError(GripstreamError):
-    """A sensor's samples arrived out of time order."""
+    """A frame arrived out of time order."""
 
 
 @dataclass(frozen=True)
@@ -79,64 +80,60 @@ def format_alert(event: AlertEvent) -> str:
 
 @dataclass
 class _SensorState:
-    last_ts: int | None = None
     run_count: int = 0
     run_peak: float = 0.0
     active: AlertEvent | None = None
 
 
 class GripMonitor:
-    """Per-glove alert state machine; feed samples in time order per sensor."""
+    """Per-glove alert state machine; feed frames in time order."""
 
     def __init__(self, policy: AlertPolicy | None = None, glove: Side = Side.RIGHT):
         self.policy = policy or AlertPolicy()
         self.glove = glove
         self.alerts: list[AlertEvent] = []
-        self._states: dict[int, _SensorState] = {sid: _SensorState() for sid in SENSOR_IDS}
+        self.watched = tuple(sid for sid in SENSOR_IDS if self.policy.watches(sid))
+        self._states = [_SensorState() for _ in self.watched]
+        self._last_ts: int | None = None
 
-    def step(self, sensor: int, timestamp_ms: int, force_n: float) -> list[AlertEvent]:
-        """Advance one sample; returns alerts that opened at this sample.
+    def step(self, timestamp_ms: int, forces) -> list[AlertEvent]:
+        """Advance one frame; forces[i] is the force at sensor watched[i].
 
-        Peak updates and clears mutate previously returned events rather
-        than producing new ones, so len(monitor.alerts) counts episodes.
+        Returns the alerts that opened at this frame. Peak updates and clears
+        mutate previously returned events rather than producing new ones, so
+        len(monitor.alerts) counts episodes.
         """
-        state = self._states.get(sensor)
-        if state is None:
-            raise ConfigError(f"unknown sensor id {sensor}")
-        if state.last_ts is not None and timestamp_ms <= state.last_ts:
-            raise SequencingError(
-                f"sensor S{sensor} sample at {timestamp_ms} ms not after {state.last_ts} ms"
-            )
-        state.last_ts = timestamp_ms
-        if not self.policy.watches(sensor):
-            return []
+        if self._last_ts is not None and timestamp_ms <= self._last_ts:
+            raise SequencingError(f"frame at {timestamp_ms} ms not after {self._last_ts} ms")
+        self._last_ts = timestamp_ms
         pol = self.policy
-        if state.active is not None:
-            alert = state.active
-            alert.peak_force_n = max(alert.peak_force_n, force_n)
-            if force_n < pol.clear_level_n:
-                alert.cleared_timestamp_ms = timestamp_ms
-                state.active = None
-            return []
-        if force_n > pol.threshold_n:
-            state.run_count += 1
-            state.run_peak = max(state.run_peak, force_n)
-            if state.run_count >= pol.debounce:
-                alert = AlertEvent(
-                    glove=self.glove,
-                    sensor=sensor,
-                    onset_timestamp_ms=timestamp_ms,
-                    peak_force_n=state.run_peak,
-                )
-                state.active = alert
+        opened = []
+        for sensor, state, force_n in zip(self.watched, self._states, forces, strict=True):
+            if state.active is not None:
+                alert = state.active
+                alert.peak_force_n = max(alert.peak_force_n, force_n)
+                if force_n < pol.clear_level_n:
+                    alert.cleared_timestamp_ms = timestamp_ms
+                    state.active = None
+            elif force_n > pol.threshold_n:
+                state.run_count += 1
+                state.run_peak = max(state.run_peak, force_n)
+                if state.run_count >= pol.debounce:
+                    alert = AlertEvent(
+                        glove=self.glove,
+                        sensor=sensor,
+                        onset_timestamp_ms=timestamp_ms,
+                        peak_force_n=state.run_peak,
+                    )
+                    state.active = alert
+                    state.run_count = 0
+                    state.run_peak = 0.0
+                    opened.append(alert)
+                    self.alerts.append(alert)
+            else:
                 state.run_count = 0
                 state.run_peak = 0.0
-                self.alerts.append(alert)
-                return [alert]
-        else:
-            state.run_count = 0
-            state.run_peak = 0.0
-        return []
+        return opened
 
 
 def monitor_session(
@@ -149,12 +146,9 @@ def monitor_session(
 
     Events still open at the end of the session keep cleared=None.
     """
-    policy = policy or AlertPolicy()
     monitor = GripMonitor(policy, glove=session.hand.side)
-    watched = [sid for sid in SENSOR_IDS if policy.watches(sid)]
-    forces = force_from_voltage(session.voltages_mv[:, [sid - 1 for sid in watched]],
+    forces = force_from_voltage(session.voltages_mv[:, [sid - 1 for sid in monitor.watched]],
                                 cal or Calibration(), cfg or GloveConfig())
     for ts, row in zip(session.timestamps_ms.tolist(), forces.tolist()):
-        for sid, force in zip(watched, row):
-            monitor.step(sid, ts, force)
+        monitor.step(ts, row)
     return monitor.alerts

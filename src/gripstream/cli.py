@@ -1,8 +1,9 @@
 """Command-line front end: simulate | serve | record | analyze | plot | monitor | export.
 
-Exit codes: 0 success, 1 usage error, 2 data or I/O error. Diagnostics go
-to stderr; data goes to files or stdout. Set GRIPSTREAM_LOG=debug|info|...
-for chattier logs.
+Exit codes: 0 success, 1 usage error, 2 data or I/O error; a reader that
+closes stdout early, as `| head` does, ends the command quietly with 0.
+Diagnostics go to stderr; data goes to files or stdout. Set
+GRIPSTREAM_LOG=debug|info|... for chattier logs.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import os
 import socket
 import sys
 import threading
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 
@@ -136,11 +138,22 @@ def _policy_from_args(args) -> AlertPolicy:
         raise CliUsageError(str(exc)) from None
 
 
-def _open_out(args):
+class _StdoutClosed(Exception):
+    """The reader of stdout left before the output ended, as `| head -1` does."""
+
+
+@contextmanager
+def _output(args):
     """Destination text stream for tabular/SVG output; '-' or unset = stdout."""
-    if getattr(args, "out", None) in (None, "-"):
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
+    if args.out not in (None, "-"):
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+    except BrokenPipeError:
+        raise _StdoutClosed from None
 
 
 def _writer(fh) -> csv.writer:
@@ -198,20 +211,11 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock, ste
     )
     monitor = None
     cursor = 0
-    watched = [sid for sid in SENSOR_IDS if policy.watches(sid)]
-    lost = None
+    problem = None
     conn.settimeout(cfg.sample_period_ms)  # 1,000 sample periods (20 s at 50 Hz) without a byte
     try:
         with conn:
-            while True:
-                try:
-                    chunk = conn.recv(4096)
-                except TimeoutError:
-                    chunk, lost = b"", TimeoutError(f"no byte came for {cfg.sample_period_ms:g} s")
-                except OSError as exc:  # e.g. a reset: record what arrived, then fail
-                    chunk, lost = b"", exc
-                if not chunk:
-                    break
+            while chunk := conn.recv(4096):
                 _, events = builder.feed(chunk)
                 for ev in events:
                     log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
@@ -219,13 +223,18 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock, ste
                     monitor = GripMonitor(policy, glove=builder.hand.side)
                 while cursor < builder.frames:
                     ts, volts = builder.frame_samples(cursor)
-                    for sid in watched:
-                        # one scalar call per sample: a numpy call per frame costs serve more CPU
-                        force = force_from_voltage(volts[sid - 1], cal, cfg)
-                        for alert in monitor.step(sid, ts, force):
-                            with lock:
-                                print("\a" + format_alert(alert), file=sys.stderr, flush=True)
+                    # one scalar call per sample: a numpy call per frame costs serve more CPU
+                    forces = [force_from_voltage(volts[sid - 1], cal, cfg)
+                              for sid in monitor.watched]
+                    for alert in monitor.step(ts, forces):
+                        with lock:
+                            print("\a" + format_alert(alert), file=sys.stderr, flush=True)
                     cursor += 1
+    except TimeoutError:
+        problem = TimeoutError(f"no byte came for {cfg.sample_period_ms:g} s")
+    except Exception as exc:  # e.g. a reset or an unconvertible sample: record what arrived
+        problem = exc
+    try:
         session = builder.session()
         summary = session_summary(session)
         with lock:
@@ -245,11 +254,11 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock, ste
         if taken:
             raise GripstreamError(f"session {session.stem} already came from another connection; "
                                   f"these {summary.frames} frames were not recorded")
-        if lost is not None:
-            raise lost
-    except Exception as exc:  # surfaced after join; threads must not die silently
+    except Exception as exc:
+        problem = problem or exc
+    if problem is not None:  # surfaced after join; threads must not die silently
         with lock:
-            failures.append(exc)
+            failures.append(problem)
 
 
 def _cmd_serve(args) -> int:
@@ -333,8 +342,7 @@ def _cmd_analyze(args) -> int:
     obs_sensors = _parse_sensor_list(args.sensors) if args.sensors else None
 
     sessions = load_sessions(args.indir)
-    fh, own = _open_out(args)
-    try:
+    with _output(args) as fh:
         w = _writer(fh)
         if factors:
             result = anova_from_sessions(sessions, factors, cal, cfg, sensors=obs_sensors)
@@ -366,9 +374,6 @@ def _cmd_analyze(args) -> int:
                      m.gap_count, m.missing_frames, m.min_voltage_mv, m.max_voltage_mv,
                      m.battery_final_mv]
                 )
-    finally:
-        if own:
-            fh.close()
     return 0
 
 
@@ -388,12 +393,8 @@ def _cmd_plot(args) -> int:
                 series.append((label, s.samples[sid]))
     y_label = "force (N)" if args.units == "n" else "voltage (mV)"
     svg = render_profile_svg(series, y_label=y_label, title=args.title)
-    fh, own = _open_out(args)
-    try:
+    with _output(args) as fh:
         fh.write(svg)
-    finally:
-        if own:
-            fh.close()
     log.info("plotted %d series", len(series))
     return 0
 
@@ -402,16 +403,12 @@ def _cmd_monitor(args) -> int:
     cfg, cal = _load_setup(args)
     policy = _policy_from_args(args)
     sessions = load_sessions(args.indir)
-    fh, own = _open_out(args)
     total = 0
-    try:
+    with _output(args) as fh:
         for session in sessions:
             for alert in monitor_session(session, policy, cal, cfg):
                 print(format_alert(alert), file=fh)
                 total += 1
-    finally:
-        if own:
-            fh.close()
     print(f"{total} alert(s) across {len(sessions)} session(s)", file=sys.stderr)
     return 0
 
@@ -419,10 +416,8 @@ def _cmd_monitor(args) -> int:
 def _cmd_export(args) -> int:
     _load_setup(args)  # validates --config even though export stays in millivolts
     sessions = load_sessions(args.indir)
-    if args.out in (None, "-"):
-        rows = export_csv(sessions, sys.stdout)
-    else:
-        rows = export_csv(sessions, args.out)
+    with _output(args) as fh:
+        rows = export_csv(sessions, fh)
     print(f"exported {rows} row(s) from {len(sessions)} session(s)", file=sys.stderr)
     return 0
 
@@ -534,6 +529,11 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _StdoutClosed:
+        # the Python docs' note on SIGPIPE: send the rest of stdout to devnull
+        # so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (GripstreamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gripstream.alerting import AlertEvent, AlertPolicy
 from gripstream.core import Dominance, Hand, Side
 from gripstream.ingest import ParseError, Session, SessionBuilder
 from gripstream.protocol import (
@@ -102,6 +103,43 @@ def reference_read_tsv(path) -> list[tuple[int, int]]:
     if tail:
         raise ParseError(path, len(lines) + 1, f"no LF after the last line {tail!r}")
     return rows
+
+
+def reference_alerts(timestamps, forces_by_sensor, policy: AlertPolicy,
+                     glove: Side = Side.RIGHT) -> list[tuple[AlertEvent, float]]:
+    """The per-sample alert state machine, the oracle for GripMonitor.
+
+    Walks the samples one at a time, frame after frame and sensor after
+    sensor in id order, skipping sensors outside the policy's scope: a run
+    of `debounce` samples over the threshold opens an episode with the run's
+    peak, the peak then follows the force, and a sample under the clear
+    level closes it. Returns every episode in opening order, each with its
+    peak at the moment it opened.
+    """
+    runs = {sid: (0, 0.0) for sid in forces_by_sensor}  # (run length, run peak)
+    active: dict[int, AlertEvent] = {}
+    alerts = []
+    for k, ts in enumerate(timestamps):
+        for sid in sorted(forces_by_sensor):
+            if not policy.watches(sid):
+                continue
+            force = forces_by_sensor[sid][k]
+            if sid in active:
+                alert = active[sid]
+                alert.peak_force_n = max(alert.peak_force_n, force)
+                if force < policy.clear_level_n:
+                    alert.cleared_timestamp_ms = ts
+                    del active[sid]
+            elif force > policy.threshold_n:
+                count, peak = runs[sid][0] + 1, max(runs[sid][1], force)
+                runs[sid] = (count, peak)
+                if count >= policy.debounce:
+                    active[sid] = AlertEvent(glove, sid, ts, peak)
+                    alerts.append((active[sid], peak))
+                    runs[sid] = (0, 0.0)
+            else:
+                runs[sid] = (0, 0.0)
+    return alerts
 
 
 def random_frame(rng: random.Random, glove: Side | None = None, seq: int | None = None,

@@ -1,7 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gripstream.alerting import (
     AlertEvent,
@@ -19,7 +23,7 @@ from gripstream.core import (
     force_from_voltage,
 )
 
-from helpers import mv_session
+from helpers import mv_session, reference_alerts
 
 
 def test_policy_validation():
@@ -52,66 +56,68 @@ def test_forces_at_or_below_threshold_never_alert():
     rng = random.Random(80)
     monitor = GripMonitor(AlertPolicy(threshold_n=8.0))
     for k in range(500):
-        force = 8.0 if k % 7 == 0 else rng.uniform(0.0, 8.0)
-        assert monitor.step(3, 20 * k, force) == []
+        forces = [8.0 if k % 7 == 0 else rng.uniform(0.0, 8.0) for _ in monitor.watched]
+        assert monitor.step(20 * k, forces) == []
     assert monitor.alerts == []
 
 
 def test_debounce_delays_onset_and_keeps_run_peak():
-    monitor = GripMonitor(AlertPolicy(threshold_n=8.0, debounce=2))
-    assert monitor.step(3, 1000, 8.5) == []
-    opened = monitor.step(3, 1020, 8.2)
+    monitor = GripMonitor(AlertPolicy(threshold_n=8.0, debounce=2, sensor_scope={3}))
+    assert monitor.step(1000, [8.5]) == []
+    opened = monitor.step(1020, [8.2])
     assert len(opened) == 1
     event = opened[0]
-    assert event.onset_timestamp_ms == 1020
+    assert event.sensor == 3 and event.onset_timestamp_ms == 1020
     assert event.peak_force_n == 8.5  # the debounce run counts toward the peak
     assert event.open and monitor.alerts == [event]
 
 
 def test_single_spikes_between_dips_never_open():
-    monitor = GripMonitor(AlertPolicy(debounce=2))
+    monitor = GripMonitor(AlertPolicy(debounce=2, sensor_scope={4}))
     for k, force in enumerate([8.5, 2.0, 9.9, 2.0, 8.1, 2.0] * 5):
-        assert monitor.step(4, 20 * k, force) == []
+        assert monitor.step(20 * k, [force]) == []
     assert monitor.alerts == []
 
 
 def test_debounce_of_one_fires_immediately():
-    monitor = GripMonitor(AlertPolicy(debounce=1))
-    opened = monitor.step(2, 340, 8.01)
+    monitor = GripMonitor(AlertPolicy(debounce=1, sensor_scope={2}))
+    opened = monitor.step(340, [8.01])
     assert len(opened) == 1
     assert opened[0].onset_timestamp_ms == 340
 
 
 def test_hysteresis_band_cannot_flap():
-    monitor = GripMonitor(AlertPolicy(threshold_n=8.0, hysteresis_n=0.5, debounce=1))
-    (event,) = monitor.step(6, 0, 9.0)
+    monitor = GripMonitor(AlertPolicy(threshold_n=8.0, hysteresis_n=0.5, debounce=1,
+                                      sensor_scope={6}))
+    (event,) = monitor.step(0, [9.0])
     # rattle inside the band, including exactly the clear level
     for k, force in enumerate([7.6, 8.4, 7.5, 7.9, 8.2], start=1):
-        assert monitor.step(6, 20 * k, force) == []
+        assert monitor.step(20 * k, [force]) == []
         assert event.open
     assert len(monitor.alerts) == 1
-    monitor.step(6, 200, 7.49)
+    monitor.step(200, [7.49])
     assert not event.open
     assert event.cleared_timestamp_ms == 200
     assert not any(alert.open for alert in monitor.alerts)
 
 
 def test_peak_updates_in_place_while_open():
-    monitor = GripMonitor(AlertPolicy(debounce=1))
-    (event,) = monitor.step(1, 0, 8.5)
-    assert monitor.step(1, 20, 11.25) == []
+    monitor = GripMonitor(AlertPolicy(debounce=1, sensor_scope={1}))
+    (event,) = monitor.step(0, [8.5])
+    assert monitor.step(20, [11.25]) == []
     assert event.peak_force_n == 11.25
-    monitor.step(1, 40, 7.0)  # clears
-    monitor.step(1, 60, 7.2)
+    monitor.step(40, [7.0])  # clears
+    monitor.step(60, [7.2])
     assert event.peak_force_n == 11.25  # frozen after the clear
 
 
 def test_reopening_is_a_new_episode():
-    monitor = GripMonitor(AlertPolicy(threshold_n=8.0, hysteresis_n=0.5, debounce=2))
+    monitor = GripMonitor(AlertPolicy(threshold_n=8.0, hysteresis_n=0.5, debounce=2,
+                                      sensor_scope={9}))
     forces = [8.5, 8.5, 9.0, 7.0, 3.0, 8.2, 8.3]
     opened = []
     for k, force in enumerate(forces):
-        opened += monitor.step(9, 20 * k, force)
+        opened += monitor.step(20 * k, [force])
     assert len(monitor.alerts) == 2
     first, second = monitor.alerts
     assert opened == monitor.alerts
@@ -121,30 +127,25 @@ def test_reopening_is_a_new_episode():
     assert second.open
 
 
-def test_samples_must_advance_per_sensor():
-    monitor = GripMonitor()
-    monitor.step(3, 100, 1.0)
+def test_frames_must_advance():
+    monitor = GripMonitor(AlertPolicy(sensor_scope={3}))
+    monitor.step(100, [1.0])
     with pytest.raises(SequencingError):
-        monitor.step(3, 100, 1.0)
+        monitor.step(100, [1.0])
     with pytest.raises(SequencingError):
-        monitor.step(3, 80, 1.0)
-    # an independent sensor may share the timestamp
-    monitor.step(4, 100, 1.0)
-    # scoped-out sensors still have their ordering checked
-    scoped = GripMonitor(AlertPolicy(sensor_scope={5}))
-    scoped.step(6, 100, 50.0)
-    with pytest.raises(SequencingError):
-        scoped.step(6, 90, 50.0)
-    assert scoped.alerts == []
+        monitor.step(80, [1.0])
+    monitor.step(120, [1.0])
 
 
 def test_scope_limits_watching():
-    monitor = GripMonitor(AlertPolicy(debounce=1, sensor_scope={5}))
-    assert monitor.step(6, 0, 19.0) == []
-    (event,) = monitor.step(5, 0, 19.0)
+    monitor = GripMonitor(AlertPolicy(debounce=1, sensor_scope={5, 7}))
+    assert monitor.watched == (5, 7)
+    (event,) = monitor.step(0, [19.0, 1.0])
     assert event.sensor == 5
-    with pytest.raises(ConfigError):
-        monitor.step(13, 20, 1.0)
+    # one force per watched sensor: a frame of all twelve is refused, not cut short
+    with pytest.raises(ValueError):
+        monitor.step(20, [19.0] * 12)
+    assert GripMonitor().watched == tuple(range(1, 13))
 
 
 def test_format_alert_line():
@@ -170,19 +171,40 @@ def test_monitor_session_ramp_flags_within_two_samples():
     assert event.peak_force_n == pytest.approx(mvs[-1] / 150)
 
 
-def test_monitor_session_matches_manual_stepping():
-    rng = random.Random(81)
-    traces = {sid: [rng.randrange(0, 3300) for _ in range(300)] for sid in (2, 5, 11)}
-    session = mv_session(traces)
-    policy = AlertPolicy(threshold_n=12.0, hysteresis_n=1.0, debounce=3,
-                         sensor_scope={2, 5, 11})
-    got = monitor_session(session, policy)
+_CAL, _CFG = Calibration(), GloveConfig()
+
+
+@st.composite
+def _alerting_cases(draw):
+    # thresholds and clear levels whose newtons convert exactly from whole
+    # millivolts (150 mV per N), so samples land exactly on both edges
+    threshold = draw(st.sampled_from([2.0, 8.0, 12.0]))
+    hysteresis = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    edges = [round(level * 150) + d for level in (threshold, threshold - hysteresis)
+             for d in (-1, 0, 1)]
+    volts = draw(arrays(np.uint16, (draw(st.integers(0, 40)), 12),
+                        elements=st.sampled_from(edges) | st.integers(0, 3299)))
+    scope = draw(st.none() | st.frozensets(st.integers(1, 12), min_size=1))
+    policy = AlertPolicy(threshold_n=threshold, hysteresis_n=hysteresis,
+                         debounce=draw(st.integers(1, 5)), sensor_scope=scope)
+    return volts, policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alerting_cases())
+def test_monitor_session_matches_manual_stepping(case):
+    volts, policy = case
+    session = mv_session({sid: volts[:, sid - 1] for sid in range(1, 13)})
+    timestamps = session.timestamps_ms.tolist()
+    # serve's path: one scalar conversion per sample, one step per frame
+    forces = {sid: [force_from_voltage(v, _CAL, _CFG) for v in volts[:, sid - 1].tolist()]
+              for sid in range(1, 13)}
     manual = GripMonitor(policy, glove=Side.RIGHT)
-    for k in range(300):
-        for sid in (2, 5, 11):
-            manual.step(sid, 20 * k, force_from_voltage(traces[sid][k], Calibration(),
-                                                        GloveConfig()))
-    assert got == manual.alerts
-    assert len(got) > 0
-    # same input replayed gives the identical episode list
-    assert monitor_session(session, policy) == got
+    onset_peaks = []
+    for k, ts in enumerate(timestamps):
+        opened = manual.step(ts, [forces[sid][k] for sid in manual.watched])
+        onset_peaks += [alert.peak_force_n for alert in opened]
+    expected = reference_alerts(timestamps, forces, policy)
+    assert manual.alerts == [alert for alert, _ in expected]
+    assert onset_peaks == [peak for _, peak in expected]  # what serve prints
+    assert monitor_session(session, policy) == manual.alerts

@@ -454,6 +454,35 @@ def test_serve_records_what_arrived_before_a_stall(tmp_path):
     assert session.frame_count == 50
 
 
+def test_serve_records_what_arrived_before_a_sample_it_cannot_convert(tmp_path):
+    config = tmp_path / "glove.cfg"
+    save_config(config, GloveConfig(supply_voltage_v=2.5), Calibration())
+    frames = [Frame(Side.RIGHT, k, 20 * k, 4000, (600,) * 12) for k in range(50)]
+    frames[-1] = Frame(Side.RIGHT, 49, 980, 4000, (600,) * 11 + (2600,))  # over the supply
+    out = tmp_path / "live"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "1",
+         "--config", str(config), "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(proc.stderr.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"".join(encode_frame(f) for f in frames))
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 2, stderr
+    assert "session anon_R_quiet: 50 frames, 0 gap(s)" in stderr
+    assert "error: voltage 2600 mV outside [0, 2500) mV" in stderr
+    (session,) = load_sessions(out)
+    assert session.frame_count == 50
+
+
 def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
     out = tmp_path / "live"
     proc = subprocess.Popen(
@@ -484,6 +513,33 @@ def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
     assert "error: session anon_R_quiet already came from another connection" in stderr
     (session,) = load_sessions(out)
     assert session.frame_count == 100
+
+
+# ---------------------------------------------------------------------------
+# a reader that stops early
+
+@pytest.mark.parametrize("command", ["export", "monitor --threshold 3", "analyze"])
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, command):
+    out = simulate_dir(tmp_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripstream", *command.split(), "--in", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # as `| head -1` does once it has its line, but before any write
+    try:
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert (proc.returncode, stderr) == (0, b"")
+
+
+def test_an_out_file_that_cannot_be_written_is_a_data_error(tmp_path, capsys):
+    out = simulate_dir(tmp_path)
+    assert main(["export", "--in", str(out), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
