@@ -11,13 +11,20 @@ AlertEvent objects are handed out the moment an alert opens and are updated
 in place as the episode evolves: peak_force_n grows while the alert is open
 and cleared_timestamp_ms is filled in on release. Holding the returned
 event therefore always shows the current state of that episode.
+
+monitor_session finds the same episodes in a recorded session by searching
+each watched sensor's force column, without stepping a monitor.
 """
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from gripstream.core import Calibration, GloveConfig, Side, force_from_voltage, require_finite
 from gripstream.errors import ConfigError, GripstreamError
 from gripstream.ingest import SENSOR_IDS, Session
+from gripstream.protocol import VOLTAGE_LIMIT_MV
 
 
 class SequencingError(GripstreamError):
@@ -136,19 +143,54 @@ class GripMonitor:
         return opened
 
 
+def force_table(cal: Calibration, cfg: GloveConfig) -> list[float]:
+    """force_from_voltage of every whole millivolt a frame can carry below the supply.
+
+    Entry v equals force_from_voltage(v, cal, cfg) bit for bit, so a live
+    consumer indexes it per sample; a voltage past its end is one that the
+    scalar call refuses, or one that no frame carries.
+    """
+    volts = np.arange(min(VOLTAGE_LIMIT_MV, math.ceil(cfg.supply_mv)))
+    return force_from_voltage(volts, cal, cfg).tolist()
+
+
 def monitor_session(
     session: Session,
     policy: AlertPolicy | None = None,
     cal: Calibration | None = None,
     cfg: GloveConfig | None = None,
 ) -> list[AlertEvent]:
-    """Replay a recorded session through a monitor; returns all episodes.
+    """Every episode GripMonitor would report over a recorded session, in its order.
 
+    Searches each watched sensor's force column instead of stepping frames:
+    an episode opens at the end of the first window of `debounce` samples
+    over the threshold that starts after the previous episode cleared, with
+    that window's peak, and clears at the first later sample under the
+    clear level; its peak covers every sample up to and including that one.
     Events still open at the end of the session keep cleared=None.
     """
-    monitor = GripMonitor(policy, glove=session.hand.side)
-    forces = force_from_voltage(session.voltages_mv[:, [sid - 1 for sid in monitor.watched]],
+    policy = policy or AlertPolicy()
+    watched = [sid for sid in SENSOR_IDS if policy.watches(sid)]
+    ts = session.timestamps_ms.tolist()
+    if not ts:
+        return []
+    forces = force_from_voltage(session.voltages_mv.T[[sid - 1 for sid in watched]],
                                 cal or Calibration(), cfg or GloveConfig())
-    for ts, row in zip(session.timestamps_ms.tolist(), forces.tolist()):
-        monitor.step(ts, row)
-    return monitor.alerts
+    d = policy.debounce
+    found = []  # (onset index, sensor, event)
+    for sensor, f in zip(watched, forces):
+        over = (f > policy.threshold_n).astype(np.int64)
+        ends = np.flatnonzero(np.convolve(over, np.ones(d, np.int64))[:len(f)] == d)
+        below = np.flatnonzero(f < policy.clear_level_n)
+        start = 0  # a sample under the clear level is under the threshold: no window spans it
+        while (k := np.searchsorted(ends, start)) < len(ends):
+            i = int(ends[k])
+            c = np.searchsorted(below, i + 1)
+            j = int(below[c]) if c < len(below) else len(f) - 1
+            alert = AlertEvent(glove=session.hand.side, sensor=sensor, onset_timestamp_ms=ts[i],
+                               peak_force_n=float(f[i - d + 1:j + 1].max()),
+                               cleared_timestamp_ms=ts[j] if c < len(below) else None)
+            found.append((i, sensor, alert))
+            start = j + 1
+    found.sort(key=lambda item: item[:2])
+    return [alert for _, _, alert in found]

@@ -17,7 +17,13 @@ from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 
-from gripstream.alerting import AlertPolicy, GripMonitor, format_alert, monitor_session
+from gripstream.alerting import (
+    AlertPolicy,
+    GripMonitor,
+    force_table,
+    format_alert,
+    monitor_session,
+)
 from gripstream.analytics import (
     AnovaResult,
     TwoWayAnova,
@@ -221,11 +227,14 @@ def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock, ste
                     log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
                 if monitor is None and builder.hand is not None:
                     monitor = GripMonitor(policy, glove=builder.hand.side)
+                    columns = [sid - 1 for sid in monitor.watched]
+                    table = force_table(cal, cfg)
                 while cursor < builder.frames:
                     ts, volts = builder.frame_samples(cursor)
-                    # one scalar call per sample: a numpy call per frame costs serve more CPU
-                    forces = [force_from_voltage(volts[sid - 1], cal, cfg)
-                              for sid in monitor.watched]
+                    try:  # a lookup per sample: a numpy call per frame costs serve more CPU
+                        forces = [table[volts[i]] for i in columns]
+                    except IndexError:  # outside the table: the scalar call raises DomainError
+                        forces = [force_from_voltage(volts[i], cal, cfg) for i in columns]
                     for alert in monitor.step(ts, forces):
                         with lock:
                             print("\a" + format_alert(alert), file=sys.stderr, flush=True)

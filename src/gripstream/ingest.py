@@ -11,7 +11,7 @@ sharing one timestamp column, and a key-value metadata file, and loads
 back bit-exact.
 """
 
-import csv
+import operator
 import os
 import re
 from array import array
@@ -309,9 +309,10 @@ def _column_paths(directory: Path, stem: str) -> list[Path]:
     return [directory / f"{stem}_{suffix}.tsv" for suffix in [*_SENSOR_LABELS, "battery"]]
 
 
-def _write_tsv(path: Path, timestamps: list[int], values: list[int]) -> None:
+def _write_tsv(path: Path, stamps: list[str], values) -> None:
+    """Write one line per stamp: the stamp's text, then its value's text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join([f"{ts}\t{value}\n" for ts, value in zip(timestamps, values)]))
+        fh.write("".join(map(operator.add, stamps, values)))
 
 
 def record_session(session: Session, directory) -> Manifest:
@@ -328,12 +329,14 @@ def record_session(session: Session, directory) -> Manifest:
     paths = [*_column_paths(directory, session.stem), meta_path]
     temps = [path.with_name(path.name + ".tmp") for path in paths]  # outside the *_meta.txt glob
     columns = np.column_stack([session.voltages_mv, session.battery_mv])
-    timestamps = session.timestamps_ms.tolist()
+    # every line is its timestamp's text plus its value's: format each distinct text once
+    stamps = [f"{ts}\t" for ts in session.timestamps_ms.tolist()]
+    texts = [f"{value}\n" for value in range(int(columns.max(initial=0)) + 1)]
     completed: list[Path] = []
     try:
         directory.mkdir(parents=True, exist_ok=True)
         for k, temp in enumerate(temps[:-1]):
-            _write_tsv(temp, timestamps, columns[:, k].tolist())
+            _write_tsv(temp, stamps, map(texts.__getitem__, columns[:, k].tolist()))
         lines = [
             f"subject = {session.subject}",
             f"hand = {session.hand.side.value}",
@@ -505,30 +508,55 @@ def session_summary(session: Session) -> SessionSummary:
 
 
 CSV_HEADER = ("timestamp_ms", "glove", "sensor", "voltage_mv")
+_WRITE_PIECE = 1 << 16  # characters per write of an export
+
+
+def _csv_group_template(size: int) -> str:
+    """CSV lines of one (timestamp, glove) group of `size` frames, as a str.format template.
+
+    Field 0 is the timestamp, 1 the glove, then the group's voltages frame
+    by frame, as its rows of voltages_mv lie; lines go sensor by sensor,
+    frame by frame within a sensor.
+    """
+    width = len(SENSOR_IDS)
+    return "".join(f"{{0}},{{1}},{label},{{{2 + j * width + k}}}\r\n"
+                   for k, label in enumerate(_SENSOR_LABELS) for j in range(size))
 
 
 def export_csv(sessions, dest) -> int:
-    """Write sessions as one flat CSV; returns the number of data rows.
+    """Write sessions as one flat CSV to a path or an open text file; returns the data rows.
 
-    Rows are ordered by timestamp, then glove, then sensor, so exports are
-    deterministic regardless of session order.
+    Rows are ordered by timestamp, then glove, then sensor; rows that tie
+    on all three keep the order of `sessions`. The frames sharing a
+    (timestamp, glove) form a group whose rows one template per group size
+    formats in one call; the file is joined whole, then written in 64 KiB pieces.
     """
     sessions = list(sessions)
     width = len(SENSOR_IDS)
-    ts = np.concatenate([np.empty(0, np.int64), *(s.timestamps_ms for s in sessions)]).repeat(width)
-    glove = np.repeat([s.hand.side.value for s in sessions], [s.frame_count * width for s in sessions])
-    mv = np.concatenate([np.empty((0, width), np.uint16), *(s.voltages_mv for s in sessions)]).ravel()
-    sensor = np.tile(np.arange(width), len(ts) // width)
-    order = np.lexsort((sensor, glove, ts))  # stable: ties keep session order
-    labels = [_SENSOR_LABELS[k] for k in sensor[order].tolist()]
+    ts = np.concatenate([np.empty(0, np.int64), *(s.timestamps_ms for s in sessions)])
+    glove = np.repeat([s.hand.side.value for s in sessions], [s.frame_count for s in sessions])
+    mv = np.concatenate([np.empty((0, width), np.uint16), *(s.voltages_mv for s in sessions)])
+    order = np.lexsort((glove, ts))  # stable: ties keep session order
+    ts, glove = ts[order], glove[order]
+    first = np.ones(len(ts), bool)
+    first[1:] = (ts[1:] != ts[:-1]) | (glove[1:] != glove[:-1])
+    starts = np.flatnonzero(first)
+    values = mv[order].ravel().tolist()
+    templates: dict[int, str] = {}
+    parts = [",".join(CSV_HEADER) + "\r\n"]
+    for a, b, stamp, side in zip(starts.tolist(), [*starts[1:].tolist(), len(ts)],
+                                 ts[starts].tolist(), glove[starts].tolist()):
+        template = templates.get(b - a) or templates.setdefault(b - a, _csv_group_template(b - a))
+        parts.append(template.format(stamp, side, *values[width * a:width * b]))
+    text = "".join(parts)
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(zip(ts[order].tolist(), glove[order].tolist(), labels,
-                             mv[order].tolist()))
+        # in pieces: a text stream drops the unwritten rest of a partial write to a pipe
+        # whose reader left, without raising; the next piece raises BrokenPipeError
+        for at in range(0, len(text), _WRITE_PIECE):
+            fh.write(text[at:at + _WRITE_PIECE])
     finally:
         if own:
             fh.close()
-    return len(order)
+    return len(values)

@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the test suite."""
 
+import csv
 import random
 import re
 import struct
@@ -9,7 +10,7 @@ import numpy as np
 
 from gripstream.alerting import AlertEvent, AlertPolicy
 from gripstream.core import Dominance, Hand, Side
-from gripstream.ingest import ParseError, Session, SessionBuilder
+from gripstream.ingest import CSV_HEADER, ParseError, Session, SessionBuilder
 from gripstream.protocol import (
     BATTERY_LIMIT_MV,
     VOLTAGE_LIMIT_MV,
@@ -140,6 +141,25 @@ def reference_alerts(timestamps, forces_by_sensor, policy: AlertPolicy,
             else:
                 runs[sid] = (0, 0.0)
     return alerts
+
+
+def reference_export_csv(sessions, fh) -> int:
+    """The row-by-row csv.writer export to an open file, the oracle for export_csv.
+
+    Sorts the samples, not the frames, by (timestamp, glove, sensor) with
+    a stable sort, so ties keep session order, and writes one row each.
+    """
+    width = 12
+    ts = np.concatenate([np.empty(0, np.int64), *(s.timestamps_ms for s in sessions)]).repeat(width)
+    glove = np.repeat([s.hand.side.value for s in sessions], [s.frame_count * width for s in sessions])
+    mv = np.concatenate([np.empty((0, width), np.uint16), *(s.voltages_mv for s in sessions)]).ravel()
+    sensor = np.tile(np.arange(width), len(ts) // width)
+    order = np.lexsort((sensor, glove, ts))
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(zip(ts[order].tolist(), glove[order].tolist(),
+                         [f"S{k + 1}" for k in sensor[order].tolist()], mv[order].tolist()))
+    return len(order)
 
 
 def random_frame(rng: random.Random, glove: Side | None = None, seq: int | None = None,

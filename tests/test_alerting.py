@@ -12,12 +12,15 @@ from gripstream.alerting import (
     AlertPolicy,
     GripMonitor,
     SequencingError,
+    force_table,
     format_alert,
     monitor_session,
 )
 from gripstream.core import (
     Calibration,
     ConfigError,
+    ConversionMode,
+    DomainError,
     GloveConfig,
     Side,
     force_from_voltage,
@@ -169,6 +172,20 @@ def test_monitor_session_ramp_flags_within_two_samples():
     assert event.onset_timestamp_ms <= 1040  # within two sample periods of the cross
     assert event.open  # the ramp never comes back down
     assert event.peak_force_n == pytest.approx(mvs[-1] / 150)
+
+
+@pytest.mark.parametrize("mode", list(ConversionMode))
+@pytest.mark.parametrize("supply_v, length", [(3.3, 3300), (2.5, 2500), (2.5005, 2501),
+                                              (5.0, 3300)])
+def test_force_table_is_the_scalar_conversion_of_every_frame_voltage(mode, supply_v, length):
+    cal, cfg = Calibration(), GloveConfig(supply_voltage_v=supply_v, conversion_mode=mode)
+    table = force_table(cal, cfg)
+    assert len(table) == length  # every whole mV below the supply, up to VOLTAGE_LIMIT_MV
+    scalar = [float(force_from_voltage(v, cal, cfg)) for v in range(length)]
+    assert [force.hex() for force in table] == [force.hex() for force in scalar]  # bit-equal
+    if length < 3300:
+        with pytest.raises(DomainError):
+            force_from_voltage(length, cal, cfg)
 
 
 _CAL, _CFG = Calibration(), GloveConfig()

@@ -536,6 +536,24 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path, command):
     assert (proc.returncode, stderr) == (0, b"")
 
 
+def test_a_reader_that_leaves_mid_export_ends_it_quietly(tmp_path):
+    out = simulate_dir(tmp_path, duration=30)  # about 270 kB of CSV, past a pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripstream", "export", "--in", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"timestamp_ms,glove,sensor,voltage_mv\r\n"
+    proc.stdout.close()  # as `| head -1` does, with most of the CSV still to come
+    try:
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert (proc.returncode, stderr) == (0, b"")
+
+
 def test_an_out_file_that_cannot_be_written_is_a_data_error(tmp_path, capsys):
     out = simulate_dir(tmp_path)
     assert main(["export", "--in", str(out), "--out", str(tmp_path)]) == 2

@@ -27,7 +27,14 @@ from gripstream.pipeline import run_plan, session_from_capture
 from gripstream.protocol import EventKind, Frame, StreamEvent, encode_frame
 from gripstream.simulate import SessionPlan, get_preset
 
-from helpers import build_session, frame_run, random_frame, reference_read_tsv, wire
+from helpers import (
+    build_session,
+    frame_run,
+    random_frame,
+    reference_export_csv,
+    reference_read_tsv,
+    wire,
+)
 
 
 def test_feed_appends_twelve_samples_per_frame():
@@ -504,6 +511,45 @@ def test_export_csv_is_flat_and_ordered(tmp_path):
     path = tmp_path / "flat.csv"
     export_csv([right, left], path)
     assert path.read_text().splitlines()[0] == lines[0]
+
+
+@st.composite
+def export_studies(draw):
+    """Sessions of both gloves whose timestamps coincide, shift and partly overlap.
+
+    Timestamps come from a small pool, so several sessions of one glove
+    share a timestamp (groups of 1-6 frames), and a session may be empty or
+    copy an earlier one's timestamps.
+    """
+    sessions = []
+    for k in range(draw(st.integers(0, 6))):
+        if sessions and draw(st.booleans()):
+            ts = draw(st.sampled_from(sessions)).timestamps_ms
+        else:
+            ts = sorted(draw(st.sets(st.integers(0, 12), max_size=8)))
+        ts = np.asarray(ts, np.int64) + draw(st.sampled_from([0, 0, 3, 2**40]))
+        # distinct-looking voltages of 1-5 digits, so a row out of place shows
+        volts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+            0, 65536, (len(ts), 12)) >> draw(st.integers(0, 15))
+        side = draw(st.sampled_from([Side.LEFT, Side.RIGHT]))
+        sessions.append(Session(f"p{k}", Hand(side, Dominance.DOMINANT), "quiet", "", ts,
+                                volts, np.zeros(len(ts))))
+    return sessions
+
+
+@settings(max_examples=300, deadline=None)
+@given(export_studies())
+def test_export_csv_matches_the_row_by_row_writer(sessions):
+    want = io.StringIO()
+    rows = reference_export_csv(sessions, want)
+    got = io.StringIO()
+    assert export_csv(sessions, got) == rows
+    assert got.getvalue() == want.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/flat.csv"
+        assert export_csv(iter(sessions), path) == rows
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------
