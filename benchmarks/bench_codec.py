@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Microbenchmark of the codec kernel, one layer of the pipeline.
 
-Three workloads, each timed best of --repeats:
+Four workloads, each timed best of --repeats:
 
-  crc        CRC-16 over one large contiguous buffer
-  scan/clean frame scanning over a well-formed stream
-  scan/dirty frame scanning over a stream salted with garbage and bit rot
+  crc           CRC-16 over one large contiguous buffer
+  scan/clean    frame scanning over a well-formed stream, in one call
+  scan/dirty    frame scanning over a stream salted with garbage and bit rot,
+                in one call
+  feed/chunked  SessionBuilder.feed of the salted stream in 36-byte chunks
+
+A whole stream is scanned as numpy columns and a 36-byte chunk a frame at a
+time (protocol.BLOCK_MIN_BYTES), so scan and feed/chunked time both paths.
 
 Run after installing the package:  python3 benchmarks/bench_codec.py
 End-to-end numbers come from perfbench/run.py.
@@ -18,6 +23,7 @@ import time
 import numpy as np
 
 from gripstream.core import Side
+from gripstream.ingest import SessionBuilder
 from gripstream.protocol import FRAME_SIZE, crc16, encode_records, scan_stream_offsets
 
 
@@ -47,6 +53,14 @@ def best_time(fn, repeats: int) -> float:
     return best
 
 
+def feed_chunked(data: bytes) -> int:
+    """Frames a SessionBuilder accepts from data fed one frame's length at a time."""
+    builder = SessionBuilder()
+    for i in range(0, len(data), FRAME_SIZE):
+        builder.feed(data[i : i + FRAME_SIZE])
+    return builder.frames
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--frames", type=int, default=50_000,
@@ -67,11 +81,15 @@ def main() -> int:
     crc_s = best_time(lambda: crc16(crc_buf), args.repeats)
     clean_s = best_time(lambda: scan_stream_offsets(clean), args.repeats)
     dirty_s = best_time(lambda: scan_stream_offsets(dirty), args.repeats)
-    pairs, _, _ = scan_stream_offsets(clean)
-    assert len(pairs) == args.frames, "scan disagrees with the workload"
+    chunked_s = best_time(lambda: feed_chunked(dirty), args.repeats)
+    offsets, _, _, _ = scan_stream_offsets(clean)
+    assert len(offsets) == args.frames, "scan disagrees with the workload"
+    accepted = feed_chunked(dirty)
     print(f"crc {len(crc_buf) / 2**20 / crc_s:.2f} MB/s, "
           f"clean {args.frames / 1e3 / clean_s:.1f} kframes/s, "
           f"dirty {len(dirty) / 2**20 / dirty_s:.2f} MB/s")
+    print(f"feed/chunked {accepted / 1e3 / chunked_s:.1f} kframes/s "
+          f"({len(dirty) / 2**20 / chunked_s:.2f} MB/s in {FRAME_SIZE}-byte chunks)")
     return 0
 
 

@@ -18,20 +18,21 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from gripstream.core import Dominance, GloveConfig, Hand, Side, parse_kv_text
 from gripstream.errors import GripstreamError
-from gripstream.protocol import (BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT, SYNC_BYTE,
-                                 EventKind, StreamEvent, scan_stream_offsets)
+from gripstream.protocol import (BLOCK_MIN_BYTES, BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT,
+                                 GLOVE_BYTE, SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets)
 
 SENSOR_IDS = tuple(range(1, 13))
 _SENSOR_LABELS = tuple(f"S{sid}" for sid in SENSOR_IDS)
 
 _SEQ_MOD = 0x10000
+_AT_BYTE = operator.attrgetter("at_byte_offset")
 _TS_MAX = np.iinfo(np.int64).max
 _VALUE_MAX = np.iinfo(np.uint16).max
 # digit runs past leading zeros fit uint64; a longer one would be out of range anyway
@@ -170,14 +171,21 @@ class Session:
 class SessionBuilder:
     """Decoder state for one glove connection.
 
-    Feed byte chunks as they arrive; chunk boundaries are immaterial. The
-    builder locks onto the first glove id it sees and rejects frames from
-    the other glove, duplicate (seq, timestamp) pairs, and frames whose
-    timestamp does not advance, so the finished session's timestamps
-    strictly increase. A sequence gap counts the frames the
-    16-bit seq skipped, plus 65,536 for each whole wrap that the timestamp
-    step, at sample_period_ms per frame, says went by unseen. It keeps each
-    accepted frame's 36 wire bytes, plus its timestamp for the ordering rules.
+    Feed byte chunks as they arrive; chunk boundaries are immaterial: the
+    session, the pending bytes and the events, which come in byte order,
+    are the same however the stream is cut. The builder locks onto the
+    first glove id it sees and rejects frames from the other glove,
+    duplicate (seq, timestamp) pairs, and frames whose timestamp does not
+    advance, so the finished session's timestamps strictly increase. A
+    sequence gap counts the frames the 16-bit seq skipped, plus 65,536 for
+    each whole wrap that the timestamp step, at sample_period_ms per frame,
+    says went by unseen. It keeps each accepted frame's 36 wire bytes, plus
+    its timestamp for the ordering rules.
+
+    A feed of at least BLOCK_MIN_BYTES (tail included) takes the scan's
+    records in one step when all are of the locked glove and their
+    timestamps rise strictly past the last accepted one, with the gaps
+    counted over numpy columns; any other feed goes frame by frame.
     """
 
     def __init__(
@@ -224,31 +232,76 @@ class SessionBuilder:
     def feed(self, data: bytes) -> tuple[int, list[StreamEvent]]:
         """Consume a chunk; returns (samples appended, events this chunk).
 
-        Event byte offsets are absolute within the connection, not within
-        the chunk, so logs stay meaningful across reads.
+        Events come in byte order, at offsets absolute within the connection,
+        not within the chunk, so logs stay meaningful across reads.
         """
         buf = self._tail + bytes(data)
-        frames, scan_events, remainder = scan_stream_offsets(buf)
+        offsets, records, events, remainder = scan_stream_offsets(buf, self._base)
         if buf:
-            last_frame = frames[-1][0] if frames else -1
-            ends_in_garbage = (not remainder and bool(scan_events)
-                               and scan_events[-1].kind is EventKind.SYNC_LOSS
-                               and scan_events[-1].at_byte_offset > last_frame)
+            last_frame = offsets[-1] if offsets else -1
+            ends_in_garbage = (not remainder and bool(events)
+                               and events[-1].kind is EventKind.SYNC_LOSS
+                               and events[-1].at_byte_offset > last_frame)
             if self._in_garbage and buf[0] != SYNC_BYTE:
                 # a garbage run that began in an earlier chunk was reported there
-                scan_events = scan_events[1:]
+                events = events[1:]
             self._in_garbage = ends_in_garbage
-        events = [replace(ev, at_byte_offset=self._base + ev.at_byte_offset) for ev in scan_events]
-        appended = 0
-        accepted_ts = self._ts
-        for off, fields in frames:
-            abs_off = self._base + off
-            glove, seq, ts = BYTE_GLOVE[fields[1]], fields[2], fields[3]
+        before = len(self._ts)
+        if offsets:
             if self.hand is None:
+                glove = BYTE_GLOVE[records[1]]
                 dom = Dominance.DOMINANT if glove is self.dominant_side else Dominance.NON_DOMINANT
                 self.hand = Hand(side=glove, dominance=dom)
-            elif glove is not self.hand.side:
-                events.append(StreamEvent(EventKind.FORMAT_ERROR, abs_off))
+            found = self._accept_block(offsets, records) if len(buf) >= BLOCK_MIN_BYTES else None
+            if found is None:
+                found = self._accept_each(offsets, records)
+            if found:
+                events = sorted(events + found, key=_AT_BYTE)  # two sorted runs: a linear merge
+        self._base += len(buf) - len(remainder)
+        self._tail = remainder
+        self.events.extend(events)
+        return 12 * (len(self._ts) - before), events
+
+    def _accept_block(self, offsets: list[int], records: bytes) -> list[StreamEvent] | None:
+        """Append every record at once, if all are of the locked glove and their
+        timestamps rise strictly past the last accepted one.
+
+        Returns their sequence gaps, counted as _accept_each counts them, or
+        None, appending nothing, if a record breaks those rules.
+        """
+        rows = np.frombuffer(records, FRAME_DTYPE)
+        ts = rows["timestamp_ms"].astype(np.int64)
+        steps = np.diff(ts, prepend=self._ts[-1] if self._ts else -1)  # timestamps are u32
+        if not ((rows["glove"] == GLOVE_BYTE[self.hand.side]).all() and (steps > 0).all()):
+            return None
+        missing = (np.diff(rows["seq"].astype(np.int64), prepend=self._last_seq) - 1) % _SEQ_MOD
+        elapsed = np.rint(steps / self.sample_period_ms) - 1  # rint, like round, ties to even
+        wraps = np.maximum(0, np.rint((elapsed - missing) / _SEQ_MOD)).astype(np.int64)
+        missing += _SEQ_MOD * wraps
+        if not self._ts:
+            missing[0] = 0  # the first frame of a connection follows no gap
+        at = np.flatnonzero(missing)
+        gaps = [StreamEvent(EventKind.SEQUENCE_GAP, offsets[k], missing_count=count)
+                for k, count in zip(at.tolist(), missing[at].tolist())]
+        self._gaps += gaps
+        self._ts.frombytes(ts.tobytes())
+        self._last_seq = int(rows["seq"][-1])
+        self._records += records
+        return gaps
+
+    def _accept_each(self, offsets: list[int], records: bytes) -> list[StreamEvent]:
+        """Append records one at a time, dropping the other glove's, replays and
+        stale timestamps.
+
+        Returns the events of the dropped records and the sequence gaps of the others.
+        """
+        events = []
+        side = GLOVE_BYTE[self.hand.side]
+        accepted_ts = self._ts
+        for at, off in zip(range(0, len(records), FRAME_SIZE), offsets):
+            glove, seq, ts = FRAME_STRUCT.unpack_from(records, at)[1:4]
+            if glove != side:
+                events.append(StreamEvent(EventKind.FORMAT_ERROR, off))
                 continue
             if accepted_ts and ts <= accepted_ts[-1]:
                 # accepted timestamps are strictly increasing, so at most one can match
@@ -256,7 +309,7 @@ class SessionBuilder:
                 replayed = (accepted_ts[i] == ts
                             and FRAME_STRUCT.unpack_from(self._records, FRAME_SIZE * i)[2] == seq)
                 kind = EventKind.DUPLICATE_FRAME if replayed else EventKind.OUT_OF_ORDER
-                events.append(StreamEvent(kind, abs_off))
+                events.append(StreamEvent(kind, off))
                 continue
             if accepted_ts:
                 missing = (seq - (self._last_seq + 1)) % _SEQ_MOD
@@ -264,17 +317,13 @@ class SessionBuilder:
                 elapsed = round((ts - accepted_ts[-1]) / self.sample_period_ms) - 1
                 missing += _SEQ_MOD * max(0, round((elapsed - missing) / _SEQ_MOD))
                 if missing:
-                    gap = StreamEvent(EventKind.SEQUENCE_GAP, abs_off, missing_count=missing)
+                    gap = StreamEvent(EventKind.SEQUENCE_GAP, off, missing_count=missing)
                     events.append(gap)
                     self._gaps.append(gap)
             accepted_ts.append(ts)
             self._last_seq = seq
-            self._records += buf[off:off + FRAME_SIZE]
-            appended += 12
-        self._base += len(buf) - len(remainder)
-        self._tail = remainder
-        self.events.extend(events)
-        return appended, events
+            self._records += records[at:at + FRAME_SIZE]
+        return events
 
     def session(self) -> Session:
         """Snapshot the accepted frames as columns of an immutable-by-convention Session."""

@@ -24,9 +24,13 @@ it skipped as StreamEvents.
 FRAME_DTYPE (numpy) and FRAME_STRUCT (struct) mirror the layout above; no
 other module declares it. Bulk paths move whole records: encode_records
 returns a FRAME_DTYPE array whose bytes are the capture, scan_stream_offsets
-each intact frame's offset with its unpacked fields. Frame, encode_frame and
-decode_frame are the single-frame API. The checksum is the standard
-library's binascii.crc_hqx(data, 0xFFFF), CRC-16/CCITT-FALSE in C.
+the intact frames' offsets and their records as one FRAME_DTYPE buffer, with
+the events in byte order. A buffer of BLOCK_MIN_BYTES or more is scanned as
+numpy columns, a shorter one a position at a time, which is cheaper per call
+for the few frames a live read brings. Frame, encode_frame and decode_frame
+are the single-frame API. The checksum is the standard library's
+binascii.crc_hqx(data, 0xFFFF), CRC-16/CCITT-FALSE in C, one call per
+candidate frame.
 """
 
 import struct
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gripstream.core import GloveConfig, Side
 from gripstream.errors import DomainError, GripstreamError
@@ -43,6 +48,10 @@ SYNC_BYTE = 0xA5
 FRAME_SIZE = 36
 VOLTAGE_LIMIT_MV = 3300
 BATTERY_LIMIT_MV = 4300
+# A buffer this long or longer is scanned, and accepted by SessionBuilder.feed,
+# as numpy columns; a shorter one a frame at a time, which costs less per call
+# below the measured crossover (docs/protocol.md).
+BLOCK_MIN_BYTES = 64 * FRAME_SIZE
 
 GLOVE_BYTE = {Side.LEFT: 0x4C, Side.RIGHT: 0x52}
 BYTE_GLOVE = {v: k for k, v in GLOVE_BYTE.items()}
@@ -190,45 +199,99 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(BYTE_GLOVE[fields[1]], fields[2], fields[3], fields[4], fields[5:17])
 
 
-def scan_stream_offsets(
-    buffer,
-) -> tuple[list[tuple[int, tuple[int, ...]]], list[StreamEvent], bytes]:
-    """Extract every intact frame from a buffer, resynchronizing past damage.
-
-    Returns (frames, events, remainder): frames pairs each intact frame's
-    byte offset in the buffer with its FRAME_STRUCT fields (sync, glove
-    byte, seq, timestamp_ms, battery_mv, S1..S12, crc). Garbage runs
-    surface as one SYNC_LOSS event each, failed checksums as CRC_MISMATCH
-    (scan resumes one byte later), checksum-valid frames with out-of-range
-    fields as FORMAT_ERROR (consumed whole). The remainder is a trailing
-    partial frame, to be fed back with the next chunk.
-    """
-    buf = bytes(buffer)
-    frames: list[tuple[int, tuple[int, ...]]] = []
+def _walk(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEvent], bytes]:
+    """scan_stream_offsets of buf, one position at a time."""
+    offsets: list[int] = []
+    records = bytearray()
     events: list[StreamEvent] = []
     n = len(buf)
     i = 0
     while i < n:
         if buf[i] != SYNC_BYTE:
-            events.append(StreamEvent(EventKind.SYNC_LOSS, i))
+            events.append(StreamEvent(EventKind.SYNC_LOSS, base + i))
             i = buf.find(SYNC_BYTE, i)
             if i < 0:
                 break
             continue
         if n - i < FRAME_SIZE:
-            return frames, events, buf[i:]
+            return offsets, bytes(records), events, buf[i:]
         stored = buf[i + 34] | (buf[i + 35] << 8)
         if crc_hqx(buf[i + 1:i + 34], 0xFFFF) != stored:
-            events.append(StreamEvent(EventKind.CRC_MISMATCH, i))
+            events.append(StreamEvent(EventKind.CRC_MISMATCH, base + i))
             i += 1
             continue
-        fields = FRAME_STRUCT.unpack_from(buf, i)
-        if _field_error(fields):
-            events.append(StreamEvent(EventKind.FORMAT_ERROR, i))
+        if _field_error(FRAME_STRUCT.unpack_from(buf, i)):
+            events.append(StreamEvent(EventKind.FORMAT_ERROR, base + i))
         else:
-            frames.append((i, fields))
+            offsets.append(base + i)
+            records += buf[i:i + FRAME_SIZE]
         i += FRAME_SIZE
-    return frames, events, b""
+    return offsets, bytes(records), events, b""
+
+
+# event codes of the block scan, indexes into _KINDS; 0 is no event
+_KINDS = (None, EventKind.SYNC_LOSS, EventKind.CRC_MISMATCH, EventKind.FORMAT_ERROR)
+
+
+def _scan_block(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEvent], bytes]:
+    """_walk's scan as numpy columns over each sync byte with a whole frame after it.
+
+    From a candidate the walk moves 36 bytes on when its checksum holds and
+    one byte on when not, then resumes at the first sync byte from there,
+    after a SYNC_LOSS if that is not where it moved to. Python loops only
+    over the chain of candidates visited, plus one crc_hqx call per candidate.
+    """
+    n = len(buf)
+    a = np.frombuffer(buf, np.uint8)
+    syncs = np.flatnonzero(a == SYNC_BYTE)
+    m = int(np.searchsorted(syncs, n - FRAME_SIZE, side="right"))
+    cands = syncs[:m]
+    mv = memoryview(buf)
+    crcs = np.array([crc_hqx(mv[c + 1:c + 34], 0xFFFF) for c in cands.tolist()], np.uint16)
+    recs = sliding_window_view(a, FRAME_SIZE)[cands].view(FRAME_DTYPE)[:, 0]
+    crc_ok = recs["crc"] == crcs
+    glove = recs["glove"]
+    fields_ok = (((glove == GLOVE_BYTE[Side.LEFT]) | (glove == GLOVE_BYTE[Side.RIGHT]))
+                 & (recs["battery_mv"] <= BATTERY_LIMIT_MV)
+                 & (recs["voltages_mv"].max(axis=1, initial=0) < VOLTAGE_LIMIT_MV))
+    resume = cands + np.where(crc_ok, FRAME_SIZE, 1)
+    following = np.searchsorted(syncs, resume)
+    lost = np.append(syncs, n)[following] != resume  # resume == n ends the buffer, no loss
+    path: list[int] = []
+    j, chain = 0, following.tolist()
+    while j < m:
+        path.append(j)
+        j = chain[j]
+    path = np.array(path, np.intp)
+    accepted = path[crc_ok[path] & fields_ok[path]]
+    at = np.column_stack([cands[path], resume[path]]).ravel()
+    codes = np.column_stack([np.where(crc_ok[path], np.where(fields_ok[path], 0, 3), 2),
+                             np.where(lost[path], 1, 0)]).ravel()
+    events = [StreamEvent(EventKind.SYNC_LOSS, base)] if n and (not syncs.size or syncs[0]) else []
+    events += [StreamEvent(_KINDS[code], base + off)
+               for code, off in zip(codes[codes > 0].tolist(), at[codes > 0].tolist())]
+    remainder = buf[syncs[j]:] if j < syncs.size else b""
+    return (cands[accepted] + base).tolist(), recs[accepted].tobytes(), events, remainder
+
+
+def scan_stream_offsets(
+    buffer, base: int = 0,
+) -> tuple[list[int], bytes, list[StreamEvent], bytes]:
+    """Extract every intact frame from a buffer, resynchronizing past damage.
+
+    Returns (offsets, records, events, remainder). offsets holds each
+    intact frame's position in the buffer plus base; records holds the
+    frames' 36 bytes back to back, which np.frombuffer(records, FRAME_DTYPE)
+    reads as rows. Garbage runs surface as one SYNC_LOSS event each, failed
+    checksums as CRC_MISMATCH (scan resumes one byte later), checksum-valid
+    frames with out-of-range fields as FORMAT_ERROR (consumed whole); events
+    come in byte order, each at its position plus base. The remainder is a
+    trailing partial frame, to be fed back with the next chunk. A buffer of
+    BLOCK_MIN_BYTES or more is scanned as numpy columns, a shorter one a
+    position at a time without numpy; both give the same result.
+    """
+    buf = bytes(buffer)
+    return (_scan_block if len(buf) >= BLOCK_MIN_BYTES else _walk)(buf, base)
 
 
 def required_bandwidth(gloves: int, cfg: GloveConfig) -> float:

@@ -24,7 +24,7 @@ from gripstream.ingest import (
     session_summary,
 )
 from gripstream.pipeline import run_plan, session_from_capture
-from gripstream.protocol import EventKind, Frame, StreamEvent, encode_frame
+from gripstream.protocol import EventKind, Frame, StreamEvent, encode_frame, encode_records
 from gripstream.simulate import SessionPlan, get_preset
 
 from helpers import (
@@ -176,6 +176,86 @@ def test_chunking_never_changes_the_session():
         else:
             assert session == reference
     assert reference.frame_count == 59
+
+
+def noisy_capture(seed: int, frames: int = 2400, intruders: bool = False) -> bytes:
+    """One glove's capture, damaged as the benchmark damages it.
+
+    One frame in 100 is never sent, an outage of 70,000 frames spans a
+    sequence wrap, 3-40 garbage bytes follow every 8 frames, one byte in 400
+    is flipped and a partial frame ends it. With intruders, another glove's
+    frame, a replay and a frame with a stale timestamp sit between intact
+    frames in mid-run.
+    """
+    rng = np.random.default_rng(seed)
+    pos = np.arange(frames)
+    pos[frames // 2:] += 70_000
+    pos = np.delete(pos, rng.choice(frames, frames // 100, replace=False))
+    volts = rng.integers(0, 3300, (len(pos), 12))
+    records = [row.tobytes() for row in encode_records(
+        Side.RIGHT, (0xFFFF - 300 + pos) & 0xFFFF, 20 * pos, np.full(len(pos), 4100), volts)]
+    blob, starts = bytearray(), []
+    for k, record in enumerate(records):
+        starts.append(len(blob))
+        blob += record
+        if k % 8 == 7:
+            blob += rng.bytes(int(rng.integers(3, 41)))
+    for at in rng.choice(len(blob), len(blob) // 400, replace=False):
+        blob[at] ^= 0xFF
+    if intruders:
+        other = encode_records(Side.LEFT, [7], [20 * pos[600] + 1], [4100], volts[:1]).tobytes()
+        stale = encode_records(Side.RIGHT, [1234], [20 * pos[100] + 3], [4100], volts[:1]).tobytes()
+        # replay a frame that arrived intact
+        sent = next(k for k in range(800, 900) if blob[starts[k]:starts[k] + 36] == records[k])
+        for k, record in sorted([(603, other), (901, records[sent]), (1302, stale)], reverse=True):
+            blob[starts[k]:starts[k]] = record
+    return bytes(blob) + records[0][:20]
+
+
+def cut_every(blob: bytes, step: int) -> list[int]:
+    return list(range(step, len(blob), step))
+
+
+def test_events_come_in_byte_order_however_the_stream_is_cut():
+    for seed in range(3):
+        blob = noisy_capture(seed, frames=300)
+        whole = fed_in_pieces(blob, []).events
+        offsets = [ev.at_byte_offset for ev in whole]
+        assert offsets == sorted(set(offsets))
+        assert {EventKind.SEQUENCE_GAP, EventKind.SYNC_LOSS} <= {ev.kind for ev in whole}
+        for step in (1, 7, 36, 37, 72, 100):
+            assert fed_in_pieces(blob, cut_every(blob, step)).events == whole, (seed, step)
+
+
+@pytest.mark.parametrize("intruders", [False, True])
+def test_block_and_frame_by_frame_feeds_agree(intruders, monkeypatch):
+    blob = noisy_capture(61, intruders=intruders)
+    taken = []
+    accept_block = SessionBuilder._accept_block
+
+    def spy(self, offsets, records):
+        found = accept_block(self, offsets, records)
+        taken.append(found is not None)
+        return found
+
+    monkeypatch.setattr(SessionBuilder, "_accept_block", spy)
+    whole = fed_in_pieces(blob, [])
+    assert taken == [not intruders]  # one block: taken at once unless an intruder sits in it
+    session = whole.session()
+    assert max(ev.missing_count for ev in session.gaps) > 0x10000
+    assert whole.pending_bytes == 20
+    kinds = {ev.kind for ev in whole.events}
+    intruded = {EventKind.FORMAT_ERROR, EventKind.DUPLICATE_FRAME, EventKind.OUT_OF_ORDER}
+    assert (intruded <= kinds) is intruders
+    rng = random.Random(62)
+    for cuts in (cut_every(blob, 36), cut_every(blob, 72),
+                 sorted(rng.sample(range(1, len(blob)), 30))):
+        taken.clear()
+        builder = fed_in_pieces(blob, cuts)
+        assert builder.events == whole.events
+        assert builder.pending_bytes == whole.pending_bytes
+        assert builder.session() == session
+    assert taken  # some random pieces reach BLOCK_MIN_BYTES
 
 
 def test_frame_samples_accessor_tracks_feed():
@@ -565,7 +645,11 @@ def flaky_links(draw):
     seq = draw(st.sampled_from([0, 0xFFFE]) | st.integers(0, 0xFFFF))
     ts = draw(st.integers(0, 1000))
     frames = []
-    for k, op in enumerate(draw(st.lists(st.sampled_from(_LINK_OPS), max_size=40))):
+    ops = draw(st.lists(st.sampled_from(_LINK_OPS), max_size=40))
+    # a run of in-order frames, so that a feed can reach BLOCK_MIN_BYTES
+    at = draw(st.integers(0, len(ops)))
+    ops[at:at] = ["next"] * draw(st.integers(0, 80))
+    for k, op in enumerate(ops):
         volts = tuple((131 * k + 17 * i) % 3300 for i in range(12))
         if op == "replay" and frames:
             frames.append(draw(st.sampled_from(frames)))
@@ -665,12 +749,18 @@ def damaged_links(draw, ops=_DAMAGE_OPS):
     long_outage = draw(st.none() | st.integers(0x10000, 4 * 0x10000))
     plan = draw(st.lists(st.sampled_from(ops), min_size=1, max_size=30))
     at = draw(st.integers(0, len(plan)))
+    # a run of frames sent whole, so that a feed can reach BLOCK_MIN_BYTES
+    run_at = draw(st.integers(0, len(plan)))
+    plan[run_at:run_at] = ["run"] * draw(st.integers(0, 80))
     sent, parts, delivered = {}, [], []
     pos = 0
     for k, op in enumerate(plan):
         if k == at and long_outage is not None:
             pos += long_outage
-        volts = tuple(draw(st.lists(st.integers(0, 3299), min_size=12, max_size=12)))
+        if op == "run":
+            volts = tuple((131 * k + 17 * i) % 3300 for i in range(12))
+        else:
+            volts = tuple(draw(st.lists(st.integers(0, 3299), min_size=12, max_size=12)))
         frame = Frame(Side.RIGHT, (seq0 + pos) & 0xFFFF, 20 * pos, 4000 - k, volts)
         sent[pos] = frame
         blob = encode_frame(frame)

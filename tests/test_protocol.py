@@ -1,6 +1,7 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from gripstream.core import GloveConfig, Side
 from gripstream.protocol import (
     BATTERY_LIMIT_MV,
+    BLOCK_MIN_BYTES,
     BYTE_GLOVE,
     FRAME_DTYPE,
     FRAME_SIZE,
+    FRAME_STRUCT,
     GLOVE_BYTE,
     VOLTAGE_LIMIT_MV,
     CrcMismatchError,
@@ -141,6 +144,13 @@ def at_offsets(frames, first: int = 0) -> list:
     return [(first + FRAME_SIZE * k, f) for k, f in enumerate(frames)]
 
 
+def scan(buf, base: int = 0) -> tuple:
+    """scan_stream_offsets of buf as (offset, FRAME_STRUCT fields) pairs, events, remainder."""
+    offsets, records, events, remainder = scan_stream_offsets(buf, base)
+    assert len(np.frombuffer(records, FRAME_DTYPE)) == len(offsets)
+    return list(zip(offsets, FRAME_STRUCT.iter_unpack(records))), events, remainder
+
+
 def frames_of(pairs) -> list:
     """The scanner's (offset, fields) pairs as (offset, Frame) pairs."""
     return [(off, Frame(BYTE_GLOVE[f[1]], f[2], f[3], f[4], f[5:17])) for off, f in pairs]
@@ -148,7 +158,7 @@ def frames_of(pairs) -> list:
 
 def test_scan_clean_stream_has_no_events():
     frames = frame_run(random.Random(25), 3)
-    pairs, events, remainder = scan_stream_offsets(wire(frames))
+    pairs, events, remainder = scan(wire(frames))
     assert frames_of(pairs) == at_offsets(frames)
     assert events == []
     assert remainder == b""
@@ -157,7 +167,7 @@ def test_scan_clean_stream_has_no_events():
 def test_scan_skips_garbage_with_single_event():
     frames = frame_run(random.Random(26), 1)
     blob = b"\x01\x02\x03\x04\x05" + wire(frames)
-    pairs, events, remainder = scan_stream_offsets(blob)
+    pairs, events, remainder = scan(blob)
     assert frames_of(pairs) == at_offsets(frames, 5)
     assert events == [StreamEvent(EventKind.SYNC_LOSS, 0)]
     assert remainder == b""
@@ -165,7 +175,7 @@ def test_scan_skips_garbage_with_single_event():
 
 def test_scan_reports_trailing_garbage():
     frames = frame_run(random.Random(27), 1)
-    pairs, events, remainder = scan_stream_offsets(wire(frames) + b"zzz")
+    pairs, events, remainder = scan(wire(frames) + b"zzz")
     assert frames_of(pairs) == at_offsets(frames)
     assert events == [StreamEvent(EventKind.SYNC_LOSS, 36)]
     assert remainder == b""
@@ -174,11 +184,11 @@ def test_scan_reports_trailing_garbage():
 def test_scan_buffers_partial_frame():
     frames = frame_run(random.Random(28), 2)
     blob = wire(frames)
-    pairs, events, remainder = scan_stream_offsets(blob[:50])
+    pairs, events, remainder = scan(blob[:50])
     assert frames_of(pairs) == at_offsets(frames[:1])
     assert events == []
     assert remainder == blob[36:50]
-    pairs2, events2, remainder2 = scan_stream_offsets(remainder + blob[50:])
+    pairs2, events2, remainder2 = scan(remainder + blob[50:])
     assert frames_of(pairs2) == at_offsets(frames[1:])
     assert events2 == []
     assert remainder2 == b""
@@ -190,8 +200,8 @@ def test_scan_chunk_split_never_loses_frames():
     blob = wire(frames)
     for _ in range(50):
         cut = rng.randrange(len(blob) + 1)
-        first, events1, rem = scan_stream_offsets(blob[:cut])
-        second, events2, rem2 = scan_stream_offsets(rem + blob[cut:])
+        first, events1, rem = scan(blob[:cut])
+        second, events2, rem2 = scan(rem + blob[cut:])
         assert [f for _, f in frames_of(first + second)] == frames
         assert events1 == events2 == []
         assert rem2 == b""
@@ -201,7 +211,7 @@ def test_scan_resyncs_after_crc_damage():
     frames = frame_run(random.Random(30), 3)
     blob = bytearray(wire(frames))
     blob[40] ^= 0xFF  # inside the second frame
-    pairs, events, remainder = scan_stream_offsets(bytes(blob))
+    pairs, events, remainder = scan(bytes(blob))
     # first and third frames survive; the damaged one surfaces as events
     assert frames_of(pairs) == [(0, frames[0]), (72, frames[2])]
     assert any(e.kind is EventKind.CRC_MISMATCH for e in events)
@@ -210,7 +220,7 @@ def test_scan_resyncs_after_crc_damage():
 def test_scan_consumes_field_invalid_frames_whole():
     frames = frame_run(random.Random(31), 1)
     bad = raw_frame(battery=BATTERY_LIMIT_MV + 100)
-    pairs, events, remainder = scan_stream_offsets(bad + wire(frames))
+    pairs, events, remainder = scan(bad + wire(frames))
     assert frames_of(pairs) == at_offsets(frames, 36)
     assert events == [StreamEvent(EventKind.FORMAT_ERROR, 0)]
     assert remainder == b""
@@ -218,9 +228,12 @@ def test_scan_consumes_field_invalid_frames_whole():
 
 def test_scan_offsets_are_byte_positions():
     frames = frame_run(random.Random(32), 2)
-    pairs, events, _ = scan_stream_offsets(b"\x00" + wire(frames))
+    pairs, events, _ = scan(b"\x00" + wire(frames))
     assert [off for off, _ in pairs] == [1, 37]
     assert events == [StreamEvent(EventKind.SYNC_LOSS, 0)]
+    pairs, events, _ = scan(b"\x00" + wire(frames), base=1000)
+    assert [off for off, _ in pairs] == [1001, 1037]
+    assert events == [StreamEvent(EventKind.SYNC_LOSS, 1000)]
 
 
 def test_single_bit_flips_never_yield_a_different_frame():
@@ -231,7 +244,7 @@ def test_single_bit_flips_never_yield_a_different_frame():
         for bit in range(FRAME_SIZE * 8):
             damaged = bytearray(blob)
             damaged[bit // 8] ^= 1 << (bit % 8)
-            pairs, _, _ = scan_stream_offsets(bytes(damaged))
+            pairs, _, _ = scan(bytes(damaged))
             assert pairs == []  # either rejected or buffered, never misread
 
 
@@ -285,7 +298,7 @@ def test_arbitrary_buffers_decode_exactly_and_split_anywhere():
     rng = random.Random(34)
     for _ in range(60):
         buf = random_buffer(rng)
-        pairs, _, _ = scan_stream_offsets(buf)
+        pairs, _, _ = scan(buf)
         for off, frame in frames_of(pairs):
             assert decode_frame(buf[off : off + FRAME_SIZE]) == frame
         whole = fed([buf])
@@ -314,7 +327,7 @@ def damaged_buffers(draw) -> bytes:
 
 
 def scanned_as_oracle(buf: bytes) -> tuple:
-    """reference_scan of buf, each Frame written as the field tuple scan_stream_offsets gives."""
+    """reference_scan of buf, each Frame written as the field tuple scan gives."""
     frames, events, remainder = reference_scan(buf)
     pairs = [(off, (0xA5, GLOVE_BYTE[f.glove], f.seq, f.timestamp_ms, f.battery_mv,
                     *f.voltages_mv, int.from_bytes(buf[off + 34:off + 36], "little")))
@@ -325,9 +338,53 @@ def scanned_as_oracle(buf: bytes) -> tuple:
 @settings(max_examples=100, deadline=None)
 @given(damaged_buffers())
 def test_scan_equals_reference_scan_on_damaged_buffers_split_anywhere(buf):
-    assert scan_stream_offsets(buf) == scanned_as_oracle(buf)
+    assert scan(buf) == scanned_as_oracle(buf)
     for cut in range(len(buf) + 1):
-        first = scan_stream_offsets(buf[:cut])
+        first = scan(buf[:cut])
         assert first == scanned_as_oracle(buf[:cut]), f"first part of split at byte {cut}"
         rest = first[2] + buf[cut:]
-        assert scan_stream_offsets(rest) == scanned_as_oracle(rest), f"split at byte {cut}"
+        assert scan(rest) == scanned_as_oracle(rest), f"split at byte {cut}"
+
+
+_OUT_OF_RANGE = ({"glove_byte": 0x58}, {"battery": BATTERY_LIMIT_MV + 1},
+                 {"voltages": (0,) * 5 + (VOLTAGE_LIMIT_MV,) + (0,) * 6})
+
+
+@st.composite
+def block_edge_buffers(draw) -> bytes:
+    """Runs of intact frames, BLOCK_MIN_BYTES or more in all, damaged where a run meets
+    its neighbours: a flipped first or last byte, garbage after the run with stray 0xA5
+    bytes at the frame stride, a checksum-valid frame with a field out of range in
+    mid-run, and a partial frame at the end."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    total = draw(st.integers(BLOCK_MIN_BYTES // FRAME_SIZE, BLOCK_MIN_BYTES // FRAME_SIZE + 6))
+    ends = sorted(draw(st.sets(st.integers(1, total - 1), max_size=3)))
+    buf = bytearray()
+    for lo, hi in zip([0, *ends], [*ends, total]):
+        run = bytearray(wire(frame_run(rng, hi - lo, start_seq=lo)))
+        if draw(st.booleans()):
+            at = FRAME_SIZE * draw(st.integers(1, hi - lo))
+            run[at:at] = raw_frame(**draw(st.sampled_from(_OUT_OF_RANGE)))
+        for edge in draw(st.sets(st.sampled_from([0, -1]))):
+            run[edge] ^= 1 << draw(st.integers(0, 7))
+        garbage = bytearray(draw(st.binary(max_size=3 * FRAME_SIZE)))
+        for at in range(0, len(garbage), FRAME_SIZE):
+            if draw(st.booleans()):
+                garbage[at] = 0xA5
+        buf += run + garbage
+    return bytes(buf) + wire(frame_run(rng, 1))[:draw(st.integers(0, FRAME_SIZE - 1))]
+
+
+@settings(max_examples=8, deadline=None)
+@given(block_edge_buffers())
+def test_block_scan_equals_reference_scan_at_run_edges_split_anywhere(buf):
+    assert len(buf) >= BLOCK_MIN_BYTES
+    assert scan(buf) == scanned_as_oracle(buf)
+    for cut in range(len(buf) + 1):
+        first = scan(buf[:cut])
+        rest = first[2] + buf[cut:]
+        # parts shorter than BLOCK_MIN_BYTES are walked, as in the test above
+        if cut >= BLOCK_MIN_BYTES:
+            assert first == scanned_as_oracle(buf[:cut]), f"first part of split at byte {cut}"
+        if len(rest) >= BLOCK_MIN_BYTES:
+            assert scan(rest) == scanned_as_oracle(rest), f"split at byte {cut}"
