@@ -10,9 +10,10 @@ import argparse
 import csv
 import logging
 import os
+import selectors
 import socket
 import sys
-import threading
+import time
 from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
@@ -207,70 +208,83 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _serve_connection(conn, args, cfg, cal, policy, started, failures, lock, stems) -> None:
-    builder = SessionBuilder(
-        subject=args.subject,
-        condition=args.condition,
-        dominant_side=_parse_side(args.dominant),
-        started_at=started,
-        sample_period_ms=cfg.sample_period_ms,
-    )
-    monitor = None
-    cursor = 0
-    problem = None
-    conn.settimeout(cfg.sample_period_ms)  # 1,000 sample periods (20 s at 50 Hz) without a byte
-    try:
-        with conn:
-            while chunk := conn.recv(4096):
-                _, events = builder.feed(chunk)
-                for ev in events:
-                    log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
-                if monitor is None and builder.hand is not None:
-                    monitor = GripMonitor(policy, glove=builder.hand.side)
-                    columns = [sid - 1 for sid in monitor.watched]
-                    table = force_table(cal, cfg)
-                while cursor < builder.frames:
-                    ts, volts = builder.frame_samples(cursor)
-                    try:  # a lookup per sample: a numpy call per frame costs serve more CPU
-                        forces = [table[volts[i]] for i in columns]
-                    except IndexError:  # outside the table: the scalar call raises DomainError
-                        forces = [force_from_voltage(volts[i], cal, cfg) for i in columns]
-                    for alert in monitor.step(ts, forces):
-                        with lock:
-                            print("\a" + format_alert(alert), file=sys.stderr, flush=True)
-                    cursor += 1
-    except TimeoutError:
-        problem = TimeoutError(f"no byte came for {cfg.sample_period_ms:g} s")
-    except Exception as exc:  # e.g. a reset or an unconvertible sample: record what arrived
-        problem = exc
-    try:
-        session = builder.session()
-        summary = session_summary(session)
-        with lock:
+class _GloveLink:
+    """One connection of serve's loop: its builder, monitor, force table and cursor."""
+
+    def __init__(self, conn, args, cfg, cal, policy, deadline: float):
+        self.conn = conn
+        self.cfg, self.cal, self.policy = cfg, cal, policy
+        self.builder = SessionBuilder(
+            subject=args.subject,
+            condition=args.condition,
+            dominant_side=_parse_side(args.dominant),
+            started_at=_now(),
+            sample_period_ms=cfg.sample_period_ms,
+        )
+        self.monitor = self.columns = self.table = None
+        self.cursor = 0
+        self.deadline = deadline  # time.monotonic() past which the connection has stalled
+
+    def take(self, chunk: bytes) -> None:
+        """Feed one read and step the monitor over every frame it completed."""
+        builder = self.builder
+        _, events = builder.feed(chunk)
+        for ev in events:
+            log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
+        if self.monitor is None and builder.hand is not None:
+            self.monitor = GripMonitor(self.policy, glove=builder.hand.side)
+            self.columns = [sid - 1 for sid in self.monitor.watched]
+            self.table = force_table(self.cal, self.cfg)
+        monitor, columns, table, cursor = self.monitor, self.columns, self.table, self.cursor
+        while cursor < builder.frames:
+            ts, volts = builder.frame_samples(cursor)
+            try:  # a lookup per sample: a numpy call per frame costs serve more CPU
+                forces = [table[volts[i]] for i in columns]
+            except IndexError:  # outside the table: the scalar call raises DomainError
+                forces = [force_from_voltage(volts[i], self.cal, self.cfg) for i in columns]
+            for alert in monitor.step(ts, forces):
+                print("\a" + format_alert(alert), file=sys.stderr, flush=True)
+            cursor += 1
+        self.cursor = cursor
+
+    def record(self, out, stems: set[str], problem: Exception | None) -> Exception | None:
+        """Close the connection and record what arrived; returns the first problem, if any."""
+        self.conn.close()
+        try:
+            session = self.builder.session()
+            summary = session_summary(session)
             # a second connection of one glove would overwrite the first one's files
-            taken = bool(args.out) and session.stem in stems
+            taken = bool(out) and session.stem in stems
             stems.add(session.stem)
-        if args.out and not taken:
-            manifest = record_session(session, args.out)
-            with lock:
+            if out and not taken:
+                manifest = record_session(session, out)
                 print(f"recorded {manifest.meta_path}", file=sys.stderr)
-        with lock:
             print(
                 f"session {session.stem}: {summary.frames} frames, "
                 f"{summary.gap_count} gap(s), battery {summary.battery_final_mv} mV",
                 file=sys.stderr,
             )
-        if taken:
-            raise GripstreamError(f"session {session.stem} already came from another connection; "
-                                  f"these {summary.frames} frames were not recorded")
-    except Exception as exc:
-        problem = problem or exc
-    if problem is not None:  # surfaced after join; threads must not die silently
-        with lock:
-            failures.append(problem)
+            if taken:
+                raise GripstreamError(f"session {session.stem} already came from another "
+                                      f"connection; these {summary.frames} frames were not recorded")
+        except Exception as exc:
+            problem = problem or exc
+        return problem
 
 
 def _cmd_serve(args) -> int:
+    """Ingest, alert on and record up to --sessions gloves' connections.
+
+    One thread serves every connection through a selectors loop: it accepts
+    the connections and reads whichever socket is ready, so two gloves do not
+    take turns at the interpreter lock on every read. Each connection has its
+    own builder, monitor and stall deadline, 1,000 sample periods after its
+    last byte. A connection's session is recorded when it ends (end of stream,
+    reset, stall or a sample that cannot be converted) inside the loop, a few
+    microseconds per frame, and the other glove's reads wait in the kernel's
+    buffer meanwhile. On Ctrl-C or any other error of the loop, every open connection
+    is recorded before the error goes on.
+    """
     cfg, cal = _load_setup(args)
     policy = _policy_from_args(args)
     _parse_side(args.dominant)
@@ -279,24 +293,59 @@ def _cmd_serve(args) -> int:
         raise CliUsageError("--sessions must be 1 or 2 (one per glove)")
     if not 0 <= args.port <= 0xFFFF:
         raise CliUsageError("--port must be 0..65535 (0 = ephemeral)")
-    with socket.create_server(("127.0.0.1", args.port)) as server:
+    stall_s = cfg.sample_period_ms  # 1,000 sample periods (20 s at 50 Hz) without a byte
+    failures: list[Exception] = []
+    stems: set[str] = set()
+    links: list[_GloveLink] = []  # open connections
+    with (socket.create_server(("127.0.0.1", args.port)) as server,
+          selectors.DefaultSelector() as selector):
         host, port = server.getsockname()
         print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
-        lock = threading.Lock()
-        failures: list[Exception] = []
-        stems: set[str] = set()
-        threads = []
-        for _ in range(args.sessions):
-            conn, addr = server.accept()
-            log.info("connection from %s:%d", *addr)
-            t = threading.Thread(
-                target=_serve_connection,
-                args=(conn, args, cfg, cal, policy, _now(), failures, lock, stems),
-            )
-            t.start()
-            threads.append(t)
-        for t in threads:
-            t.join()
+        selector.register(server, selectors.EVENT_READ)
+
+        def end(link: _GloveLink, problem: Exception | None = None) -> None:
+            selector.unregister(link.conn)
+            links.remove(link)
+            problem = link.record(args.out, stems, problem)
+            if problem is not None:
+                failures.append(problem)
+
+        waiting = args.sessions
+        try:
+            while waiting or links:
+                timeout = None
+                if links:
+                    timeout = max(0.0, min(link.deadline for link in links) - time.monotonic())
+                ready = selector.select(timeout)
+                now = time.monotonic()
+                for key, _ in ready:
+                    link = key.data
+                    if link is None:  # the listening socket
+                        conn, addr = server.accept()
+                        log.info("connection from %s:%d", *addr)
+                        link = _GloveLink(conn, args, cfg, cal, policy, now + stall_s)
+                        selector.register(conn, selectors.EVENT_READ, link)
+                        links.append(link)
+                        waiting -= 1
+                        if not waiting:
+                            selector.unregister(server)
+                        continue
+                    problem = None
+                    try:
+                        chunk = link.conn.recv(4096)
+                        if chunk:
+                            link.deadline = now + stall_s
+                            link.take(chunk)
+                            continue
+                    except Exception as exc:  # e.g. a reset or an unconvertible sample
+                        problem = exc
+                    end(link, problem)
+                for link in [link for link in links if link.deadline <= now]:
+                    end(link, TimeoutError(f"no byte came for {stall_s:g} s"))
+        except BaseException:  # Ctrl-C, or the loop itself failed: record what arrived first
+            for link in list(links):
+                end(link)
+            raise
     if failures:
         raise failures[0]
     return 0

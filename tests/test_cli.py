@@ -1,9 +1,13 @@
 import hashlib
 import io
+import random
+import signal
 import socket
 import struct
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -11,6 +15,7 @@ from gripstream.analytics import anova_from_sessions
 from gripstream.cli import main
 from gripstream.core import Calibration, Dominance, GloveConfig, Side, save_config
 from gripstream.ingest import load_sessions
+from gripstream.pipeline import session_from_capture
 from gripstream.protocol import Frame, encode_frame
 from gripstream.simulate import (
     SessionPlan,
@@ -513,6 +518,136 @@ def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
     assert "error: session anon_R_quiet already came from another connection" in stderr
     (session,) = load_sessions(out)
     assert session.frame_count == 100
+
+
+def start_serve(*flags):
+    """`serve` on an ephemeral port, started up to its listening line; returns it and the port."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripstream", "serve", "--port", "0", *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    return proc, int(proc.stderr.readline().rsplit(":", 1)[1])
+
+
+def test_serve_takes_two_gloves_at_once(tmp_path):
+    blobs = {side: high_force_blob(duration_s=2.0, seed=9, side=side) for side in Side}
+    out = tmp_path / "live"
+    proc, port = start_serve("--sessions", "2", "--threshold", "3", "--out", str(out))
+    try:
+        socks = {side: socket.create_connection(("127.0.0.1", port), timeout=10) for side in blobs}
+        rng = random.Random(15)
+        sent = dict.fromkeys(blobs, 0)
+        while any(sent[side] < len(blob) for side, blob in blobs.items()):
+            for side, sock in socks.items():  # 36-72 bytes from each glove in turn
+                step = rng.randint(36, 72)
+                sock.sendall(blobs[side][sent[side]:sent[side] + step])
+                sent[side] += step
+        # both gloves alert while both connections are open; a watchdog ends a serve
+        # that waits for one connection to end before it reads the other
+        watchdog = threading.Timer(20, proc.kill)
+        watchdog.start()
+        seen = [proc.stderr.readline()]
+        while seen[-1] and not ("ALERT glove=L " in "".join(seen)
+                                and "ALERT glove=R " in "".join(seen)):
+            seen.append(proc.stderr.readline())
+        watchdog.cancel()
+        assert seen[-1], "".join(seen)
+        for sock in socks.values():
+            sock.close()
+        _, rest = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    stderr = "".join(seen) + rest
+    assert proc.returncode == 0, stderr
+    recorded = {session.hand.side: session for session in load_sessions(out)}
+    for side, blob in blobs.items():
+        want, got = session_from_capture(blob, Side.RIGHT), recorded[side]
+        assert got.frame_count == want.frame_count == 100
+        assert got.hand == want.hand and got.stem == want.stem
+        assert got.samples == want.samples
+        assert got.battery_trace == want.battery_trace
+        assert got.gaps == want.gaps
+
+
+def test_serve_records_a_stalled_glove_at_its_own_deadline(tmp_path):
+    config = tmp_path / "glove.cfg"
+    cfg = GloveConfig(sample_period_ms=2.0)  # 1,000 periods: no byte for 2 s is a stall
+    save_config(config, cfg, Calibration())
+    plan = SessionPlan(profiles={side: get_preset("steady") for side in Side}, duration_s=0.4)
+    blobs = {side: encode_session(emit_frames(matrix, cfg=cfg, side=side))
+             for side, matrix in synthesize_session(plan, cfg=cfg).items()}
+    out = tmp_path / "live"
+    proc, port = start_serve("--sessions", "2", "--config", str(config), "--out", str(out))
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as stalled, \
+                socket.create_connection(("127.0.0.1", port), timeout=10) as streaming:
+            stalled.sendall(blobs[Side.LEFT][:50 * 36])  # then silence with the socket held open
+            blob = blobs[Side.RIGHT]
+            for at in range(0, len(blob), 4 * 36):  # 200 frames over 3.5 s, a read every 70 ms
+                streaming.sendall(blob[at:at + 4 * 36])
+                time.sleep(0.07)
+            streaming.close()
+            _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 2, stderr
+    assert "error: no byte came for 2 s" in stderr
+    # the stalled glove was recorded while the other one still streamed
+    assert (stderr.index("session anon_L_quiet: 50 frames")
+            < stderr.index("session anon_R_quiet: 200 frames"))
+    recorded = {session.hand.side: session.frame_count for session in load_sessions(out)}
+    assert recorded == {Side.LEFT: 50, Side.RIGHT: 200}
+
+
+def ctrl_c_serve(tmp_path, sessions):
+    """One glove's 50 frames into `serve --sessions N`, then SIGINT; returns serve's stderr."""
+    frames = [Frame(Side.RIGHT, k, 20 * k, 4000, (300,) * 12) for k in range(49)]
+    frames.append(Frame(Side.RIGHT, 49, 980, 4000, (1500,) * 12))  # 10 N: the last frame alerts
+    proc, port = start_serve("--sessions", str(sessions), "--threshold", "6", "--debounce", "1",
+                             "--sensors", "S4", "--out", str(tmp_path / "live"))
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"".join(encode_frame(f) for f in frames))
+            seen = [proc.stderr.readline()]
+            while seen[-1] and "ALERT" not in seen[-1]:
+                seen.append(proc.stderr.readline())
+            assert "ALERT" in seen[-1]  # every frame has been taken in
+            proc.send_signal(signal.SIGINT)
+            # the peer stays open until serve's traceback is out
+            while seen[-1] and seen[-1] != "KeyboardInterrupt\n":
+                seen.append(proc.stderr.readline())
+        _, rest = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    stderr = "".join(seen) + rest
+    assert proc.returncode == -signal.SIGINT, stderr
+    return stderr
+
+
+def test_serve_records_what_arrived_before_ctrl_c(tmp_path):
+    # Ctrl-C while serve still waits for the second glove
+    stderr = ctrl_c_serve(tmp_path, sessions=2)
+    assert "session anon_R_quiet: 50 frames, 0 gap(s)" in stderr
+    (session,) = load_sessions(tmp_path / "live")
+    assert session.frame_count == 50
+
+
+def test_serve_records_every_open_connection_on_ctrl_c(tmp_path):
+    # Ctrl-C with every connection open: serve records them before it stops,
+    # so the peer's close cannot be what records
+    stderr = ctrl_c_serve(tmp_path, sessions=1)
+    assert (stderr.index("session anon_R_quiet: 50 frames, 0 gap(s)")
+            < stderr.index("KeyboardInterrupt\n"))
+    (session,) = load_sessions(tmp_path / "live")
+    assert session.frame_count == 50
 
 
 # ---------------------------------------------------------------------------

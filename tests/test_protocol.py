@@ -255,6 +255,15 @@ def test_sequence_gap_event_requires_missing_frames():
     assert ev.missing_count == 3
 
 
+def test_stream_events_are_immutable_values():
+    ev = StreamEvent(EventKind.CRC_MISMATCH, 7)
+    assert (ev.kind, ev.at_byte_offset, ev.missing_count) == (EventKind.CRC_MISMATCH, 7, 0)
+    assert ev == StreamEvent(EventKind.CRC_MISMATCH, 7, 0) != StreamEvent(EventKind.CRC_MISMATCH, 8)
+    assert hash(ev) == hash(StreamEvent(EventKind.CRC_MISMATCH, 7))
+    with pytest.raises(AttributeError):
+        ev.at_byte_offset = 8
+
+
 def test_required_bandwidth_budget():
     cfg = GloveConfig()
     assert required_bandwidth(1, cfg) == 14_400.0
