@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Microbenchmark of the codec kernel, one layer of the pipeline.
 
-Four workloads, each timed best of --repeats:
+Three workloads, each timed best of --repeats:
 
-  crc           CRC-16 over one large contiguous buffer
   scan/clean    frame scanning over a well-formed stream, in one call
   scan/dirty    frame scanning over a stream salted with garbage and bit rot,
                 in one call
@@ -24,7 +23,7 @@ import numpy as np
 
 from gripstream.core import Side
 from gripstream.ingest import SessionBuilder
-from gripstream.protocol import FRAME_SIZE, crc16, encode_records, scan_stream_offsets
+from gripstream.protocol import FRAME_SIZE, encode_records, scan_stream_offsets
 
 
 def random_frames(rng: random.Random, count: int) -> bytes:
@@ -65,28 +64,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--frames", type=int, default=50_000,
                         help="frames per scanning workload (default 50000)")
-    parser.add_argument("--crc-mib", type=float, default=8.0,
-                        help="CRC buffer size in MiB (default 8)")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
     rng = random.Random(2024)
-    crc_buf = bytes(rng.randrange(0, 256) for _ in range(int(args.crc_mib * 2**20)))
     clean = random_frames(rng, args.frames)
     dirty = salt_stream(clean, rng)
-    print(f"workloads: crc {len(crc_buf) / 2**20:.1f} MiB, "
-          f"clean {len(clean) / 2**20:.2f} MiB ({args.frames} frames), "
+    print(f"workloads: clean {len(clean) / 2**20:.2f} MiB ({args.frames} frames), "
           f"dirty {len(dirty) / 2**20:.2f} MiB")
 
-    crc_s = best_time(lambda: crc16(crc_buf), args.repeats)
     clean_s = best_time(lambda: scan_stream_offsets(clean), args.repeats)
     dirty_s = best_time(lambda: scan_stream_offsets(dirty), args.repeats)
     chunked_s = best_time(lambda: feed_chunked(dirty), args.repeats)
     offsets, _, _, _ = scan_stream_offsets(clean)
     assert len(offsets) == args.frames, "scan disagrees with the workload"
     accepted = feed_chunked(dirty)
-    print(f"crc {len(crc_buf) / 2**20 / crc_s:.2f} MB/s, "
-          f"clean {args.frames / 1e3 / clean_s:.1f} kframes/s, "
+    print(f"clean {args.frames / 1e3 / clean_s:.1f} kframes/s, "
           f"dirty {len(dirty) / 2**20 / dirty_s:.2f} MB/s")
     print(f"feed/chunked {accepted / 1e3 / chunked_s:.1f} kframes/s "
           f"({len(dirty) / 2**20 / chunked_s:.2f} MB/s in {FRAME_SIZE}-byte chunks)")

@@ -49,7 +49,7 @@ class ForceSeries:
 
     @property
     def points(self) -> tuple[tuple[int, float], ...]:
-        """(timestamp_ms, force_n) pairs."""
+        """(timestamp_ms, force_n) pairs, kept only for the benchmark (perfbench/run.py)."""
         return tuple(zip(self.timestamps_ms.tolist(), self.forces_n.tolist()))
 
     def __len__(self) -> int:

@@ -18,6 +18,8 @@ from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 from gripstream.alerting import (
     AlertPolicy,
     GripMonitor,
@@ -327,8 +329,9 @@ def _cmd_serve(args) -> int:
                         selector.register(conn, selectors.EVENT_READ, link)
                         links.append(link)
                         waiting -= 1
-                        if not waiting:
+                        if not waiting:  # refuse further gloves rather than leave them unread
                             selector.unregister(server)
+                            server.close()
                         continue
                     problem = None
                     try:
@@ -445,10 +448,9 @@ def _cmd_plot(args) -> int:
     for s in sessions:
         for sid in sensor_ids:
             label = f"{s.subject} {s.condition} {s.hand.side.value} S{sid}"
-            if args.units == "n":
-                series.append((label, sensor_profile(s, sid, cal, cfg).points))
-            else:
-                series.append((label, s.samples[sid]))
+            values = (sensor_profile(s, sid, cal, cfg).forces_n if args.units == "n"
+                      else s.voltages_mv[:, sid - 1])
+            series.append((label, np.column_stack((s.timestamps_ms, values))))
     y_label = "force (N)" if args.units == "n" else "voltage (mV)"
     svg = render_profile_svg(series, y_label=y_label, title=args.title)
     with _output(args) as fh:

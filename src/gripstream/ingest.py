@@ -109,7 +109,8 @@ class Session:
     timestamps_ms (int64, (n,)) strictly increases; voltages_mv (uint16,
     (n, 12)) holds S1..S12 and battery_mv (uint16, (n,)) the battery at
     those times; gaps keeps the sequence gap events seen during ingestion.
-    samples and battery_trace give the same data as (timestamp_ms, value) pairs.
+    samples and battery_trace give the same data as (timestamp_ms, value) pairs;
+    they remain only for the benchmark's reference (perfbench/reference.py).
     subject and condition name the recorded files, so label_problem must pass them.
     """
 

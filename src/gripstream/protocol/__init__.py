@@ -68,11 +68,6 @@ def kernel_backend() -> str:
     return "pure-python"
 
 
-def crc16(data) -> int:
-    """CRC-16/CCITT-FALSE over all of data."""
-    return crc_hqx(data, 0xFFFF)
-
-
 class CodecError(GripstreamError):
     """Base class for frame encoding/decoding failures."""
 

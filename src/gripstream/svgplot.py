@@ -5,7 +5,9 @@ diffed and golden-tested byte for byte.
 """
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
+
+import numpy as np
 
 from gripstream.errors import GripstreamError
 
@@ -48,22 +50,23 @@ def _fmt(value: float) -> str:
 
 
 def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> str:
-    """Render labeled (label, [(t_ms, value), ...]) series as a 640x360 SVG chart.
+    """Render labeled (label, points) series as a 640x360 SVG chart.
 
+    points holds (t_ms, value) rows: a sequence of pairs or an (n, 2) array.
     Empty series are skipped; if nothing remains there is nothing to plot
     and NoDataError is raised. The x axis is task time in seconds.
     """
     drawable = []
     for label, points in series:
-        pts = [(float(t), float(v)) for t, v in points]
-        if pts:
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        if len(pts):
             drawable.append((str(label), pts))
     if not drawable:
         raise NoDataError("no non-empty series to plot")
 
-    t_lo = min(p[0] for _, pts in drawable for p in pts) / 1000.0
-    t_hi = max(p[0] for _, pts in drawable for p in pts) / 1000.0
-    v_hi = max(p[1] for _, pts in drawable for p in pts)
+    t_lo = min(float(pts[:, 0].min()) for _, pts in drawable) / 1000.0
+    t_hi = max(float(pts[:, 0].max()) for _, pts in drawable) / 1000.0
+    v_hi = max(float(pts[:, 1].max()) for _, pts in drawable)
     v_lo = 0.0
     if t_hi <= t_lo:
         t_hi = t_lo + 1.0
@@ -86,7 +89,7 @@ def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> s
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="19" text-anchor="middle" font-size="13">'
-            f"{escape(title)}</text>"
+            f"{escape(title, quote=False)}</text>"
         )
 
     # grid and tick labels
@@ -126,21 +129,20 @@ def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> s
     )
     parts.append(
         f'<text x="14" y="{_MARGIN_T + _PLOT_H / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {_MARGIN_T + _PLOT_H / 2:.1f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 14 {_MARGIN_T + _PLOT_H / 2:.1f})">'
+        f"{escape(y_label, quote=False)}</text>"
     )
 
     # one polyline per series
     for i, (label, pts) in enumerate(drawable):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{sx(t / 1000.0):.2f},{sy(v):.2f}" for t, v in pts)
+        xs, ys = sx(pts[:, 0] / 1000.0).tolist(), sy(pts[:, 1]).tolist()
+        coords = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         if len(pts) == 1:
-            t, v = pts[0]
-            parts.append(
-                f'<circle cx="{sx(t / 1000.0):.2f}" cy="{sy(v):.2f}" r="2.5" fill="{color}"/>'
-            )
+            parts.append(f'<circle cx="{xs[0]:.2f}" cy="{ys[0]:.2f}" r="2.5" fill="{color}"/>')
 
     # legend, top-right corner of the plot area
     for i, (label, _) in enumerate(drawable):
@@ -151,7 +153,9 @@ def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> s
             f'<line x1="{x}" y1="{y - 4}" x2="{x + 18}" y2="{y - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{x + 24}" y="{y}" font-size="11">{escape(label)}</text>')
+        parts.append(
+            f'<text x="{x + 24}" y="{y}" font-size="11">{escape(label, quote=False)}</text>'
+        )
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

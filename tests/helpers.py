@@ -19,6 +19,7 @@ from gripstream.protocol import (
     StreamEvent,
     encode_frame,
 )
+from gripstream.svgplot import _MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W
 
 
 def _crc_table() -> tuple[int, ...]:
@@ -36,7 +37,7 @@ _CRC_TABLE = _crc_table()
 
 
 def reference_crc16(data) -> int:
-    """Table-driven CRC-16/CCITT-FALSE (Sarwate, CACM 31(8), 1988), the oracle for crc16."""
+    """Table-driven CRC-16/CCITT-FALSE (Sarwate, CACM 31(8), 1988), the oracle for crc_hqx."""
     crc = 0xFFFF
     for byte in data:
         crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
@@ -160,6 +161,32 @@ def reference_export_csv(sessions, fh) -> int:
     writer.writerows(zip(ts[order].tolist(), glove[order].tolist(),
                          [f"S{k + 1}" for k in sensor[order].tolist()], mv[order].tolist()))
     return len(order)
+
+
+def reference_polyline(points, series) -> str:
+    """Polyline points a point at a time, the oracle for render_profile_svg.
+
+    points are that series' (t_ms, value) pairs; series holds every (label,
+    points) of the chart, whose extents set the axes as render_profile_svg
+    sets them.
+    """
+    every = [(float(t), float(v)) for _, pts in series for t, v in pts]
+    t_lo = min(t for t, _ in every) / 1000.0
+    t_hi = max(t for t, _ in every) / 1000.0
+    v_lo, v_hi = 0.0, max(v for _, v in every)
+    if t_hi <= t_lo:
+        t_hi = t_lo + 1.0
+    if v_hi <= v_lo:
+        v_hi = 1.0
+    v_hi *= 1.05
+
+    def sx(t_s: float) -> float:
+        return _MARGIN_L + (t_s - t_lo) / (t_hi - t_lo) * _PLOT_W
+
+    def sy(v: float) -> float:
+        return _MARGIN_T + _PLOT_H - (v - v_lo) / (v_hi - v_lo) * _PLOT_H
+
+    return " ".join(f"{sx(float(t) / 1000.0):.2f},{sy(float(v)):.2f}" for t, v in points)
 
 
 def random_frame(rng: random.Random, glove: Side | None = None, seq: int | None = None,

@@ -45,6 +45,14 @@ def simulate_dir(tmp_path, name="rec", **overrides):
     return out
 
 
+def test_importing_the_cli_loads_no_network_modules():
+    # every command pays for what the CLI imports; the SVG escape used to pull these in
+    code = "import sys, gripstream.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert not {"xml.sax", "urllib.request", "ssl"} & set(loaded)
+
+
 # ---------------------------------------------------------------------------
 # usage errors exit 1 before any data is touched
 
@@ -518,6 +526,30 @@ def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
     assert "error: session anon_R_quiet already came from another connection" in stderr
     (session,) = load_sessions(out)
     assert session.frame_count == 100
+
+
+def test_serve_refuses_a_connection_past_its_sessions(tmp_path):
+    out = tmp_path / "live"
+    proc, port = start_serve("--sessions", "1", "--threshold", "3", "--sensors", "S4",
+                             "--out", str(out))
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(high_force_blob(duration_s=1.0, seed=9))
+            # an alert comes from a read after the accept, so the accept is complete
+            line = proc.stderr.readline()
+            while line and "ALERT" not in line:
+                line = proc.stderr.readline()
+            assert "ALERT" in line
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=10).close()
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, stderr
+    (session,) = load_sessions(out)
+    assert session.frame_count == 50
 
 
 def start_serve(*flags):

@@ -1,8 +1,13 @@
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gripstream.svgplot import PALETTE, NoDataError, render_profile_svg
+
+from helpers import reference_polyline
 
 RAMP = [(20 * k, 0.5 * k) for k in range(40)]
 FLAT = [(20 * k, 4.0) for k in range(40)]
@@ -59,3 +64,34 @@ def test_constant_series_draws_horizontal_line():
     assert match is not None
     ys = {point.split(",")[1] for point in match.group(1).split()}
     assert len(ys) == 1
+
+
+POINT = st.tuples(st.integers(0, 600_000), st.integers(0, 3299))
+SERIES = st.one_of(
+    st.lists(POINT, max_size=50),
+    st.lists(POINT, min_size=1, max_size=1),
+    st.builds(lambda t0, v, n: [(t0 + 20 * k, v) for k in range(n)],  # constant
+              st.integers(0, 600_000), st.integers(0, 3299), st.integers(1, 50)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(SERIES, min_size=1, max_size=4), st.sampled_from([1, 7, 1000]))
+def test_every_points_form_renders_the_reference_polylines(raw, divisor):
+    # ints as they are, or floats as forces come
+    series = [[(t, v if divisor == 1 else v / divisor) for t, v in pts] for pts in raw]
+    forms = [
+        [(f"s{i}", pts) for i, pts in enumerate(series)],
+        [(f"s{i}", tuple(pts)) for i, pts in enumerate(series)],
+        [(f"s{i}", np.array(pts)) for i, pts in enumerate(series)],  # int or float array
+        [(f"s{i}", np.array(pts, dtype=float)) for i, pts in enumerate(series)],
+    ]
+    if not any(series):
+        for form in forms:
+            with pytest.raises(NoDataError):
+                render_profile_svg(form)
+        return
+    svg = render_profile_svg(forms[0])
+    assert all(render_profile_svg(form) == svg for form in forms[1:])
+    drawn = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert drawn == [reference_polyline(pts, forms[0]) for _, pts in forms[0] if pts]
