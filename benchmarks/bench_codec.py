@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Microbenchmark of the codec kernel, one layer of the pipeline.
 
-Three workloads, each timed best of --repeats:
+Four workloads, each timed best of --repeats:
 
   scan/clean    frame scanning over a well-formed stream, in one call
   scan/dirty    frame scanning over a stream salted with garbage and bit rot,
                 in one call
   feed/chunked  SessionBuilder.feed of the salted stream in 36-byte chunks
+  feed/whole    SessionBuilder.feed of the salted stream in one call, with
+                another glove's frame, a replay and a stale frame spliced in,
+                as `gripstream record` feeds a capture
 
-A whole stream is scanned as numpy columns and a 36-byte chunk a frame at a
-time (protocol.BLOCK_MIN_BYTES), so scan and feed/chunked time both paths.
+A whole stream is scanned and accepted as numpy columns and a 36-byte chunk
+a frame at a time (protocol.BLOCK_MIN_BYTES), so scan and the two feeds time
+both paths.
 
 Run after installing the package:  python3 benchmarks/bench_codec.py
 End-to-end numbers come from perfbench/run.py.
@@ -23,7 +27,8 @@ import numpy as np
 
 from gripstream.core import Side
 from gripstream.ingest import SessionBuilder
-from gripstream.protocol import FRAME_SIZE, encode_records, scan_stream_offsets
+from gripstream.protocol import (FRAME_DTYPE, FRAME_SIZE, EventKind, encode_records,
+                                 scan_stream_offsets)
 
 
 def random_frames(rng: random.Random, count: int) -> bytes:
@@ -40,6 +45,25 @@ def salt_stream(clean: bytes, rng: random.Random) -> bytes:
         out += bytes(rng.randrange(0, 256) for _ in range(rng.randrange(3, 40)))
     for _ in range(len(out) // 400):
         out[rng.randrange(0, len(out))] ^= 0xFF
+    return bytes(out)
+
+
+def splice_intruders(stream: bytes) -> bytes:
+    """stream with another glove's frame, a replay and a stale frame between intact frames.
+
+    They go in before the intact frames a quarter, half and three quarters
+    of the way through; the locked glove refuses all three.
+    """
+    offsets, records, _, _ = scan_stream_offsets(stream)
+    n = len(offsets)
+    early = np.frombuffer(records, FRAME_DTYPE)[n // 4]
+    volts = early["voltages_mv"][None]
+    ts = [int(early["timestamp_ms"]) + 1]
+    other = encode_records(Side.LEFT, [0], ts, [4200], volts).tobytes()
+    stale = encode_records(Side.RIGHT, [0], ts, [4200], volts).tobytes()
+    out = bytearray(stream)
+    for k, record in ((3 * n // 4, stale), (n // 2, early.tobytes()), (n // 4, other)):
+        out[offsets[k]:offsets[k]] = record
     return bytes(out)
 
 
@@ -60,6 +84,13 @@ def feed_chunked(data: bytes) -> int:
     return builder.frames
 
 
+def feed_whole(data: bytes) -> SessionBuilder:
+    """A SessionBuilder fed data in one call."""
+    builder = SessionBuilder()
+    builder.feed(data)
+    return builder
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--frames", type=int, default=50_000,
@@ -70,19 +101,27 @@ def main() -> int:
     rng = random.Random(2024)
     clean = random_frames(rng, args.frames)
     dirty = salt_stream(clean, rng)
+    spliced = splice_intruders(dirty)
     print(f"workloads: clean {len(clean) / 2**20:.2f} MiB ({args.frames} frames), "
           f"dirty {len(dirty) / 2**20:.2f} MiB")
 
     clean_s = best_time(lambda: scan_stream_offsets(clean), args.repeats)
     dirty_s = best_time(lambda: scan_stream_offsets(dirty), args.repeats)
     chunked_s = best_time(lambda: feed_chunked(dirty), args.repeats)
+    whole_s = best_time(lambda: feed_whole(spliced), args.repeats)
     offsets, _, _, _ = scan_stream_offsets(clean)
     assert len(offsets) == args.frames, "scan disagrees with the workload"
     accepted = feed_chunked(dirty)
+    whole = feed_whole(spliced)
+    assert whole.frames == accepted, "the spliced frames changed what the builder accepts"
+    refused = {EventKind.FORMAT_ERROR, EventKind.DUPLICATE_FRAME, EventKind.OUT_OF_ORDER}
+    assert refused <= {ev.kind for ev in whole.events}, "a spliced frame was not refused"
     print(f"clean {args.frames / 1e3 / clean_s:.1f} kframes/s, "
           f"dirty {len(dirty) / 2**20 / dirty_s:.2f} MB/s")
     print(f"feed/chunked {accepted / 1e3 / chunked_s:.1f} kframes/s "
           f"({len(dirty) / 2**20 / chunked_s:.2f} MB/s in {FRAME_SIZE}-byte chunks)")
+    print(f"feed/whole {accepted / 1e3 / whole_s:.1f} kframes/s "
+          f"({len(spliced) / 2**20 / whole_s:.2f} MB/s in one call)")
     return 0
 
 

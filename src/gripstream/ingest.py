@@ -14,8 +14,6 @@ back bit-exact.
 import operator
 import os
 import re
-from array import array
-from bisect import bisect_left
 from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -39,6 +37,7 @@ _VALUE_MAX = np.iinfo(np.uint16).max
 _TSV_LINES = re.compile(rb"(?:0*[0-9]{1,19}\t0*[0-9]{1,5}\n)*")
 # subject and condition name the session's files, so they stay inside one file name
 _LABEL = re.compile(r"\w[\w.-]*")
+_DIGITS = re.compile(r"[0-9]+")  # str.isdigit and int() take other scripts' digits too
 
 
 class IngestError(GripstreamError):
@@ -180,13 +179,13 @@ class SessionBuilder:
     advance, so the finished session's timestamps strictly increase. A
     sequence gap counts the frames the 16-bit seq skipped, plus 65,536 for
     each whole wrap that the timestamp step, at sample_period_ms per frame,
-    says went by unseen. It keeps each accepted frame's 36 wire bytes, plus
-    its timestamp for the ordering rules.
+    says went by unseen. It keeps each accepted frame only as its 36 wire
+    bytes.
 
-    A feed of at least BLOCK_MIN_BYTES (tail included) takes the scan's
-    records in one step when all are of the locked glove and their
-    timestamps rise strictly past the last accepted one, with the gaps
-    counted over numpy columns; any other feed goes frame by frame.
+    A feed of at least BLOCK_MIN_BYTES (tail included) appends in one step
+    the records those rules accept, found with their gaps over numpy
+    columns; only the refused records then go frame by frame, for their
+    events. A shorter feed goes frame by frame.
     """
 
     def __init__(
@@ -205,7 +204,7 @@ class SessionBuilder:
         self.sample_period_ms = sample_period_ms
         self.events: list[StreamEvent] = []
         self._records = bytearray()  # accepted frames back to back, FRAME_DTYPE rows
-        self._ts = array("q")
+        self._last_ts = -1  # the last accepted frame's timestamp; -1 before the first
         self._last_seq = 0
         self._gaps: list[StreamEvent] = []
         self._tail = b""
@@ -214,7 +213,7 @@ class SessionBuilder:
 
     @property
     def frames(self) -> int:
-        return len(self._ts)
+        return len(self._records) // FRAME_SIZE
 
     @property
     def pending_bytes(self) -> int:
@@ -247,84 +246,84 @@ class SessionBuilder:
                 # a garbage run that began in an earlier chunk was reported there
                 events = events[1:]
             self._in_garbage = ends_in_garbage
-        before = len(self._ts)
+        before = len(self._records)
         if offsets:
             if self.hand is None:
                 glove = BYTE_GLOVE[records[1]]
                 dom = Dominance.DOMINANT if glove is self.dominant_side else Dominance.NON_DOMINANT
                 self.hand = Hand(side=glove, dominance=dom)
-            found = self._accept_block(offsets, records) if len(buf) >= BLOCK_MIN_BYTES else None
-            if found is None:
-                found = self._accept_each(offsets, records)
+            accept = self._accept_block if len(buf) >= BLOCK_MIN_BYTES else self._accept_each
+            found = accept(offsets, records)
             if found:
-                events = sorted(events + found, key=_AT_BYTE)  # two sorted runs: a linear merge
+                events = sorted(events + found, key=_AT_BYTE)  # sorted runs: a linear merge
         self._base += len(buf) - len(remainder)
         self._tail = remainder
         self.events.extend(events)
-        return 12 * (len(self._ts) - before), events
+        return 12 * (len(self._records) - before) // FRAME_SIZE, events
 
-    def _accept_block(self, offsets: list[int], records: bytes) -> list[StreamEvent] | None:
-        """Append every record at once, if all are of the locked glove and their
-        timestamps rise strictly past the last accepted one.
+    def _accept_block(self, offsets: list[int], records: bytes) -> list[StreamEvent]:
+        """Append at once the locked glove's records whose timestamps pass every earlier one.
 
-        Returns their sequence gaps, counted as _accept_each counts them, or
-        None, appending nothing, if a record breaks those rules.
+        Returns their sequence gaps, then the refused records' events from _accept_each.
         """
         rows = np.frombuffer(records, FRAME_DTYPE)
-        ts = rows["timestamp_ms"].astype(np.int64)
-        steps = np.diff(ts, prepend=self._ts[-1] if self._ts else -1)  # timestamps are u32
-        if not ((rows["glove"] == GLOVE_BYTE[self.hand.side]).all() and (steps > 0).all()):
-            return None
-        missing = (np.diff(rows["seq"].astype(np.int64), prepend=self._last_seq) - 1) % _SEQ_MOD
-        elapsed = np.rint(steps / self.sample_period_ms) - 1  # rint, like round, ties to even
+        mine = rows["glove"] == GLOVE_BYTE[self.hand.side]
+        stamps = np.where(mine, rows["timestamp_ms"], np.int64(-1))  # timestamps are u32
+        keep = stamps > np.maximum.accumulate(np.concatenate(([self._last_ts], stamps[:-1])))
+        ts = np.concatenate(([self._last_ts], stamps[keep]))
+        seq = np.concatenate(([self._last_seq], rows["seq"][keep])).astype(np.int64)
+        missing = (np.diff(seq) - 1) % _SEQ_MOD
+        elapsed = np.rint(np.diff(ts) / self.sample_period_ms) - 1  # rint, like round, ties to even
         wraps = np.maximum(0, np.rint((elapsed - missing) / _SEQ_MOD)).astype(np.int64)
         missing += _SEQ_MOD * wraps
-        if not self._ts:
+        if self._last_ts < 0:
             missing[0] = 0  # the first frame of a connection follows no gap
         at = np.flatnonzero(missing)
         gaps = [StreamEvent(EventKind.SEQUENCE_GAP, offsets[k], missing_count=count)
-                for k, count in zip(at.tolist(), missing[at].tolist())]
+                for k, count in zip(np.flatnonzero(keep)[at].tolist(), missing[at].tolist())]
         self._gaps += gaps
-        self._ts.frombytes(ts.tobytes())
-        self._last_seq = int(rows["seq"][-1])
-        self._records += records
-        return gaps
+        refused = np.flatnonzero(~keep).tolist()
+        self._records += rows[keep].tobytes() if refused else records
+        self._last_ts, self._last_seq = int(ts[-1]), int(seq[-1])
+        return gaps + self._accept_each([offsets[k] for k in refused], rows[refused].tobytes())
 
     def _accept_each(self, offsets: list[int], records: bytes) -> list[StreamEvent]:
-        """Append records one at a time, dropping the other glove's, replays and
-        stale timestamps.
+        """Append records one at a time, dropping the other glove's, replays and stale timestamps.
 
         Returns the events of the dropped records and the sequence gaps of the others.
         """
         events = []
         side = GLOVE_BYTE[self.hand.side]
-        accepted_ts = self._ts
+        last_ts, last_seq = self._last_ts, self._last_seq
         for at, off in zip(range(0, len(records), FRAME_SIZE), offsets):
             glove, seq, ts = FRAME_STRUCT.unpack_from(records, at)[1:4]
             if glove != side:
                 events.append(StreamEvent(EventKind.FORMAT_ERROR, off))
                 continue
-            if accepted_ts and ts <= accepted_ts[-1]:
-                # accepted timestamps are strictly increasing, so at most one can match
-                i = bisect_left(accepted_ts, ts)
-                replayed = (accepted_ts[i] == ts
-                            and FRAME_STRUCT.unpack_from(self._records, FRAME_SIZE * i)[2] == seq)
-                kind = EventKind.DUPLICATE_FRAME if replayed else EventKind.OUT_OF_ORDER
-                events.append(StreamEvent(kind, off))
+            if ts <= last_ts:
+                replayed = self._replayed(seq, ts)
+                events.append(StreamEvent(EventKind.DUPLICATE_FRAME if replayed
+                                          else EventKind.OUT_OF_ORDER, off))
                 continue
-            if accepted_ts:
-                missing = (seq - (self._last_seq + 1)) % _SEQ_MOD
+            if last_ts >= 0:
+                missing = (seq - (last_seq + 1)) % _SEQ_MOD
                 # add the whole wraps the clock says went by (RFC 3550 A.1)
-                elapsed = round((ts - accepted_ts[-1]) / self.sample_period_ms) - 1
+                elapsed = round((ts - last_ts) / self.sample_period_ms) - 1
                 missing += _SEQ_MOD * max(0, round((elapsed - missing) / _SEQ_MOD))
                 if missing:
                     gap = StreamEvent(EventKind.SEQUENCE_GAP, off, missing_count=missing)
                     events.append(gap)
                     self._gaps.append(gap)
-            accepted_ts.append(ts)
-            self._last_seq = seq
+            last_ts, last_seq = ts, seq
             self._records += records[at:at + FRAME_SIZE]
+        self._last_ts, self._last_seq = last_ts, last_seq
         return events
+
+    def _replayed(self, seq: int, ts: int) -> bool:
+        """Whether an accepted frame has seq and ts; a held view would stop the records growing."""
+        rows = np.frombuffer(self._records, FRAME_DTYPE)
+        i = int(np.searchsorted(rows["timestamp_ms"], ts))  # ts <= the last; they strictly rise
+        return int(rows["timestamp_ms"][i]) == ts and int(rows["seq"][i]) == seq
 
     def session(self) -> Session:
         """Snapshot the accepted frames as columns of an immutable-by-convention Session."""
@@ -437,6 +436,13 @@ def _read_tsv(path: Path) -> np.ndarray:
     return rows.astype(np.int64)
 
 
+def _ascii_int(text: str) -> int:
+    """text as an int when it is ASCII digits alone; ValueError otherwise."""
+    if not _DIGITS.fullmatch(text):
+        raise ValueError(f"{text!r} is not ASCII digits")
+    return int(text)
+
+
 def _meta_field(meta: dict, key: str, path: Path) -> str:
     try:
         return meta[key]
@@ -463,7 +469,7 @@ def _load_from_meta(meta_path: Path) -> Session:
     except ValueError as exc:
         raise StructureError(f"{meta_path}: {exc}")
     try:
-        frames = int(_meta_field(meta, "frames", meta_path))
+        frames = _ascii_int(_meta_field(meta, "frames", meta_path))
     except ValueError:
         raise StructureError(f"{meta_path}: frames is not an integer")
     gaps = []
@@ -471,9 +477,11 @@ def _load_from_meta(meta_path: Path) -> Session:
         for item in meta["gaps"].split(","):
             try:
                 off_txt, miss_txt = item.split(":")
-                gaps.append(
-                    StreamEvent(EventKind.SEQUENCE_GAP, int(off_txt), missing_count=int(miss_txt))
-                )
+                offset = _ascii_int(off_txt)
+                if gaps and offset <= gaps[-1].at_byte_offset:
+                    raise ValueError("gap offsets must rise strictly")
+                gaps.append(StreamEvent(EventKind.SEQUENCE_GAP, offset,
+                                        missing_count=_ascii_int(miss_txt)))
             except ValueError:
                 raise StructureError(f"{meta_path}: bad gap entry {item!r}")
     timestamps, columns = None, []

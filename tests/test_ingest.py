@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import re
 import tempfile
 
 import numpy as np
@@ -230,32 +231,58 @@ def test_events_come_in_byte_order_however_the_stream_is_cut():
 @pytest.mark.parametrize("intruders", [False, True])
 def test_block_and_frame_by_frame_feeds_agree(intruders, monkeypatch):
     blob = noisy_capture(61, intruders=intruders)
-    taken = []
-    accept_block = SessionBuilder._accept_block
+    blocks, handed = [], []
+    accept_block, accept_each = SessionBuilder._accept_block, SessionBuilder._accept_each
 
-    def spy(self, offsets, records):
-        found = accept_block(self, offsets, records)
-        taken.append(found is not None)
-        return found
+    def block_spy(self, offsets, records):
+        blocks.append(len(offsets))
+        return accept_block(self, offsets, records)
 
-    monkeypatch.setattr(SessionBuilder, "_accept_block", spy)
+    def each_spy(self, offsets, records):
+        handed.extend(offsets)
+        return accept_each(self, offsets, records)
+
+    monkeypatch.setattr(SessionBuilder, "_accept_block", block_spy)
+    monkeypatch.setattr(SessionBuilder, "_accept_each", each_spy)
     whole = fed_in_pieces(blob, [])
-    assert taken == [not intruders]  # one block: taken at once unless an intruder sits in it
+    assert len(blocks) == 1
+    # the block path hands on frame by frame only the records it refuses: the intruders
+    intruded = {EventKind.FORMAT_ERROR, EventKind.DUPLICATE_FRAME, EventKind.OUT_OF_ORDER}
+    refused = [ev for ev in whole.events if ev.kind in intruded]
+    assert handed == [ev.at_byte_offset for ev in refused]
+    assert [ev.kind for ev in refused] == ([EventKind.FORMAT_ERROR, EventKind.DUPLICATE_FRAME,
+                                            EventKind.OUT_OF_ORDER] if intruders else [])
     session = whole.session()
     assert max(ev.missing_count for ev in session.gaps) > 0x10000
     assert whole.pending_bytes == 20
-    kinds = {ev.kind for ev in whole.events}
-    intruded = {EventKind.FORMAT_ERROR, EventKind.DUPLICATE_FRAME, EventKind.OUT_OF_ORDER}
-    assert (intruded <= kinds) is intruders
     rng = random.Random(62)
     for cuts in (cut_every(blob, 36), cut_every(blob, 72),
                  sorted(rng.sample(range(1, len(blob)), 30))):
-        taken.clear()
+        blocks.clear()
         builder = fed_in_pieces(blob, cuts)
         assert builder.events == whole.events
         assert builder.pending_bytes == whole.pending_bytes
         assert builder.session() == session
-    assert taken  # some random pieces reach BLOCK_MIN_BYTES
+    assert blocks  # some random pieces reach BLOCK_MIN_BYTES
+
+
+def test_a_block_fed_again_appends_nothing():
+    blob = wire(frame_run(random.Random(63), 64))
+    builder = SessionBuilder()
+    builder.feed(blob)
+    appended, events = builder.feed(blob)
+    assert appended == 0 and builder.frames == 64
+    assert events == [StreamEvent(EventKind.DUPLICATE_FRAME, len(blob) + 36 * k)
+                      for k in range(64)]
+
+
+def test_the_other_gloves_clock_does_not_hold_back_the_locked_glove():
+    frames = frame_run(random.Random(64), 200)  # 20 ms apart: 0 .. 3,980 ms
+    other = random_frame(random.Random(65), glove=Side.LEFT, seq=0, timestamp_ms=2000)
+    builder = SessionBuilder()
+    _, events = builder.feed(wire(frames[:50] + [other] + frames[50:]))
+    assert builder.frames == 200
+    assert events == [StreamEvent(EventKind.FORMAT_ERROR, 50 * 36)]
 
 
 def test_frame_samples_accessor_tracks_feed():
@@ -344,6 +371,32 @@ def test_record_load_round_trip_with_gaps(tmp_path):
     manifest = record_session(session, tmp_path)
     assert load_session(tmp_path) == session
     assert load_session(manifest.meta_path) == session
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("frames = +50", "frames is not an integer"),
+    ("frames = 5_0", "frames is not an integer"),
+    ("frames = \u0665\u0660", "frames is not an integer"),  # Arabic-Indic 50
+    ("gaps = -5:3", "bad gap entry '-5:3'"),
+    ("gaps = 5:+3", "bad gap entry '5:+3'"),
+    ("gaps = 10:3,5:3", "bad gap entry '5:3'"),
+    ("gaps = 5:3,5:4", "bad gap entry '5:4'"),
+])
+def test_load_reads_metadata_integers_as_ascii_digits(tmp_path, line, problem):
+    manifest = record_session(build_session(frame_run(random.Random(54), 50)), tmp_path)
+    with open(manifest.meta_path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")  # a later key wins
+    with pytest.raises(StructureError, match=re.escape(problem)):
+        load_session(tmp_path)
+
+
+def test_load_allows_leading_zeros_in_metadata_integers(tmp_path):
+    manifest = record_session(build_session(frame_run(random.Random(55), 50)), tmp_path)
+    with open(manifest.meta_path, "a", encoding="utf-8") as fh:
+        fh.write("frames = 0050\ngaps = 5:3,0072:01\n")
+    session = load_session(tmp_path)
+    assert session.frame_count == 50
+    assert [(ev.at_byte_offset, ev.missing_count) for ev in session.gaps] == [(5, 3), (72, 1)]
 
 
 def test_empty_session_round_trips(tmp_path):
@@ -663,7 +716,8 @@ def flaky_links(draw):
                                 4000 - k, volts))
         elif op == "other_glove":
             other = Side.RIGHT if glove is Side.LEFT else Side.LEFT
-            frames.append(Frame(other, (seq + 1) & 0xFFFF, ts + 1, 4000 - k, volts))
+            ahead = ts + draw(st.integers(1, 2000))  # may pass the locked glove's next stamps
+            frames.append(Frame(other, (seq + 1) & 0xFFFF, ahead, 4000 - k, volts))
         else:
             step = 1 if op != "skip" else draw(st.integers(2, 0x20000))  # may wrap, even to 0
             seq = (seq + step) & 0xFFFF
@@ -711,23 +765,25 @@ def reference_ingest(frames):
 def test_builder_matches_reference_model_under_any_chunking(link):
     frames, blob, cuts = link
     want_events, accepted = reference_ingest(frames)
-    builder = SessionBuilder()
-    appended = 0
-    for lo, hi in zip([0] + cuts, cuts + [len(blob)]):
-        appended += builder.feed(blob[lo:hi])[0]
-    got_events = [(ev.kind, ev.at_byte_offset, ev.missing_count) for ev in builder.events]
-    assert got_events == want_events
-    assert appended == 12 * len(accepted)
-    session = builder.session()
-    assert session.timestamps_ms.tolist() == [f.timestamp_ms for f in accepted]
-    assert session.voltages_mv.tolist() == [list(f.voltages_mv) for f in accepted]
-    assert session.battery_mv.tolist() == [f.battery_mv for f in accepted]
-    assert [(ev.at_byte_offset, ev.missing_count) for ev in session.gaps] == [
-        (offset, missing) for kind, offset, missing in want_events
-        if kind is EventKind.SEQUENCE_GAP
-    ]
-    for i, frame in enumerate(accepted):
-        assert builder.frame_samples(i) == (frame.timestamp_ms, frame.voltages_mv)
+    # whole, too, so that every link of BLOCK_MIN_BYTES or more runs the block path
+    for pieces in (cuts, []):
+        builder = SessionBuilder()
+        appended = 0
+        for lo, hi in zip([0] + pieces, pieces + [len(blob)]):
+            appended += builder.feed(blob[lo:hi])[0]
+        got_events = [(ev.kind, ev.at_byte_offset, ev.missing_count) for ev in builder.events]
+        assert got_events == want_events
+        assert appended == 12 * len(accepted)
+        session = builder.session()
+        assert session.timestamps_ms.tolist() == [f.timestamp_ms for f in accepted]
+        assert session.voltages_mv.tolist() == [list(f.voltages_mv) for f in accepted]
+        assert session.battery_mv.tolist() == [f.battery_mv for f in accepted]
+        assert [(ev.at_byte_offset, ev.missing_count) for ev in session.gaps] == [
+            (offset, missing) for kind, offset, missing in want_events
+            if kind is EventKind.SEQUENCE_GAP
+        ]
+        for i, frame in enumerate(accepted):
+            assert builder.frame_samples(i) == (frame.timestamp_ms, frame.voltages_mv)
 
 
 # ---------------------------------------------------------------------------
