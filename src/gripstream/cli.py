@@ -27,14 +27,6 @@ from gripstream.alerting import (
     format_alert,
     monitor_session,
 )
-from gripstream.analytics import (
-    AnovaResult,
-    TwoWayAnova,
-    anova_from_sessions,
-    contribution_shares,
-    population_average,
-    sensor_profile,
-)
 from gripstream.core import Calibration, GloveConfig, Side, force_from_voltage, load_config
 from gripstream.errors import GripstreamError
 from gripstream.ingest import (
@@ -48,7 +40,6 @@ from gripstream.ingest import (
 )
 from gripstream.pipeline import capture_plan, session_from_capture
 from gripstream.simulate import PRESETS, WAVEFORMS, SessionPlan, condition_gain, get_preset
-from gripstream.svgplot import render_profile_svg
 
 log = logging.getLogger("gripstream")
 
@@ -384,6 +375,8 @@ def _cmd_record(args) -> int:
 
 
 def _anova_rows(result) -> list[list]:
+    from gripstream.analytics import AnovaResult, TwoWayAnova
+
     def row(effect: str, r: AnovaResult) -> list:
         return [effect, f"{r.f_stat:.6g}", r.df_between, r.df_within, f"{r.p_value:.6g}"]
 
@@ -393,6 +386,8 @@ def _anova_rows(result) -> list[list]:
 
 
 def _cmd_analyze(args) -> int:
+    from gripstream.analytics import anova_from_sessions, contribution_shares, population_average
+
     cfg, cal = _load_setup(args)
     modes = [m for m in ("anova", "shares", "population") if getattr(args, m)]
     if len(modes) > 1:
@@ -439,6 +434,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from gripstream.analytics import sensor_profile
+    from gripstream.svgplot import render_profile_svg
+
     cfg, cal = _load_setup(args)
     sensor_ids = _parse_sensor_list(args.sensor)
     if args.units not in ("n", "mv"):

@@ -415,15 +415,69 @@ def record_session(session: Session, directory) -> Manifest:
     )
 
 
+def _field_values(d: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The digit fields of d that end just before `ends`, `widths` bytes each, as uint64.
+
+    Horner's rule over right-aligned windows as wide as the widest field;
+    a window's bytes before its field count as zeros. Fields of up to 19
+    digits cannot overflow.
+    """
+    total = np.zeros(ends.size, np.uint64)
+    for back in range(int(widths.max()), 0, -1):
+        digit = d[np.maximum(ends - back, 0)] - np.uint8(ord("0"))  # clipped: no wrap to the end
+        digit[widths < back] = 0
+        total *= np.uint64(10)
+        total += digit
+    return total
+
+
+def _digit_rows(data: bytes) -> np.ndarray | None:
+    """The (n, 2) int64 rows of a column file in one numpy pass, or None if it refuses the file.
+
+    It accepts only lines `[0-9]{1,19}\\t[0-9]{1,5}\\n` with timestamps up to
+    int64's maximum, values up to 65,535 and strictly rising timestamps, so
+    whatever it accepts the line grammar accepts with the same values.
+    """
+    if not data.endswith(b"\n"):
+        return None
+    d = np.frombuffer(data, np.uint8)
+    if d.max() > ord("9"):
+        return None
+    seps = np.flatnonzero(d < ord("0"))  # the last byte is LF, so there is at least one
+    tabs, lfs = seps[0::2], seps[1::2]
+    if seps.size % 2 or (d[tabs] != ord("\t")).any() or (d[lfs] != ord("\n")).any():
+        return None
+    widths = np.diff(seps, prepend=-1) - 1
+    ts_widths, value_widths = widths[0::2], widths[1::2]
+    if widths.min() < 1 or ts_widths.max() > 19 or value_widths.max() > 5:
+        return None
+    ts = _field_values(d, tabs, ts_widths)
+    values = _field_values(d, lfs, value_widths)
+    if (ts.max() > np.uint64(_TS_MAX) or values.max() > np.uint64(_VALUE_MAX)
+            or (ts[1:] <= ts[:-1]).any()):
+        return None
+    rows = np.empty((ts.size, 2), np.int64)
+    rows[:, 0], rows[:, 1] = ts, values
+    return rows
+
+
 def _read_tsv(path: Path) -> np.ndarray:
     """(timestamp, value) rows of one recorded file as an (n, 2) int64 array.
 
     Every line is ASCII digits, TAB, ASCII digits, LF; timestamps rise strictly.
+    Two routes read a file. _digit_rows converts what recording writes in one
+    numpy pass over the bytes. A file it refuses goes through the line grammar
+    _TSV_LINES and a split into fields: that route alone loads fields
+    zero-padded past 19 or 5 digits, and it names the first bad line of a
+    file that breaks the rules.
     """
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise StructureError(f"missing file {path}")
+    rows = _digit_rows(data)
+    if rows is not None:
+        return rows
     end = _TSV_LINES.match(data).end()
     rows = np.array(data[:end].split(), dtype=np.uint64).reshape(-1, 2)
     bad = (rows[:, 0] > _TS_MAX) | (rows[:, 1] > _VALUE_MAX)

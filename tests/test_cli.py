@@ -46,11 +46,13 @@ def simulate_dir(tmp_path, name="rec", **overrides):
 
 
 def test_importing_the_cli_loads_no_network_modules():
-    # every command pays for what the CLI imports; the SVG escape used to pull these in
+    # every command pays for what the CLI imports; the SVG escape used to pull these in,
+    # and only analyze and plot analyse or draw
     code = "import sys, gripstream.cli; print(' '.join(sorted(sys.modules)))"
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True).stdout.split()
-    assert not {"xml.sax", "urllib.request", "ssl"} & set(loaded)
+    assert not {"xml.sax", "urllib.request", "ssl", "gripstream.analytics",
+                "gripstream.svgplot"} & set(loaded)
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,90 @@ def test_load_rejects_disagreeing_timestamps(tmp_path, suffix):
     assert err.value.line_no == 1
 
 
+_INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("text, bad_line, one_pass", [
+    pytest.param(f"20\t1\n{_INT64_MAX}\t2\n", None, True, id="int64-max-last"),
+    pytest.param(f"20\t1\n{_INT64_MAX + 1}\t2\n", 2, False, id="int64-max-plus-one"),
+    pytest.param(f"20\t1\n{'9' * 19}\t2\n", 2, False, id="nineteen-nines"),
+    pytest.param(f"{2**64 + 20}\t1\n", 1, False, id="twenty-digits-past-uint64"),
+    pytest.param("20\t65535\n", None, True, id="value-max"),
+    pytest.param("20\t1\n40\t65536\n", 2, False, id="value-max-plus-one"),
+    pytest.param(f"{'0' * 17}20\t{'0' * 4}1\n", None, True, id="zero-padded-within-widths"),
+    pytest.param(f"{'0' * 19}20\t1\n40\t{'0' * 5}65535\n", None, False,
+                 id="zero-padded-past-widths"),
+    pytest.param(f"20\t{'0' * 5}1\n", None, False, id="value-zero-padded-past-width"),
+    pytest.param(f"20\t1\n{'0' * 25}40\t00000000\n", None, False, id="zeros-only-past-widths"),
+    pytest.param("20\t7\n", None, True, id="one-line"),
+    pytest.param("20\t7", 1, False, id="one-line-without-lf"),
+    pytest.param("", None, False, id="empty"),
+    pytest.param("20\t1\n20\t2\n", 2, False, id="repeated-timestamp"),
+])
+def test_read_tsv_agrees_with_the_line_reader(tmp_path, text, bad_line, one_pass):
+    path = tmp_path / "m_R_quiet_S3.tsv"
+    path.write_bytes(text.encode())
+    assert (gripstream.ingest._digit_rows(path.read_bytes()) is not None) == one_pass
+    try:
+        want = reference_read_tsv(path)
+    except ParseError as err:
+        assert err.line_no == bad_line
+        with pytest.raises(ParseError) as got:
+            gripstream.ingest._read_tsv(path)
+        assert (got.value.path, got.value.line_no) == (path, bad_line)
+        return
+    assert bad_line is None
+    rows = gripstream.ingest._read_tsv(path)
+    assert rows.dtype == np.int64 and rows.shape == (len(want), 2)
+    assert rows.tolist() == [list(row) for row in want]
+
+
+@pytest.mark.parametrize("suffix, line_no, edit, message", [
+    pytest.param("S7", 4, lambda ts, v: f"{ts}\t{v}?\n", "is not <timestamp>TAB<value>",
+                 id="damaged-S7"),
+    pytest.param("S12", 3, lambda ts, v: f"{int(ts) + 1}\t{v}\n", "differs from S1's",
+                 id="S12-timestamp-differs"),
+])
+def test_load_names_the_line_a_column_breaks(tmp_path, suffix, line_no, edit, message):
+    session = build_session(frame_run(random.Random(69), 6), subject="m")
+    record_session(session, tmp_path)
+    path = tmp_path / f"m_R_quiet_{suffix}.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line_no - 1] = edit(*lines[line_no - 1].rstrip("\n").split("\t"))
+    path.write_text("".join(lines))
+    try:
+        rows = reference_read_tsv(path)
+    except ParseError as err:
+        assert err.line_no == line_no
+    else:
+        differ = np.flatnonzero([ts for ts, _ in rows] != session.timestamps_ms)
+        assert differ.tolist() == [line_no - 1]
+    with pytest.raises(ParseError, match=message) as err:
+        load_session(tmp_path)
+    assert (err.value.path, err.value.line_no) == (path, line_no)
+
+
+class _NoLineGrammar:
+    """Stands in for ingest._TSV_LINES where no file should need the line grammar."""
+
+    def match(self, data):
+        pytest.fail("a recorded column file went through the line grammar")
+
+
+@pytest.mark.parametrize("session", [
+    pytest.param(build_session(frame_run(random.Random(70), 500), subject="m"), id="500-frames"),
+    pytest.param(build_session(frame_run(random.Random(71), 1), subject="m"), id="one-frame"),
+    pytest.param(Session(subject="m", hand=Hand(Side.LEFT, Dominance.NON_DOMINANT),
+                         condition="quiet", started_at="", timestamps_ms=[0, 9, _INT64_MAX],
+                         voltages_mv=[[0] * 12, [7] * 12, [0xFFFF] * 12],
+                         battery_mv=[0xFFFF, 1, 0]), id="extremes"),
+])
+def test_loading_a_recording_takes_the_one_pass(tmp_path, monkeypatch, session):
+    record_session(session, tmp_path)
+    monkeypatch.setattr(gripstream.ingest, "_TSV_LINES", _NoLineGrammar())
+    assert load_session(tmp_path) == session
+
+
 def test_load_rejects_missing_sensor_file(tmp_path):
     session = build_session(frame_run(random.Random(56), 5), subject="m")
     record_session(session, tmp_path)
