@@ -369,42 +369,35 @@ def anova_twoway(table, factor_a: str = "A", factor_b: str = "B") -> TwoWayAnova
     hold the same number (>= 2) of observations.
     """
     if isinstance(table, dict):
-        a_levels = list(table)
-        b_levels = None
+        # the one form that can be ragged: check each row's levels and cells as it is built
+        first = next(iter(table.values()), {})
+        b_levels = list(first)
+        reps = len(first[b_levels[0]]) if b_levels else 0
         rows = []
-        for a in a_levels:
-            cells = table[a]
+        for a, cells in table.items():
             levels = list(cells)
-            if b_levels is None:
-                b_levels = levels
-            elif set(levels) != set(b_levels):
+            if set(levels) != set(b_levels):
                 raise UnbalancedDesignError(
                     f"factor-B levels differ across A={a!r}: {levels} vs {b_levels}"
                 )
-            rows.append([[float(v) for v in cells[b]] for b in b_levels])
-        cube = rows
+            row = [[float(v) for v in cells[b]] for b in b_levels]
+            for b, cell in zip(b_levels, row):
+                if len(cell) != reps:
+                    raise UnbalancedDesignError(
+                        f"cell ({a!r}, {b!r}) has {len(cell)} observations, expected {reps}"
+                    )
+            rows.append(row)
+        y = np.array(rows, dtype=float).reshape(len(rows), len(b_levels), reps)
     else:
-        arr = np.asarray(table, dtype=float)
-        if arr.ndim != 3:
-            raise UnbalancedDesignError(f"array table must be 3-d, got shape {arr.shape}")
-        a_levels = list(range(arr.shape[0]))
-        b_levels = list(range(arr.shape[1]))
-        cube = [[list(arr[i, j]) for j in range(arr.shape[1])] for i in range(arr.shape[0])]
-    n_a, n_b = len(cube), len(b_levels)
+        y = np.asarray(table, dtype=float)
+        if y.ndim != 3:
+            raise UnbalancedDesignError(f"array table must be 3-d, got shape {y.shape}")
+    n_a, n_b, reps = y.shape  # (I, J, K)
     if n_a < 2 or n_b < 2:
         raise InsufficientDataError("both factors need at least 2 levels")
-    reps = len(cube[0][0])
-    for i in range(n_a):
-        for j in range(n_b):
-            if len(cube[i][j]) != reps:
-                raise UnbalancedDesignError(
-                    f"cell ({a_levels[i]!r}, {b_levels[j]!r}) has {len(cube[i][j])} "
-                    f"observations, expected {reps}"
-                )
     if reps < 2:
         raise InsufficientDataError("need at least 2 replicates per cell")
 
-    y = np.array(cube, dtype=float)  # (I, J, K)
     grand = y.mean()
     mean_a = y.mean(axis=(1, 2))
     mean_b = y.mean(axis=(0, 2))

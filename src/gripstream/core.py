@@ -381,4 +381,9 @@ def save_config(path: str | Path, cfg: GloveConfig, cal: Calibration) -> None:
 
 
 def load_config(path: str | Path) -> tuple[GloveConfig, Calibration]:
-    return config_from_mapping(parse_kv_text(Path(path).read_text(encoding="utf-8")))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: "
+                          f"byte {exc.start} is {exc.object[exc.start]:#04x}")
+    return config_from_mapping(parse_kv_text(text))

@@ -33,8 +33,7 @@ _SEQ_MOD = 0x10000
 _AT_BYTE = operator.attrgetter("at_byte_offset")
 _TS_MAX = np.iinfo(np.int64).max
 _VALUE_MAX = np.iinfo(np.uint16).max
-# digit runs past leading zeros fit uint64; a longer one would be out of range anyway
-_TSV_LINES = re.compile(rb"(?:0*[0-9]{1,19}\t0*[0-9]{1,5}\n)*")
+_TAB_LF = np.frombuffer(b"\t\n", "<u2")[0]  # a whole line's two separators read as one number
 # subject and condition name the session's files, so they stay inside one file name
 _LABEL = re.compile(r"\w[\w.-]*")
 _DIGITS = re.compile(r"[0-9]+")  # str.isdigit and int() take other scripts' digits too
@@ -415,79 +414,60 @@ def record_session(session: Session, directory) -> Manifest:
     )
 
 
-def _field_values(d: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The digit fields of d that end just before `ends`, `widths` bytes each, as uint64.
+def _field_values(data: bytes, digits: np.ndarray, ends: np.ndarray, widths: np.ndarray,
+                  limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit fields that end just before `ends`, `widths` bytes each: uint64 values, bad mask.
 
-    Horner's rule over right-aligned windows as wide as the widest field;
-    a window's bytes before its field count as zeros. Fields of up to 19
-    digits cannot overflow.
+    A field is bad when it is empty or its number is above limit. Horner's
+    rule reads at most a field's last len(str(limit)) digits, which cannot
+    overflow uint64; a wider field is within limit only if the digits
+    before those are all zeros.
     """
+    keep = len(str(limit))
     total = np.zeros(ends.size, np.uint64)
-    for back in range(int(widths.max()), 0, -1):
-        digit = d[np.maximum(ends - back, 0)] - np.uint8(ord("0"))  # clipped: no wrap to the end
+    for back in range(min(int(widths.max(initial=0)), keep), 0, -1):
+        digit = digits[ends - back]  # an index below 0 wraps, but only where widths < back
         digit[widths < back] = 0
         total *= np.uint64(10)
         total += digit
-    return total
+    bad = (widths == 0) | (total > np.uint64(limit))
+    for i in np.flatnonzero(widths > keep):
+        bad[i] |= bool(data[ends[i] - widths[i]:ends[i] - keep].strip(b"0"))
+    return total, bad
 
 
-def _digit_rows(data: bytes) -> np.ndarray | None:
-    """The (n, 2) int64 rows of a column file in one numpy pass, or None if it refuses the file.
+def _read_tsv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The timestamp (int64) and value (uint16) columns of one recorded file.
 
-    It accepts only lines `[0-9]{1,19}\\t[0-9]{1,5}\\n` with timestamps up to
-    int64's maximum, values up to 65,535 and strictly rising timestamps, so
-    whatever it accepts the line grammar accepts with the same values.
-    """
-    if not data.endswith(b"\n"):
-        return None
-    d = np.frombuffer(data, np.uint8)
-    if d.max() > ord("9"):
-        return None
-    seps = np.flatnonzero(d < ord("0"))  # the last byte is LF, so there is at least one
-    tabs, lfs = seps[0::2], seps[1::2]
-    if seps.size % 2 or (d[tabs] != ord("\t")).any() or (d[lfs] != ord("\n")).any():
-        return None
-    widths = np.diff(seps, prepend=-1) - 1
-    ts_widths, value_widths = widths[0::2], widths[1::2]
-    if widths.min() < 1 or ts_widths.max() > 19 or value_widths.max() > 5:
-        return None
-    ts = _field_values(d, tabs, ts_widths)
-    values = _field_values(d, lfs, value_widths)
-    if (ts.max() > np.uint64(_TS_MAX) or values.max() > np.uint64(_VALUE_MAX)
-            or (ts[1:] <= ts[:-1]).any()):
-        return None
-    rows = np.empty((ts.size, 2), np.int64)
-    rows[:, 0], rows[:, 1] = ts, values
-    return rows
-
-
-def _read_tsv(path: Path) -> np.ndarray:
-    """(timestamp, value) rows of one recorded file as an (n, 2) int64 array.
-
-    Every line is ASCII digits, TAB, ASCII digits, LF; timestamps rise strictly.
-    Two routes read a file. _digit_rows converts what recording writes in one
-    numpy pass over the bytes. A file it refuses goes through the line grammar
-    _TSV_LINES and a split into fields: that route alone loads fields
-    zero-padded past 19 or 5 digits, and it names the first bad line of a
-    file that breaks the rules.
+    Every line is ASCII digits, TAB, ASCII digits, LF; past leading zeros,
+    timestamps fit int64 and rise strictly and values fit uint16. One numpy
+    pass over the bytes reads the file: the bytes outside '0'..'9' separate
+    fields, the lines before the first separator out of TAB/LF turn are
+    whole, and _field_values converts and checks their fields. ParseError
+    names the first line that breaks a rule.
     """
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise StructureError(f"missing file {path}")
-    rows = _digit_rows(data)
-    if rows is not None:
-        return rows
-    end = _TSV_LINES.match(data).end()
-    rows = np.array(data[:end].split(), dtype=np.uint64).reshape(-1, 2)
-    bad = (rows[:, 0] > _TS_MAX) | (rows[:, 1] > _VALUE_MAX)
-    bad[1:] |= rows[1:, 0] <= rows[:-1, 0]
-    i = int(np.argmax(bad)) if bad.any() else len(rows)
-    if i < len(rows) or end < len(data):
+    d = np.frombuffer(data, np.uint8)
+    digits = d - np.uint8(ord("0"))  # bytes below '0' wrap, so every separator is above 9
+    seps = np.flatnonzero(digits > 9)
+    pairs = seps.size // 2
+    broken = np.flatnonzero(d[seps[:2 * pairs]].view(_TAB_LF.dtype) != _TAB_LF)
+    whole = int(broken[0]) if broken.size else pairs
+    tabs, lfs = seps[0:2 * whole:2], seps[1:2 * whole:2]
+    starts = np.concatenate([[0], lfs + 1])
+    ts, bad = _field_values(data, digits, tabs, tabs - starts[:-1], _TS_MAX)
+    values, bad_values = _field_values(data, digits, lfs, lfs - tabs - 1, _VALUE_MAX)
+    bad |= bad_values
+    bad[1:] |= ts[1:] <= ts[:-1]
+    if bad.any() or starts[-1] < len(data):
+        i = int(np.argmax(bad)) if bad.any() else whole
         text = data.split(b"\n", i + 1)[i].decode("utf-8", "backslashreplace")
         raise ParseError(path, i + 1, f"{text!r} is not <timestamp>TAB<value>LF with a rising "
                                       f"timestamp and a value up to {_VALUE_MAX}")
-    return rows.astype(np.int64)
+    return ts.astype(np.int64), values.astype(np.uint16)
 
 
 def _ascii_int(text: str) -> int:
@@ -510,6 +490,9 @@ def _load_from_meta(meta_path: Path) -> Session:
         raw = meta_path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise StructureError(f"missing metadata file {meta_path}")
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{meta_path} is not UTF-8 text: "
+                             f"byte {exc.start} is {exc.object[exc.start]:#04x}")
     meta = parse_kv_text(raw)
     subject = _meta_field(meta, "subject", meta_path)
     side_txt = _meta_field(meta, "hand", meta_path)
@@ -540,7 +523,7 @@ def _load_from_meta(meta_path: Path) -> Session:
                 raise StructureError(f"{meta_path}: bad gap entry {item!r}")
     timestamps, columns = None, []
     for path in _column_paths(meta_path.parent, f"{subject}_{side_txt}_{condition}"):
-        ts, values = _read_tsv(path).T
+        ts, values = _read_tsv(path)
         if len(ts) != frames:
             raise StructureError(f"{path} has {len(ts)} lines, metadata says {frames}")
         timestamps = ts if timestamps is None else timestamps

@@ -31,6 +31,8 @@ WAVEFORMS = (WAVEFORM_HOLD, WAVEFORM_LIFT)
 
 # fingertip channel for each long finger in the standard layout
 FINGERTIP_SENSOR = {"index": 2, "middle": 3, "ring": 4, "little": 5}
+# a share-table preset's summed long-finger fingertip force, thumb force and every other sensor's
+_FINGERTIP_TOTAL_N, _THUMB_FORCE_N, _SUPPORT_FORCE_N = 20.0, 3.0, 0.5
 
 # condition label -> grip effort multiplier; aggressive music drives harder grips
 CONDITION_GAINS = {"quiet": 1.0, "soft": 1.0, "hardrock": 1.3}
@@ -92,14 +94,7 @@ def _bases(per_sensor: dict[int, float], default: float) -> tuple[float, ...]:
     return tuple(per_sensor.get(sid, default) for sid in range(1, 13))
 
 
-def contribution_preset(
-    name: str,
-    shares: dict[str, float],
-    fingertip_total_n: float = 12.0,
-    thumb_force_n: float = 3.0,
-    support_force_n: float = 0.5,
-    **kwargs,
-) -> ProfilePreset:
+def contribution_preset(name: str, shares: dict[str, float]) -> ProfilePreset:
     """Preset whose long-finger fingertip forces follow a percentage table.
 
     shares maps finger name (index/middle/ring/little) to its percentage of
@@ -113,13 +108,10 @@ def contribution_preset(
     # reference tables arrive rounded, so the sum can miss 100 slightly
     if not 98.0 <= total <= 102.0:
         raise ConfigError(f"contribution shares must sum to ~100, got {total}")
-    per_sensor = {FINGERTIP_SENSOR[f]: fingertip_total_n * pct / 100.0 for f, pct in shares.items()}
-    per_sensor[1] = thumb_force_n
-    return ProfilePreset(
-        name=name,
-        base_force_n=_bases(per_sensor, support_force_n),
-        **kwargs,
-    )
+    per_sensor = {FINGERTIP_SENSOR[f]: _FINGERTIP_TOTAL_N * pct / 100.0
+                  for f, pct in shares.items()}
+    per_sensor[1] = _THUMB_FORCE_N
+    return ProfilePreset(name=name, base_force_n=_bases(per_sensor, _SUPPORT_FORCE_N))
 
 
 def _builtin_presets() -> dict[str, ProfilePreset]:
@@ -127,17 +119,11 @@ def _builtin_presets() -> dict[str, ProfilePreset]:
         # flat mid-range grip, handy for smoke tests
         ProfilePreset("steady", _bases({1: 3.0, 2: 2.0, 3: 2.0, 4: 2.0, 5: 2.0}, 1.0)),
         # five-finger precision lifting: index-dominated share table
-        contribution_preset(
-            "precision_lift",
-            {"index": 42.0, "middle": 27.4, "ring": 17.6, "little": 12.9},
-            fingertip_total_n=20.0,
-        ),
+        contribution_preset("precision_lift",
+                            {"index": 42.0, "middle": 27.4, "ring": 17.6, "little": 12.9}),
         # power grip strength survey: middle/ring carry the load
-        contribution_preset(
-            "power_grip",
-            {"index": 17.0, "middle": 22.0, "ring": 31.0, "little": 29.0},
-            fingertip_total_n=20.0,
-        ),
+        contribution_preset("power_grip",
+                            {"index": 17.0, "middle": 22.0, "ring": 31.0, "little": 29.0}),
         # trained operator: subtle little-finger control, light gross force,
         # finishes the task faster
         ProfilePreset(

@@ -17,14 +17,15 @@ _WIDTH, _HEIGHT = 640, 360
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 58, 16, 30, 44
 _PLOT_W = _WIDTH - _MARGIN_L - _MARGIN_R
 _PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
+_TARGET_TICKS = 5
 
 
 class NoDataError(GripstreamError):
     pass
 
 
-def _nice_step(span: float, target_ticks: int = 5) -> float:
-    raw = span / max(target_ticks, 1)
+def _nice_step(span: float) -> float:
+    raw = span / _TARGET_TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:

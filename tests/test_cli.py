@@ -164,6 +164,20 @@ def test_unknown_config_key_is_a_data_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["glove.cfg"]
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "glove.cfg"),
+                                           ("analyze", "anon_R_quiet_meta.txt")])
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, name):
+    out = simulate_dir(tmp_path)
+    path = out / name
+    path.write_bytes(b"subject = caf\xe9\n")
+    argv = ([command, "--config", str(path), "--raw", str(tmp_path / "x.bin")]
+            if command == "simulate" else [command, "--in", str(out)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text: byte 13 is 0xe9\n"
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_simulate_starts_the_battery_at_the_configured_voltage(tmp_path, capsys):
     config = tmp_path / "glove.cfg"
     save_config(config, GloveConfig(battery_nominal_v=3.7), Calibration())

@@ -545,27 +545,34 @@ def test_load_rejects_disagreeing_timestamps(tmp_path, suffix):
 _INT64_MAX = 2**63 - 1
 
 
-@pytest.mark.parametrize("text, bad_line, one_pass", [
-    pytest.param(f"20\t1\n{_INT64_MAX}\t2\n", None, True, id="int64-max-last"),
-    pytest.param(f"20\t1\n{_INT64_MAX + 1}\t2\n", 2, False, id="int64-max-plus-one"),
-    pytest.param(f"20\t1\n{'9' * 19}\t2\n", 2, False, id="nineteen-nines"),
-    pytest.param(f"{2**64 + 20}\t1\n", 1, False, id="twenty-digits-past-uint64"),
-    pytest.param("20\t65535\n", None, True, id="value-max"),
-    pytest.param("20\t1\n40\t65536\n", 2, False, id="value-max-plus-one"),
-    pytest.param(f"{'0' * 17}20\t{'0' * 4}1\n", None, True, id="zero-padded-within-widths"),
-    pytest.param(f"{'0' * 19}20\t1\n40\t{'0' * 5}65535\n", None, False,
-                 id="zero-padded-past-widths"),
-    pytest.param(f"20\t{'0' * 5}1\n", None, False, id="value-zero-padded-past-width"),
-    pytest.param(f"20\t1\n{'0' * 25}40\t00000000\n", None, False, id="zeros-only-past-widths"),
-    pytest.param("20\t7\n", None, True, id="one-line"),
-    pytest.param("20\t7", 1, False, id="one-line-without-lf"),
-    pytest.param("", None, False, id="empty"),
-    pytest.param("20\t1\n20\t2\n", 2, False, id="repeated-timestamp"),
+@pytest.mark.parametrize("text, bad_line", [
+    pytest.param(f"20\t1\n{_INT64_MAX}\t2\n", None, id="int64-max-last"),
+    pytest.param(f"20\t1\n{_INT64_MAX + 1}\t2\n", 2, id="int64-max-plus-one"),
+    pytest.param(f"20\t1\n{'9' * 19}\t2\n", 2, id="nineteen-nines"),
+    pytest.param(f"{2**64 + 20}\t1\n", 1, id="twenty-digits-past-uint64"),
+    pytest.param("20\t65535\n", None, id="value-max"),
+    pytest.param("20\t1\n40\t65536\n", 2, id="value-max-plus-one"),
+    pytest.param(f"{'0' * 17}20\t{'0' * 4}1\n", None, id="zero-padded-within-widths"),
+    pytest.param(f"{'0' * 19}20\t1\n40\t{'0' * 5}65535\n", None, id="zero-padded-past-widths"),
+    pytest.param(f"20\t{'0' * 5}1\n", None, id="value-zero-padded-past-width"),
+    pytest.param(f"20\t1\n{'0' * 25}40\t00000000\n", None, id="zeros-only-past-widths"),
+    pytest.param(f"20\t1\n{_INT64_MAX:025d}\t2\n", None, id="int64-max-padded-to-25"),
+    pytest.param(f"{'0' * 6}20\t1\n40\t2\n{'0' * 30}60\t{'0' * 9}3\n80\t4\n", None,
+                 id="padded-and-unpadded-lines"),
+    pytest.param(f"20\t{'0' * 1000}\n", None, id="thousand-zeros"),
+    pytest.param("20\t1\n40\t00000065536\n", 2, id="padded-value-max-plus-one"),
+    pytest.param("20\t1\n40\t100001\n", 2, id="six-digit-value"),
+    pytest.param("20\t1\n\t2\n", 2, id="empty-timestamp"),
+    pytest.param("20\t1\n40\t2:\n", 2, id="byte-above-nine"),
+    pytest.param("20\t1\n40\t2\n6\x000\t3\n", 3, id="nul-byte"),
+    pytest.param("20\t7\n", None, id="one-line"),
+    pytest.param("20\t7", 1, id="one-line-without-lf"),
+    pytest.param("", None, id="empty"),
+    pytest.param("20\t1\n20\t2\n", 2, id="repeated-timestamp"),
 ])
-def test_read_tsv_agrees_with_the_line_reader(tmp_path, text, bad_line, one_pass):
+def test_read_tsv_agrees_with_the_line_reader(tmp_path, text, bad_line):
     path = tmp_path / "m_R_quiet_S3.tsv"
     path.write_bytes(text.encode())
-    assert (gripstream.ingest._digit_rows(path.read_bytes()) is not None) == one_pass
     try:
         want = reference_read_tsv(path)
     except ParseError as err:
@@ -575,9 +582,10 @@ def test_read_tsv_agrees_with_the_line_reader(tmp_path, text, bad_line, one_pass
         assert (got.value.path, got.value.line_no) == (path, bad_line)
         return
     assert bad_line is None
-    rows = gripstream.ingest._read_tsv(path)
-    assert rows.dtype == np.int64 and rows.shape == (len(want), 2)
-    assert rows.tolist() == [list(row) for row in want]
+    ts, values = gripstream.ingest._read_tsv(path)
+    assert ts.dtype == np.int64 and values.dtype == np.uint16
+    assert ts.tolist() == [row[0] for row in want]
+    assert values.tolist() == [row[1] for row in want]
 
 
 @pytest.mark.parametrize("suffix, line_no, edit, message", [
@@ -605,13 +613,6 @@ def test_load_names_the_line_a_column_breaks(tmp_path, suffix, line_no, edit, me
     assert (err.value.path, err.value.line_no) == (path, line_no)
 
 
-class _NoLineGrammar:
-    """Stands in for ingest._TSV_LINES where no file should need the line grammar."""
-
-    def match(self, data):
-        pytest.fail("a recorded column file went through the line grammar")
-
-
 @pytest.mark.parametrize("session", [
     pytest.param(build_session(frame_run(random.Random(70), 500), subject="m"), id="500-frames"),
     pytest.param(build_session(frame_run(random.Random(71), 1), subject="m"), id="one-frame"),
@@ -620,9 +621,8 @@ class _NoLineGrammar:
                          voltages_mv=[[0] * 12, [7] * 12, [0xFFFF] * 12],
                          battery_mv=[0xFFFF, 1, 0]), id="extremes"),
 ])
-def test_loading_a_recording_takes_the_one_pass(tmp_path, monkeypatch, session):
+def test_loading_a_recording_takes_the_one_pass(tmp_path, session):
     record_session(session, tmp_path)
-    monkeypatch.setattr(gripstream.ingest, "_TSV_LINES", _NoLineGrammar())
     assert load_session(tmp_path) == session
 
 
