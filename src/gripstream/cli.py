@@ -15,6 +15,7 @@ import socket
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from gripstream.errors import GripstreamError
 from gripstream.ingest import (
     SENSOR_IDS,
     SessionBuilder,
+    SessionSummary,
     export_csv,
     label_problem,
     load_sessions,
@@ -125,6 +127,16 @@ def _load_setup(args) -> tuple[GloveConfig, Calibration]:
     return GloveConfig(), Calibration()
 
 
+def _session_builder(args, cfg: GloveConfig) -> SessionBuilder:
+    return SessionBuilder(
+        subject=args.subject,
+        condition=args.condition,
+        dominant_side=_parse_side(args.dominant),
+        started_at=_now(),
+        sample_period_ms=cfg.sample_period_ms,
+    )
+
+
 def _policy_from_args(args) -> AlertPolicy:
     scope = frozenset(_parse_sensor_list(args.sensors)) if args.sensors else None
     try:
@@ -154,10 +166,6 @@ def _output(args):
         sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
     except BrokenPipeError:
         raise _StdoutClosed from None
-
-
-def _writer(fh) -> csv.writer:
-    return csv.writer(fh, lineterminator="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +215,7 @@ class _GloveLink:
     def __init__(self, conn, args, cfg, cal, policy, deadline: float):
         self.conn = conn
         self.cfg, self.cal, self.policy = cfg, cal, policy
-        self.builder = SessionBuilder(
-            subject=args.subject,
-            condition=args.condition,
-            dominant_side=_parse_side(args.dominant),
-            started_at=_now(),
-            sample_period_ms=cfg.sample_period_ms,
-        )
+        self.builder = _session_builder(args, cfg)
         self.monitor = self.columns = self.table = None
         self.cursor = 0
         self.deadline = deadline  # time.monotonic() past which the connection has stalled
@@ -346,20 +348,14 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_record(args) -> int:
-    cfg, cal = _load_setup(args)
-    dominant = _parse_side(args.dominant)
+    cfg, _ = _load_setup(args)
+    _parse_side(args.dominant)
     _check_labels(args)
     if args.infile == "-":
         data = sys.stdin.buffer.read()
     else:
         data = Path(args.infile).read_bytes()
-    builder = SessionBuilder(
-        subject=args.subject,
-        condition=args.condition,
-        dominant_side=dominant,
-        started_at=_now(),
-        sample_period_ms=cfg.sample_period_ms,
-    )
+    builder = _session_builder(args, cfg)
     appended, events = builder.feed(data)
     session = builder.session()
     manifest = record_session(session, args.out)
@@ -399,7 +395,7 @@ def _cmd_analyze(args) -> int:
 
     sessions = load_sessions(args.indir)
     with _output(args) as fh:
-        w = _writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         if factors:
             result = anova_from_sessions(sessions, factors, cal, cfg, sensors=obs_sensors)
             w.writerow(["effect", "f_stat", "df_between", "df_within", "p_value"])
@@ -419,10 +415,7 @@ def _cmd_analyze(args) -> int:
             for key, value in averages.items():
                 w.writerow(list(key) + [f"{value:.6g}"])
         else:
-            w.writerow(
-                ["subject", "hand", "condition", "frames", "duration_s", "gap_count",
-                 "missing_frames", "min_voltage_mv", "max_voltage_mv", "battery_final_mv"]
-            )
+            w.writerow([f.name for f in fields(SessionSummary)])
             for s in sessions:
                 m = session_summary(s)
                 w.writerow(
@@ -599,6 +592,3 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -46,6 +46,7 @@ def require_finite(config) -> None:
 class SensorLocus(Enum):
     """Anatomical placement of one FSR on the inner hand surface."""
 
+    # member order is the channel map: the k-th member is sensor S<k> of standard_layout()
     FINGERTIP_THUMB = "fingertip_thumb"
     FINGERTIP_INDEX = "fingertip_index"
     FINGERTIP_MIDDLE = "fingertip_middle"
@@ -119,23 +120,9 @@ def standard_layout() -> tuple[SensorSpec, ...]:
     """Default channel map: S1..S5 fingertips thumb through little (10 mm),
     S6..S9 middle phalanges index through little (5 mm), S10..S12 thenar,
     hypothenar and mid-palm (10 mm)."""
-    loci = (
-        SensorLocus.FINGERTIP_THUMB,
-        SensorLocus.FINGERTIP_INDEX,
-        SensorLocus.FINGERTIP_MIDDLE,
-        SensorLocus.FINGERTIP_RING,
-        SensorLocus.FINGERTIP_LITTLE,
-        SensorLocus.PHALANX_INDEX,
-        SensorLocus.PHALANX_MIDDLE,
-        SensorLocus.PHALANX_RING,
-        SensorLocus.PHALANX_LITTLE,
-        SensorLocus.THENAR,
-        SensorLocus.HYPOTHENAR,
-        SensorLocus.MID_PALM,
-    )
     return tuple(
         SensorSpec(i + 1, locus, 5 if locus in PHALANX_LOCI else 10)
-        for i, locus in enumerate(loci)
+        for i, locus in enumerate(SensorLocus)
     )
 
 
@@ -193,10 +180,6 @@ class GloveConfig:
     @property
     def supply_mv(self) -> float:
         return self.supply_voltage_v * 1000.0
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return 1000.0 / self.sample_period_ms
 
     def sensors_at(self, locus: SensorLocus) -> list[SensorSpec]:
         return [s for s in self.sensor_layout if s.locus == locus]
@@ -306,16 +289,10 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def format_config(cfg: GloveConfig, cal: Calibration) -> str:
-    lines = [
-        "# gripstream glove configuration",
-        f"supply_voltage_v = {cfg.supply_voltage_v!r}",
-        f"pulldown_ohm = {cfg.pulldown_ohm!r}",
-        f"sample_period_ms = {cfg.sample_period_ms!r}",
-        f"battery_nominal_v = {cfg.battery_nominal_v!r}",
-        f"conversion_mode = {cfg.conversion_mode.value}",
-        f"anchor_voltage_mv = {cal.anchor_voltage_mv!r}",
-        f"anchor_force_n = {cal.anchor_force_n!r}",
-    ]
+    lines = ["# gripstream glove configuration"]
+    lines += [f"{key} = {getattr(cfg, key)!r}" for key in _GLOVE_KEYS]
+    lines.append(f"conversion_mode = {cfg.conversion_mode.value}")
+    lines += [f"{key} = {getattr(cal, key)!r}" for key in _CALIBRATION_KEYS]
     for s in sorted(cfg.sensor_layout, key=lambda s: s.sid):
         lines.append(f"sensor_{s.label} = {s.locus.value}:{s.diameter_mm}")
     return "\n".join(lines) + "\n"

@@ -544,6 +544,14 @@ def _load_from_meta(meta_path: Path) -> Session:
     )
 
 
+def _session_metas(directory: Path) -> list[Path]:
+    """The metadata files in a directory, sorted; StructureError if there are none."""
+    metas = sorted(directory.glob("*_meta.txt"))
+    if not metas:
+        raise StructureError(f"no session metadata in {directory}")
+    return metas
+
+
 def load_session(source) -> Session:
     """Load a recorded session from its metadata file or its directory.
 
@@ -551,9 +559,7 @@ def load_session(source) -> Session:
     """
     path = Path(source)
     if path.is_dir():
-        metas = sorted(path.glob("*_meta.txt"))
-        if not metas:
-            raise StructureError(f"no session metadata in {path}")
+        metas = _session_metas(path)
         if len(metas) > 1:
             names = ", ".join(m.name for m in metas)
             raise StructureError(f"{path} holds {len(metas)} sessions ({names}); pick one")
@@ -563,11 +569,7 @@ def load_session(source) -> Session:
 
 def load_sessions(directory) -> list[Session]:
     """All sessions recorded in a directory, ordered by file stem."""
-    directory = Path(directory)
-    metas = sorted(directory.glob("*_meta.txt"))
-    if not metas:
-        raise StructureError(f"no session metadata in {directory}")
-    return [_load_from_meta(m) for m in metas]
+    return [_load_from_meta(m) for m in _session_metas(Path(directory))]
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,9 @@ class ProfilePreset:
     name: str
     base_force_n: tuple[float, ...]
     condition_gain: float = 1.0
-    hand_gain: float = DOMINANT_HAND_GAIN
     noise_sd_mv: float = 5.0
     duration_scale: float = 1.0
+    hand_gain: ClassVar[float] = DOMINANT_HAND_GAIN
 
     def __post_init__(self):
         object.__setattr__(self, "base_force_n", tuple(float(f) for f in self.base_force_n))
@@ -66,7 +66,7 @@ class ProfilePreset:
         for f in self.base_force_n:
             if not 0.0 <= f <= FORCE_CEILING_N:
                 raise ConfigError(f"base force {f} N outside [0, {FORCE_CEILING_N}]")
-        if self.condition_gain < 0 or self.hand_gain < 0:
+        if self.condition_gain < 0:
             raise ConfigError("gains must be non-negative")
         if self.noise_sd_mv < 0:
             raise ConfigError("noise sd must be non-negative")

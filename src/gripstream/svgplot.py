@@ -46,10 +46,6 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
-
-
 def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> str:
     """Render labeled (label, points) series as a 640x360 SVG chart.
 
@@ -102,7 +98,7 @@ def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> s
         )
         parts.append(
             f'<text x="{x:.2f}" y="{_MARGIN_T + _PLOT_H + 16}" text-anchor="middle" '
-            f'font-size="11">{_fmt(t)}</text>'
+            f'font-size="11">{t:g}</text>'
         )
     for v in _ticks(v_lo, v_hi):
         y = sy(v)
@@ -112,7 +108,7 @@ def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> s
         )
         parts.append(
             f'<text x="{_MARGIN_L - 6}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="11">{_fmt(v)}</text>'
+            f'font-size="11">{v:g}</text>'
         )
 
     # axes

@@ -12,6 +12,7 @@ from gripstream.core import (
     SensorSpec,
     divider_voltage,
     force_from_voltage,
+    format_config,
     load_config,
     parse_kv_text,
     rational_gain,
@@ -161,13 +162,21 @@ def test_config_rejects_non_finite_numbers(cls, name, bad):
 
 def test_standard_layout_census():
     layout = standard_layout()
-    assert len(layout) == 12
     assert [s.sid for s in layout] == list(range(1, 13))
-    diam = [s.diameter_mm for s in layout]
-    assert diam[:5] == [10] * 5  # fingertips
-    assert diam[5:9] == [5] * 4  # middle phalanges
-    assert diam[9:] == [10] * 3  # palm sites
-    assert layout[1].locus is SensorLocus.FINGERTIP_INDEX
+    assert [(s.locus, s.diameter_mm) for s in layout] == [
+        (SensorLocus.FINGERTIP_THUMB, 10),
+        (SensorLocus.FINGERTIP_INDEX, 10),
+        (SensorLocus.FINGERTIP_MIDDLE, 10),
+        (SensorLocus.FINGERTIP_RING, 10),
+        (SensorLocus.FINGERTIP_LITTLE, 10),
+        (SensorLocus.PHALANX_INDEX, 5),
+        (SensorLocus.PHALANX_MIDDLE, 5),
+        (SensorLocus.PHALANX_RING, 5),
+        (SensorLocus.PHALANX_LITTLE, 5),
+        (SensorLocus.THENAR, 10),
+        (SensorLocus.HYPOTHENAR, 10),
+        (SensorLocus.MID_PALM, 10),
+    ]
     assert layout[4].label == "S5"
 
 
@@ -192,7 +201,7 @@ def test_glove_config_checks_layout():
 
 
 def test_cadence_and_rails():
-    assert CFG.sample_rate_hz == pytest.approx(50.0)
+    assert CFG.sample_period_ms == 20.0
     assert CFG.supply_mv == pytest.approx(3300.0)
     assert CFG.sensor_layout[3].locus is SensorLocus.FINGERTIP_RING
     assert [s.sid for s in CFG.sensors_at(SensorLocus.THENAR)] == [10]
@@ -212,6 +221,50 @@ def test_config_file_round_trip(tmp_path):
     cfg2, cal2 = load_config(path)
     assert cfg2 == cfg
     assert cal2 == cal
+
+
+_SENSOR_LINES = """\
+sensor_S1 = fingertip_thumb:10
+sensor_S2 = fingertip_index:10
+sensor_S3 = fingertip_middle:10
+sensor_S4 = fingertip_ring:10
+sensor_S5 = fingertip_little:10
+sensor_S6 = phalanx_index:5
+sensor_S7 = phalanx_middle:5
+sensor_S8 = phalanx_ring:5
+sensor_S9 = phalanx_little:5
+sensor_S10 = thenar:10
+sensor_S11 = hypothenar:10
+sensor_S12 = mid_palm:10
+"""
+
+
+@pytest.mark.parametrize("cfg, cal, head", [
+    (GloveConfig(), Calibration(), """\
+# gripstream glove configuration
+supply_voltage_v = 3.3
+pulldown_ohm = 10000.0
+sample_period_ms = 20.0
+battery_nominal_v = 4.2
+conversion_mode = linear
+anchor_voltage_mv = 1500.0
+anchor_force_n = 10.0
+"""),
+    (GloveConfig(supply_voltage_v=3.0, pulldown_ohm=8200.0, sample_period_ms=10.0,
+                 battery_nominal_v=3.7, conversion_mode=ConversionMode.RATIONAL),
+     Calibration(anchor_voltage_mv=1400.0, anchor_force_n=9.0), """\
+# gripstream glove configuration
+supply_voltage_v = 3.0
+pulldown_ohm = 8200.0
+sample_period_ms = 10.0
+battery_nominal_v = 3.7
+conversion_mode = rational
+anchor_voltage_mv = 1400.0
+anchor_force_n = 9.0
+"""),
+], ids=["default", "non-default"])
+def test_format_config_text(cfg, cal, head):
+    assert format_config(cfg, cal) == head + _SENSOR_LINES
 
 
 def test_parse_kv_text():

@@ -7,6 +7,7 @@ from gripstream.core import Calibration, GloveConfig, Side
 from gripstream.errors import ConfigError
 from gripstream.protocol import GLOVE_BYTE
 from gripstream.simulate import (
+    DOMINANT_HAND_GAIN,
     FORCE_CEILING_N,
     PRESETS,
     ProfilePreset,
@@ -25,7 +26,7 @@ CFG = GloveConfig()
 
 
 def flat_preset(force: float = 10.0, noise: float = 0.0, **kw) -> ProfilePreset:
-    return ProfilePreset("flat", (force,) * 12, noise_sd_mv=noise, hand_gain=1.0, **kw)
+    return ProfilePreset("flat", (force,) * 12, noise_sd_mv=noise, **kw)
 
 
 def test_builtin_presets_present():
@@ -50,7 +51,7 @@ def test_preset_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["condition_gain", "hand_gain", "noise_sd_mv", "duration_scale"])
+@pytest.mark.parametrize("name", ["condition_gain", "noise_sd_mv", "duration_scale"])
 def test_preset_rejects_non_finite_numbers(name, bad):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         ProfilePreset("odd", (1.0,) * 12, **{name: bad})
@@ -111,19 +112,21 @@ def test_synthesis_is_deterministic():
 
 
 def test_noise_free_hold_is_exactly_the_base_forces():
-    plan = SessionPlan({Side.RIGHT: flat_preset(10.0)}, duration_s=1.0, seed=0)
+    # the glove is not the dominant one, so DOMINANT_HAND_GAIN leaves it alone
+    plan = SessionPlan({Side.RIGHT: flat_preset(10.0)}, duration_s=1.0, seed=0,
+                       dominant=Side.LEFT)
     traj = synthesize_session(plan, CAL, CFG)[Side.RIGHT]
     assert traj.shape == (12, 50)
     assert np.all(traj == 10.0)
 
 
 def test_hand_gain_applies_to_dominant_side_only():
-    profile = ProfilePreset("g", (2.0,) * 12, noise_sd_mv=0.0, hand_gain=1.2)
+    profile = ProfilePreset("g", (2.0,) * 12, noise_sd_mv=0.0)
     plan = SessionPlan(
         {Side.LEFT: profile, Side.RIGHT: profile}, duration_s=1.0, dominant=Side.RIGHT
     )
     out = synthesize_session(plan, CAL, CFG)
-    assert np.all(out[Side.RIGHT] == pytest.approx(2.4))
+    assert np.all(out[Side.RIGHT] == 2.0 * DOMINANT_HAND_GAIN)
     assert np.all(out[Side.LEFT] == 2.0)
 
 
@@ -168,7 +171,7 @@ def test_noise_stays_clamped():
 
 
 def test_emit_frames_quantization_and_cadence():
-    plan = SessionPlan({Side.RIGHT: flat_preset(10.0)}, duration_s=10.0)
+    plan = SessionPlan({Side.RIGHT: flat_preset(10.0)}, duration_s=10.0, dominant=Side.LEFT)
     traj = synthesize_session(plan, CAL, CFG)[Side.RIGHT]
     records = emit_frames(traj, CAL, CFG, side=Side.RIGHT)
     assert len(records) == 500
