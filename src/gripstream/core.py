@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gripstream.errors import ConfigError, DomainError
+from gripstream.errors import ConfigError, DomainError, excerpt
 
 SENSOR_COUNT = 12
 
@@ -282,7 +282,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {excerpt(raw)}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
@@ -306,20 +306,20 @@ def _floats(kv: dict[str, str], keys: tuple[str, ...]) -> dict[str, float]:
             try:
                 out[key] = float(kv[key])
             except ValueError:
-                raise ConfigError(f"{key}: not a number: {kv[key]!r}") from None
+                raise ConfigError(f"{key}: not a number: {excerpt(kv[key])}") from None
     return out
 
 
 def config_from_mapping(kv: dict[str, str]) -> tuple[GloveConfig, Calibration]:
     unknown = next((k for k in kv if k not in _CONFIG_KEYS and not k.startswith("sensor_S")), None)
     if unknown is not None:
-        raise ConfigError(f"unknown config key {unknown!r}; known: {', '.join(_CONFIG_KEYS)}, "
-                          f"sensor_S<k>")
+        raise ConfigError(f"unknown config key {excerpt(unknown)}; "
+                          f"known: {', '.join(_CONFIG_KEYS)}, sensor_S<k>")
     mode_name = kv.get("conversion_mode", ConversionMode.LINEAR.value)
     try:
         mode = ConversionMode(mode_name)
     except ValueError:
-        raise ConfigError(f"unknown conversion_mode {mode_name!r}") from None
+        raise ConfigError(f"unknown conversion_mode {excerpt(mode_name)}") from None
 
     layout: list[SensorSpec] = []
     for key, value in kv.items():
@@ -328,18 +328,18 @@ def config_from_mapping(kv: dict[str, str]) -> tuple[GloveConfig, Calibration]:
         try:
             sid = int(key[len("sensor_S"):])
         except ValueError:
-            raise ConfigError(f"bad sensor key {key!r}") from None
+            raise ConfigError(f"bad sensor key {excerpt(key)}") from None
         if ":" not in value:
-            raise ConfigError(f"{key}: expected '<locus>:<diameter_mm>', got {value!r}")
+            raise ConfigError(f"{key}: expected '<locus>:<diameter_mm>', got {excerpt(value)}")
         locus_name, diameter = value.split(":", 1)
         try:
             locus = SensorLocus(locus_name.strip())
         except ValueError:
-            raise ConfigError(f"{key}: unknown locus {locus_name!r}") from None
+            raise ConfigError(f"{key}: unknown locus {excerpt(locus_name)}") from None
         try:
             dia = int(diameter)
         except ValueError:
-            raise ConfigError(f"{key}: bad diameter {diameter!r}") from None
+            raise ConfigError(f"{key}: bad diameter {excerpt(diameter)}") from None
         layout.append(SensorSpec(sid, locus, dia))
 
     cfg = GloveConfig(

@@ -5,6 +5,18 @@ so the CLI can map pipeline failures to one exit code without masking real
 bugs (which surface as ordinary exceptions).
 """
 
+_EXCERPT_CHARS = 80
+
+
+def excerpt(text: str) -> str:
+    """repr(text) for an error message; past 80 characters, the first 80 and the length.
+
+    A message that quoted a damaged file's line whole could run to megabytes.
+    """
+    if len(text) <= _EXCERPT_CHARS:
+        return repr(text)
+    return f"{text[:_EXCERPT_CHARS] + '…'!r} ({len(text)} characters)"
+
 
 class GripstreamError(Exception):
     """Base class for all errors raised by the gripstream pipeline."""

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from gripstream.core import Dominance, GloveConfig, Hand, Side, parse_kv_text
-from gripstream.errors import GripstreamError
+from gripstream.errors import GripstreamError, excerpt
 from gripstream.protocol import (BLOCK_MIN_BYTES, BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT,
                                  GLOVE_BYTE, SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets)
 
@@ -67,7 +67,7 @@ def label_problem(subject: str, condition: str) -> str | None:
     """Why subject or condition cannot name a session's files, or None if both can."""
     for what, label in (("subject", subject), ("condition", condition)):
         if not _LABEL.fullmatch(label):
-            return (f"{what} {label!r} is not a label: a letter, digit or underscore, "
+            return (f"{what} {excerpt(label)} is not a label: a letter, digit or underscore, "
                     f"then letters, digits, underscores, dots or dashes")
     return None
 
@@ -465,8 +465,8 @@ def _read_tsv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if bad.any() or starts[-1] < len(data):
         i = int(np.argmax(bad)) if bad.any() else whole
         text = data.split(b"\n", i + 1)[i].decode("utf-8", "backslashreplace")
-        raise ParseError(path, i + 1, f"{text!r} is not <timestamp>TAB<value>LF with a rising "
-                                      f"timestamp and a value up to {_VALUE_MAX}")
+        raise ParseError(path, i + 1, f"{excerpt(text)} is not <timestamp>TAB<value>LF with a "
+                                      f"rising timestamp and a value up to {_VALUE_MAX}")
     return ts.astype(np.int64), values.astype(np.uint16)
 
 
@@ -482,6 +482,13 @@ def _meta_field(meta: dict, key: str, path: Path) -> str:
         return meta[key]
     except KeyError:
         raise StructureError(f"{path} lacks required key {key!r}")
+
+
+def _meta_enum(cls, text: str, path: Path):
+    try:
+        return cls(text)
+    except ValueError:
+        raise StructureError(f"{path}: {excerpt(text)} is not a valid {cls.__name__}") from None
 
 
 def _load_from_meta(meta_path: Path) -> Session:
@@ -501,10 +508,8 @@ def _load_from_meta(meta_path: Path) -> Session:
     problem = label_problem(subject, condition)
     if problem:
         raise StructureError(f"{meta_path}: {problem}")
-    try:
-        hand = Hand(side=Side(side_txt), dominance=Dominance(dom_txt))
-    except ValueError as exc:
-        raise StructureError(f"{meta_path}: {exc}")
+    hand = Hand(side=_meta_enum(Side, side_txt, meta_path),
+                dominance=_meta_enum(Dominance, dom_txt, meta_path))
     try:
         frames = _ascii_int(_meta_field(meta, "frames", meta_path))
     except ValueError:
@@ -520,7 +525,7 @@ def _load_from_meta(meta_path: Path) -> Session:
                 gaps.append(StreamEvent(EventKind.SEQUENCE_GAP, offset,
                                         missing_count=_ascii_int(miss_txt)))
             except ValueError:
-                raise StructureError(f"{meta_path}: bad gap entry {item!r}")
+                raise StructureError(f"{meta_path}: bad gap entry {excerpt(item)}")
     timestamps, columns = None, []
     for path in _column_paths(meta_path.parent, f"{subject}_{side_txt}_{condition}"):
         ts, values = _read_tsv(path)

@@ -1,10 +1,11 @@
 """Glove emulator: force trajectories and wire-record emission.
 
 A SessionPlan describes one recording session for one or two gloves. Each
-glove gets a ProfilePreset: 12 per-sensor base forces plus gain knobs for
-the experimental condition (music) and hand dominance. Trajectories are
-base * condition_gain * hand_gain * waveform(t) plus seeded Gaussian sensor
-noise, clamped to the 0..20 N range the sensors are characterized for.
+glove gets a ProfilePreset: 12 per-sensor base forces plus a gain knob for
+the experimental condition (music); hand_gain is the constant
+DOMINANT_HAND_GAIN on the dominant glove and 1 on the other. Trajectories
+are base * condition_gain * hand_gain * waveform(t) plus seeded Gaussian
+sensor noise, clamped to the 0..20 N range the sensors are characterized for.
 
 Noise is specified in millivolts (it is sensor-front-end noise) and mapped
 into force units through the calibration anchor slope. The PRNG is numpy

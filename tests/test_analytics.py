@@ -44,14 +44,15 @@ RATIONAL_CFG = GloveConfig(conversion_mode=ConversionMode.RATIONAL)
 def test_profile_linear_hits_anchor_points():
     session = mv_session({4: [0, 750, 1500]})
     series = sensor_profile(session, 4)
-    assert series.points == ((0, 0.0), (20, 5.0), (40, 10.0))
+    assert series.timestamps_ms.tolist() == [0, 20, 40]
+    assert series.forces_n.tolist() == [0.0, 5.0, 10.0]
     assert series.sensor == 4 and series.condition == "quiet"
 
 
 def test_profile_rational_mode():
     session = mv_session({4: [750, 1500]})
     series = sensor_profile(session, 4, cfg=RATIONAL_CFG)
-    forces = [f for _, f in series.points]
+    forces = series.forces_n.tolist()
     assert forces[0] == pytest.approx(3.529411764705882, rel=1e-12)
     assert forces[1] == pytest.approx(10.0, rel=1e-12)
 

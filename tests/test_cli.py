@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from gripstream.analytics import anova_from_sessions
@@ -178,6 +179,28 @@ def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, name
     assert not (tmp_path / "x.bin").exists()
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    ("anon_R_quiet_S3.tsv", None, "20\t" + "1" * 1_000_000,
+     ":1: '20\\t" + "1" * 77 + "…' (1000003 characters) is not <timestamp>TAB<value>LF"),
+    ("anon_R_quiet_meta.txt", "frames = 50\n", "frames = 50\ngaps = " + "x" * 100_000 + "\n",
+     ": bad gap entry '" + "x" * 80 + "…' (100000 characters)\n"),
+    ("anon_R_quiet_meta.txt", "hand = R\n", "hand = " + "R" * 100_000 + "\n",
+     ": '" + "R" * 80 + "…' (100000 characters) is not a valid Side\n"),
+    ("anon_R_quiet_meta.txt", "subject = anon\n", "subject = " + "!" * 100_000 + "\n",
+     ": subject '" + "!" * 80 + "…' (100000 characters) is not a label"),
+], ids=["column-line", "gap-entry", "hand", "subject"])
+def test_a_load_error_quotes_at_most_80_characters(tmp_path, capsys, name, old, new, message):
+    out = simulate_dir(tmp_path)
+    path = out / name
+    text = path.read_text(encoding="utf-8")
+    path.write_text(new if old is None else text.replace(old, new), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{message}")
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+
+
 def test_simulate_starts_the_battery_at_the_configured_voltage(tmp_path, capsys):
     config = tmp_path / "glove.cfg"
     save_config(config, GloveConfig(battery_nominal_v=3.7), Calibration())
@@ -239,8 +262,8 @@ def test_record_matches_simulate_for_the_same_stream(tmp_path, capsys):
     assert "50 frames, 600 samples" in err
     (direct,) = load_sessions(sim_out)
     (replayed,) = load_sessions(rec_out)
-    assert replayed.samples == direct.samples
-    assert replayed.battery_trace == direct.battery_trace
+    for column in ("timestamps_ms", "voltages_mv", "battery_mv"):
+        assert np.array_equal(getattr(replayed, column), getattr(direct, column))
     assert replayed.hand == direct.hand
 
 
@@ -616,8 +639,8 @@ def test_serve_takes_two_gloves_at_once(tmp_path):
         want, got = session_from_capture(blob, Side.RIGHT), recorded[side]
         assert got.frame_count == want.frame_count == 100
         assert got.hand == want.hand and got.stem == want.stem
-        assert got.samples == want.samples
-        assert got.battery_trace == want.battery_trace
+        for column in ("timestamps_ms", "voltages_mv", "battery_mv"):
+            assert np.array_equal(getattr(got, column), getattr(want, column))
         assert got.gaps == want.gaps
 
 

@@ -282,6 +282,25 @@ def test_load_config_refuses_a_key_it_does_not_read(tmp_path, line):
         load_config(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x" * 100_000, "line 1: expected 'key = value', got 'xxx"),
+    ("y" * 100_000 + " = 1", "unknown config key 'yyy"),
+    ("supply_voltage_v = " + "9" * 99_999 + "z", "supply_voltage_v: not a number: '999"),
+    ("conversion_mode = " + "x" * 100_000, "unknown conversion_mode 'xxx"),
+    ("sensor_S1 = " + "x" * 100_000, "sensor_S1: expected '<locus>:<diameter_mm>', got 'xxx"),
+    ("sensor_S1 = " + "x" * 100_000 + ":", "sensor_S1: unknown locus 'xxx"),
+    ("sensor_S1 = fingertip_thumb:" + "x" * 100_000, "sensor_S1: bad diameter 'xxx"),
+], ids=["line", "key", "number", "mode", "sensor", "locus", "diameter"])
+def test_config_errors_quote_at_most_80_characters(tmp_path, line, message):
+    path = tmp_path / "glove.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    text = str(caught.value)
+    assert text.startswith(message) and len(text) < 1024
+    assert "…' (100000 characters)" in text
+
+
 def test_load_config_rejects_unknown_mode(tmp_path):
     path = tmp_path / "glove.cfg"
     path.write_text("conversion_mode = parabolic\n", encoding="utf-8")

@@ -1,8 +1,10 @@
 import csv
 import io
+import os
 import random
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,8 +49,9 @@ def test_feed_appends_twelve_samples_per_frame():
     assert builder.frames == 500
     session = builder.session()
     assert session.frame_count == 500
-    assert all(len(session.samples[sid]) == 500 for sid in range(1, 13))
-    assert [ts for ts, _ in session.battery_trace[:3]] == [0, 20, 40]
+    assert session.voltages_mv.shape == (500, 12)
+    assert session.battery_mv.shape == (500,)
+    assert session.timestamps_ms[:3].tolist() == [0, 20, 40]
 
 
 def test_duplicate_frame_dropped_first_wins():
@@ -358,7 +361,7 @@ def test_record_writes_per_sensor_files(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 500
     ts, mv = lines[0].split("\t")
-    assert (int(ts), int(mv)) == session.samples[7][0]
+    assert (int(ts), int(mv)) == (session.timestamps_ms[0], session.voltages_mv[0, 6])
     assert manifest.meta_path.name == "s01_R_hardrock_meta.txt"
 
 
@@ -420,10 +423,10 @@ def test_session_summary_values():
     assert summary.duration_s == pytest.approx(9.98)
     assert summary.gap_count == 1
     assert summary.missing_frames == 3
-    all_mv = [mv for sid in range(1, 13) for _, mv in session.samples[sid]]
+    all_mv = session.voltages_mv.ravel().tolist()
     assert summary.min_voltage_mv == min(all_mv)
     assert summary.max_voltage_mv == max(all_mv)
-    assert summary.battery_final_mv == session.battery_trace[-1][1]
+    assert summary.battery_final_mv == session.battery_mv.tolist()[-1]
 
 
 def test_load_rejects_shuffled_lines(tmp_path):
@@ -709,6 +712,51 @@ def test_failed_rerecord_leaves_no_metadata_behind(tmp_path, monkeypatch):
     # the second session's columns never took the final names: the first loads whole
     assert sorted(tmp_path.iterdir()) == files
     assert load_session(tmp_path) == first
+
+
+# the steps of a re-record that can fail: 13 column files opened for writing, the metadata
+# written, the old metadata removed, then 14 renames
+_RERECORD_STEPS = 13 + 1 + 1 + 14
+
+
+@pytest.mark.parametrize("step", range(_RERECORD_STEPS))
+@settings(max_examples=12, deadline=None)
+@given(frames=st.integers(1, 4), same_count=st.booleans(), seed=st.integers(0, 2**16))
+def test_a_rerecord_is_all_or_nothing_at_every_failure_point(step, frames, same_count, seed):
+    old = build_session(frame_run(random.Random(seed), frames), subject="m")
+    # with as many frames, only the order of the metadata's steps keeps a mix from loading
+    new = build_session(frame_run(random.Random(seed + 1), frames + (not same_count)), subject="m")
+    calls, replaced = 0, []
+
+    def faulty(real, done=None):
+        def call(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == step + 1:
+                raise OSError(f"injected fault at step {step}")
+            result = real(*args, **kwargs)
+            if done is not None:
+                done.append(Path(args[1]))
+            return result
+        return call
+
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        record_session(old, directory)
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(RecordError) as err:
+            mp.setattr(gripstream.ingest, "open", faulty(open), raising=False)
+            mp.setattr(Path, "write_text", faulty(Path.write_text))
+            mp.setattr(Path, "unlink", faulty(Path.unlink))
+            mp.setattr(os, "replace", faulty(os.replace, replaced))
+            record_session(new, directory)
+        assert calls > step, "the fault never fired"
+        assert err.value.completed == replaced
+        assert not list(directory.glob("*.tmp"))
+        try:
+            loaded = load_session(directory / "m_R_quiet_meta.txt")
+        except StructureError:
+            return
+        assert loaded == old or loaded == new
 
 
 def test_export_csv_is_flat_and_ordered(tmp_path):
