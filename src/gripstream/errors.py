@@ -9,7 +9,7 @@ _EXCERPT_CHARS = 80
 
 
 def excerpt(text: str) -> str:
-    """repr(text) for an error message; past 80 characters, the first 80 and the length.
+    """repr(text) for an error message, cut after _EXCERPT_CHARS characters with its length given.
 
     A message that quoted a damaged file's line whole could run to megabytes.
     """
