@@ -16,9 +16,7 @@ import numpy as np
 
 from gripstream.core import Calibration, GloveConfig, Hand, SensorLocus, force_from_voltage
 from gripstream.errors import ConfigError, DomainError, GripstreamError
-from gripstream.ingest import SENSOR_IDS, Session
-
-GROUP_KEYS = ("hand", "sensor", "condition")
+from gripstream.ingest import GROUP_KEYS, SENSOR_IDS, Session
 
 
 class AnalyticsError(GripstreamError):

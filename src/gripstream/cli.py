@@ -1,5 +1,8 @@
 """Command-line front end: simulate | serve | record | analyze | plot | monitor | export.
 
+argparse converts and checks every flag, `_check_flags` the rules that span
+flags, and only then does `main` load `--config` and call the command's
+handler as handler(args, cfg, cal); so a usage error reads no file.
 Exit codes: 0 success, 1 usage error, 2 data or I/O error; a reader that
 closes stdout early, as `| head` does, ends the command quietly with 0.
 Diagnostics go to stderr; data goes to files or stdout. Set
@@ -28,9 +31,11 @@ from gripstream.alerting import (
     format_alert,
     monitor_session,
 )
-from gripstream.core import Calibration, GloveConfig, Side, force_from_voltage, load_config
+from gripstream.core import (SENSOR_COUNT, Calibration, GloveConfig, Side, force_from_voltage,
+                             load_config)
 from gripstream.errors import GripstreamError
 from gripstream.ingest import (
+    GROUP_KEYS,
     SENSOR_IDS,
     SessionBuilder,
     SessionSummary,
@@ -41,7 +46,8 @@ from gripstream.ingest import (
     session_summary,
 )
 from gripstream.pipeline import capture_plan, session_from_capture
-from gripstream.simulate import PRESETS, WAVEFORMS, SessionPlan, condition_gain, get_preset
+from gripstream.simulate import (PRESETS, WAVEFORMS, ProfilePreset, SessionPlan, condition_gain,
+                                 get_preset)
 
 log = logging.getLogger("gripstream")
 
@@ -76,7 +82,7 @@ def _now() -> str:
 
 
 # ---------------------------------------------------------------------------
-# flag parsing helpers (validate everything before touching any file)
+# flag types: argparse calls these, and their CliUsageError passes parse_args unchanged
 
 def _parse_side(text: str) -> Side:
     try:
@@ -101,53 +107,66 @@ def _parse_sensor_list(text: str) -> list[int]:
         except ValueError:
             raise CliUsageError(f"bad sensor id {token!r}; use forms like S2 or 2") from None
         if sid not in SENSOR_IDS:
-            raise CliUsageError(f"sensor id {sid} outside 1..12")
+            raise CliUsageError(f"sensor id {sid} outside 1..{SENSOR_COUNT}")
         if sid in out:
             raise CliUsageError(f"sensor S{sid} listed twice")
         out.append(sid)
     return out
 
 
-def _check_labels(args) -> None:
-    problem = label_problem(args.subject, args.condition)
-    if problem:
-        raise CliUsageError(problem)
+def _group_keys(flag: str, count: str, most: int):
+    """The type of a flag that names 1..most distinct GROUP_KEYS, such as --anova."""
+    def parse(text: str) -> list[str]:
+        keys = [t.strip() for t in text.split(",") if t.strip()]
+        if not 1 <= len(keys) <= most or len(set(keys)) < len(keys) or set(keys) - set(GROUP_KEYS):
+            raise CliUsageError(f"{flag} takes {count} of: {', '.join(GROUP_KEYS)}")
+        return keys
+    return parse
 
 
-def _parse_factors(text: str) -> list[str]:
-    factors = [t.strip() for t in text.split(",") if t.strip()]
-    if not 1 <= len(factors) <= 2:
-        raise CliUsageError("--anova takes one or two of: hand, sensor, condition")
-    return factors
+def _parse_preset(name: str) -> ProfilePreset:
+    try:
+        return get_preset(name)
+    except GripstreamError as exc:
+        raise CliUsageError(str(exc)) from None
 
 
-def _load_setup(args) -> tuple[GloveConfig, Calibration]:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return GloveConfig(), Calibration()
+def _check_flags(args) -> None:
+    """The rules that span flags or ranges; main runs them before reading any file."""
+    if args.command in ("simulate", "serve", "record"):
+        problem = label_problem(args.subject, args.condition)
+        if problem:
+            raise CliUsageError(problem)
+    if args.command in ("serve", "monitor"):
+        try:
+            args.policy = AlertPolicy(threshold_n=args.threshold, hysteresis_n=args.hysteresis,
+                                      debounce=args.debounce, sensor_scope=args.sensors)
+        except GripstreamError as exc:
+            raise CliUsageError(str(exc)) from None
+    if args.command == "simulate" and not args.out and not args.raw:
+        raise CliUsageError("simulate needs --out DIR and/or --raw FILE")
+    if args.command == "serve" and not 1 <= args.sessions <= 2:
+        raise CliUsageError("--sessions must be 1 or 2 (one per glove)")
+    if args.command == "serve" and not 0 <= args.port <= 0xFFFF:
+        raise CliUsageError("--port must be 0..65535 (0 = ephemeral)")
+    if args.command == "plot" and args.units not in ("n", "mv"):
+        raise CliUsageError("--units must be n or mv")
+    if args.command == "analyze":
+        modes = [m for m in ("anova", "shares", "population") if getattr(args, m)]
+        if len(modes) > 1:
+            raise CliUsageError(f"pick one of --anova/--shares/--population, got {modes}")
+        if args.sensors and not args.anova:
+            raise CliUsageError("--sensors restricts the observations of --anova; it needs --anova")
 
 
 def _session_builder(args, cfg: GloveConfig) -> SessionBuilder:
     return SessionBuilder(
         subject=args.subject,
         condition=args.condition,
-        dominant_side=_parse_side(args.dominant),
+        dominant_side=args.dominant,
         started_at=_now(),
         sample_period_ms=cfg.sample_period_ms,
     )
-
-
-def _policy_from_args(args) -> AlertPolicy:
-    scope = frozenset(_parse_sensor_list(args.sensors)) if args.sensors else None
-    try:
-        return AlertPolicy(
-            threshold_n=args.threshold,
-            hysteresis_n=args.hysteresis,
-            debounce=args.debounce,
-            sensor_scope=scope,
-        )
-    except GripstreamError as exc:
-        raise CliUsageError(str(exc)) from None
 
 
 class _StdoutClosed(Exception):
@@ -171,38 +190,28 @@ def _output(args):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_simulate(args) -> int:
-    cfg, cal = _load_setup(args)
-    try:
-        preset = get_preset(args.preset)
-    except GripstreamError as exc:
-        raise CliUsageError(str(exc)) from None
-    sides = _parse_sides(args.hand)
-    dominant = _parse_side(args.dominant)
-    _check_labels(args)
-    if not args.out and not args.raw:
-        raise CliUsageError("simulate needs --out DIR and/or --raw FILE")
-    profile = preset.with_gains(
+def _cmd_simulate(args, cfg: GloveConfig, cal: Calibration) -> int:
+    profile = args.preset.with_gains(
         condition=condition_gain(args.condition),
         noise_sd_mv=args.noise_sd,
     )
     plan = SessionPlan(
-        profiles={side: profile for side in sides},
+        profiles={side: profile for side in args.hand},
         duration_s=args.duration,
         seed=args.seed,
-        dominant=dominant,
+        dominant=args.dominant,
         waveform=args.waveform,
     )
     started = _now()
     for side, blob in capture_plan(plan, cal, cfg).items():
         if args.raw:
             raw_path = Path(args.raw)
-            if len(sides) > 1:
+            if len(args.hand) > 1:
                 raw_path = raw_path.with_name(f"{raw_path.stem}_{side.value}{raw_path.suffix}")
             raw_path.write_bytes(blob)
             log.info("wrote %d raw bytes to %s", len(blob), raw_path)
         if args.out:
-            session = session_from_capture(blob, dominant, args.subject, args.condition,
+            session = session_from_capture(blob, args.dominant, args.subject, args.condition,
                                            started, cfg)
             manifest = record_session(session, args.out)
             print(f"recorded {manifest.meta_path}", file=sys.stderr)
@@ -212,9 +221,9 @@ def _cmd_simulate(args) -> int:
 class _GloveLink:
     """One connection of serve's loop: its builder, monitor, force table and cursor."""
 
-    def __init__(self, conn, args, cfg, cal, policy, deadline: float):
+    def __init__(self, conn, args, cfg, cal, deadline: float):
         self.conn = conn
-        self.cfg, self.cal, self.policy = cfg, cal, policy
+        self.cfg, self.cal, self.policy = cfg, cal, args.policy
         self.builder = _session_builder(args, cfg)
         self.monitor = self.columns = self.table = None
         self.cursor = 0
@@ -267,7 +276,7 @@ class _GloveLink:
         return problem
 
 
-def _cmd_serve(args) -> int:
+def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
     """Ingest, alert on and record up to --sessions gloves' connections.
 
     One thread serves every connection through a selectors loop: it accepts
@@ -280,14 +289,6 @@ def _cmd_serve(args) -> int:
     buffer meanwhile. On Ctrl-C or any other error of the loop, every open connection
     is recorded before the error goes on.
     """
-    cfg, cal = _load_setup(args)
-    policy = _policy_from_args(args)
-    _parse_side(args.dominant)
-    _check_labels(args)
-    if not 1 <= args.sessions <= 2:
-        raise CliUsageError("--sessions must be 1 or 2 (one per glove)")
-    if not 0 <= args.port <= 0xFFFF:
-        raise CliUsageError("--port must be 0..65535 (0 = ephemeral)")
     stall_s = cfg.sample_period_ms  # 1,000 sample periods (20 s at 50 Hz) without a byte
     failures: list[Exception] = []
     stems: set[str] = set()
@@ -318,7 +319,7 @@ def _cmd_serve(args) -> int:
                     if link is None:  # the listening socket
                         conn, addr = server.accept()
                         log.info("connection from %s:%d", *addr)
-                        link = _GloveLink(conn, args, cfg, cal, policy, now + stall_s)
+                        link = _GloveLink(conn, args, cfg, cal, now + stall_s)
                         selector.register(conn, selectors.EVENT_READ, link)
                         links.append(link)
                         waiting -= 1
@@ -347,10 +348,7 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_record(args) -> int:
-    cfg, _ = _load_setup(args)
-    _parse_side(args.dominant)
-    _check_labels(args)
+def _cmd_record(args, cfg: GloveConfig, cal: Calibration) -> int:
     if args.infile == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -381,37 +379,27 @@ def _anova_rows(result) -> list[list]:
     return [row("group", result)]
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, cfg: GloveConfig, cal: Calibration) -> int:
     from gripstream.analytics import anova_from_sessions, contribution_shares, population_average
-
-    cfg, cal = _load_setup(args)
-    modes = [m for m in ("anova", "shares", "population") if getattr(args, m)]
-    if len(modes) > 1:
-        raise CliUsageError(f"pick one of --anova/--shares/--population, got {modes}")
-    factors = _parse_factors(args.anova) if args.anova else None
-    share_ids = _parse_sensor_list(args.shares) if args.shares else None
-    pop_keys = _parse_factors(args.population) if args.population else None
-    obs_sensors = _parse_sensor_list(args.sensors) if args.sensors else None
 
     sessions = load_sessions(args.indir)
     with _output(args) as fh:
         w = csv.writer(fh, lineterminator="\n")
-        if factors:
-            result = anova_from_sessions(sessions, factors, cal, cfg, sensors=obs_sensors)
+        if args.anova:
+            result = anova_from_sessions(sessions, args.anova, cal, cfg, sensors=args.sensors)
             w.writerow(["effect", "f_stat", "df_between", "df_within", "p_value"])
             w.writerows(_anova_rows(result))
-        elif share_ids:
+        elif args.shares:
             w.writerow(["subject", "hand", "condition", "sensor", "share_pct"])
             for s in sessions:
-                shares = contribution_shares(s, share_ids, cal, cfg)
-                for sid in share_ids:
+                shares = contribution_shares(s, args.shares, cal, cfg)
+                for sid in args.shares:
                     w.writerow(
                         [s.subject, s.hand.side.value, s.condition, f"S{sid}", f"{shares[sid]:.4f}"]
                     )
-        elif pop_keys:
-            keys = [k for k in ("hand", "sensor", "condition") if k in pop_keys]
-            averages = population_average(sessions, keys, cal, cfg)
-            w.writerow(keys + ["mean_force_n"])
+        elif args.population:
+            averages = population_average(sessions, args.population, cal, cfg)
+            w.writerow(sorted(args.population, key=GROUP_KEYS.index) + ["mean_force_n"])
             for key, value in averages.items():
                 w.writerow(list(key) + [f"{value:.6g}"])
         else:
@@ -426,18 +414,14 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args, cfg: GloveConfig, cal: Calibration) -> int:
     from gripstream.analytics import sensor_profile
     from gripstream.svgplot import render_profile_svg
 
-    cfg, cal = _load_setup(args)
-    sensor_ids = _parse_sensor_list(args.sensor)
-    if args.units not in ("n", "mv"):
-        raise CliUsageError("--units must be n or mv")
     sessions = load_sessions(args.indir)
     series = []
     for s in sessions:
-        for sid in sensor_ids:
+        for sid in args.sensor:
             label = f"{s.subject} {s.condition} {s.hand.side.value} S{sid}"
             values = (sensor_profile(s, sid, cal, cfg).forces_n if args.units == "n"
                       else s.voltages_mv[:, sid - 1])
@@ -450,22 +434,19 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _cmd_monitor(args) -> int:
-    cfg, cal = _load_setup(args)
-    policy = _policy_from_args(args)
+def _cmd_monitor(args, cfg: GloveConfig, cal: Calibration) -> int:
     sessions = load_sessions(args.indir)
     total = 0
     with _output(args) as fh:
         for session in sessions:
-            for alert in monitor_session(session, policy, cal, cfg):
+            for alert in monitor_session(session, args.policy, cal, cfg):
                 print(format_alert(alert), file=fh)
                 total += 1
     print(f"{total} alert(s) across {len(sessions)} session(s)", file=sys.stderr)
     return 0
 
 
-def _cmd_export(args) -> int:
-    _load_setup(args)  # validates --config even though export stays in millivolts
+def _cmd_export(args, cfg: GloveConfig, cal: Calibration) -> int:
     sessions = load_sessions(args.indir)
     with _output(args) as fh:
         rows = export_csv(sessions, fh)
@@ -480,7 +461,8 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=8.0, help="alert threshold in newtons")
     p.add_argument("--hysteresis", type=float, default=0.5, help="release band in newtons")
     p.add_argument("--debounce", type=int, default=2, help="consecutive samples over threshold")
-    p.add_argument("--sensors", help="comma-separated sensor scope, e.g. S2,S4")
+    p.add_argument("--sensors", type=_parse_sensor_list,
+                   help="comma-separated sensor scope, e.g. S2,S4")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,11 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="synthesize sessions and write recordings/raw captures")
-    p.add_argument("--preset", default="steady",
+    p.add_argument("--preset", type=_parse_preset, default="steady",
                    help=f"force profile preset ({', '.join(sorted(PRESETS))})")
     p.add_argument("--condition", default="quiet", help="condition label (soft, hardrock, ...)")
-    p.add_argument("--hand", default="R", help="L, R, or both")
-    p.add_argument("--dominant", default="R", help="which side is the dominant hand")
+    p.add_argument("--hand", type=_parse_sides, default="R", help="L, R, or both")
+    p.add_argument("--dominant", type=_parse_side, default="R",
+                   help="which side is the dominant hand")
     p.add_argument("--subject", default="anon", help="subject id used in file names")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=10.0, help="task length in seconds")
@@ -516,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=int, default=1, help="connections to accept (1 or 2)")
     p.add_argument("--subject", default="anon")
     p.add_argument("--condition", default="quiet")
-    p.add_argument("--dominant", default="R")
+    p.add_argument("--dominant", type=_parse_side, default="R")
     p.add_argument("--out", help="directory for session files")
     _add_policy_flags(p)
     p.set_defaults(handler=_cmd_serve)
@@ -527,22 +510,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="directory for session files")
     p.add_argument("--subject", default="anon")
     p.add_argument("--condition", default="quiet")
-    p.add_argument("--dominant", default="R")
+    p.add_argument("--dominant", type=_parse_side, default="R")
     p.set_defaults(handler=_cmd_record)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="summaries, contribution shares, population means, ANOVA")
     p.add_argument("--in", dest="indir", required=True, help="directory of recorded sessions")
-    p.add_argument("--anova", help="factor(s): one or two of hand,sensor,condition")
-    p.add_argument("--shares", help="sensor subset for contribution shares, e.g. S2,S3,S4,S5")
-    p.add_argument("--population", help="group keys for population means")
-    p.add_argument("--sensors", help="restrict ANOVA observations to these sensors")
+    p.add_argument("--anova", type=_group_keys("--anova", "one or two", 2),
+                   help="factor(s): one or two of hand,sensor,condition")
+    p.add_argument("--shares", type=_parse_sensor_list,
+                   help="sensor subset for contribution shares, e.g. S2,S3,S4,S5")
+    p.add_argument("--population", type=_group_keys("--population", "one to three", 3),
+                   help="group keys for population means: one to three of hand,sensor,condition")
+    p.add_argument("--sensors", type=_parse_sensor_list,
+                   help="restrict ANOVA observations to these sensors")
     p.add_argument("--out", help="CSV destination (default stdout)")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("plot", parents=[common], help="render profiles as an SVG chart")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--sensor", default="S2,S4", help="sensors to plot")
+    p.add_argument("--sensor", type=_parse_sensor_list, default="S2,S4", help="sensors to plot")
     p.add_argument("--units", default="n", help="n (newtons) or mv (raw millivolts)")
     p.add_argument("--title", default="grip force profiles")
     p.add_argument("--out", help="SVG destination (default stdout)")
@@ -565,9 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        _check_flags(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.usage:
@@ -576,10 +563,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cfg, cal = load_config(args.config) if args.config else (GloveConfig(), Calibration())
+        return args.handler(args, cfg, cal)
     except _StdoutClosed:
         # the Python docs' note on SIGPIPE: send the rest of stdout to devnull
         # so that the flush at interpreter exit cannot fail again

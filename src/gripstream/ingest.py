@@ -21,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from gripstream.core import Dominance, GloveConfig, Hand, Side, parse_kv_text
+from gripstream.core import SENSOR_COUNT, Dominance, GloveConfig, Hand, Side, parse_kv_text
 from gripstream.errors import GripstreamError, excerpt
 from gripstream.protocol import (BLOCK_MIN_BYTES, BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT,
                                  GLOVE_BYTE, SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets)
 
-SENSOR_IDS = tuple(range(1, 13))
+SENSOR_IDS = tuple(range(1, SENSOR_COUNT + 1))
 _SENSOR_LABELS = tuple(f"S{sid}" for sid in SENSOR_IDS)
+GROUP_KEYS = ("hand", "sensor", "condition")  # what analytics can group a study's sessions by
 
 _SEQ_MOD = 0x10000
 _AT_BYTE = operator.attrgetter("at_byte_offset")
@@ -36,6 +37,8 @@ _VALUE_MAX = np.iinfo(np.uint16).max
 _TAB_LF = np.frombuffer(b"\t\n", "<u2")[0]  # a whole line's two separators read as one number
 # subject and condition name the session's files, so they stay inside one file name
 _LABEL = re.compile(r"\w[\w.-]*")
+_NAME_MAX_BYTES = 255  # the longest file name ext4, XFS, btrfs and APFS take
+_TEMP = ".tmp"  # a recording's files are written under their name plus this first
 _DIGITS = re.compile(r"[0-9]+")  # str.isdigit and int() take other scripts' digits too
 
 
@@ -69,6 +72,12 @@ def label_problem(subject: str, condition: str) -> str | None:
         if not _LABEL.fullmatch(label):
             return (f"{what} {excerpt(label)} is not a label: a letter, digit or underscore, "
                     f"then letters, digits, underscores, dots or dashes")
+    # L and R take one byte each; the metadata's name is shorter than the columns'
+    size = max(len(path.name.encode()) + len(_TEMP)
+               for path in _column_paths(Path(), f"{subject}_L_{condition}"))
+    if size > _NAME_MAX_BYTES:
+        return (f"subject {excerpt(subject)} and condition {excerpt(condition)} make a "
+                f"{size}-byte file name; a file name takes at most {_NAME_MAX_BYTES} bytes")
     return None
 
 
@@ -258,7 +267,7 @@ class SessionBuilder:
         self._base += len(buf) - len(remainder)
         self._tail = remainder
         self.events.extend(events)
-        return 12 * (len(self._records) - before) // FRAME_SIZE, events
+        return SENSOR_COUNT * (len(self._records) - before) // FRAME_SIZE, events
 
     def _accept_block(self, offsets: list[int], records: bytes) -> list[StreamEvent]:
         """Append at once the locked glove's records whose timestamps pass every earlier one.
@@ -375,7 +384,7 @@ def record_session(session: Session, directory) -> Manifest:
     directory = Path(directory)
     meta_path = directory / f"{session.stem}_meta.txt"
     paths = [*_column_paths(directory, session.stem), meta_path]
-    temps = [path.with_name(path.name + ".tmp") for path in paths]  # outside the *_meta.txt glob
+    temps = [path.with_name(path.name + _TEMP) for path in paths]  # outside the *_meta.txt glob
     columns = np.column_stack([session.voltages_mv, session.battery_mv])
     # every line is its timestamp's text plus its value's: format each distinct text once
     stamps = [f"{ts}\t" for ts in session.timestamps_ms.tolist()]

@@ -19,7 +19,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from gripstream.core import Calibration, GloveConfig, Side, require_finite, voltage_from_force
+from gripstream.core import (SENSOR_COUNT, Calibration, GloveConfig, Side, require_finite,
+                             voltage_from_force)
 from gripstream.errors import ConfigError
 from gripstream.protocol import BATTERY_LIMIT_MV, FRAME_DTYPE, encode_records
 
@@ -61,8 +62,9 @@ class ProfilePreset:
 
     def __post_init__(self):
         object.__setattr__(self, "base_force_n", tuple(float(f) for f in self.base_force_n))
-        if len(self.base_force_n) != 12:
-            raise ConfigError(f"preset needs 12 base forces, got {len(self.base_force_n)}")
+        if len(self.base_force_n) != SENSOR_COUNT:
+            raise ConfigError(
+                f"preset needs {SENSOR_COUNT} base forces, got {len(self.base_force_n)}")
         require_finite(self)
         for f in self.base_force_n:
             if not 0.0 <= f <= FORCE_CEILING_N:
@@ -92,7 +94,7 @@ class ProfilePreset:
 
 
 def _bases(per_sensor: dict[int, float], default: float) -> tuple[float, ...]:
-    return tuple(per_sensor.get(sid, default) for sid in range(1, 13))
+    return tuple(per_sensor.get(sid, default) for sid in range(1, SENSOR_COUNT + 1))
 
 
 def contribution_preset(name: str, shares: dict[str, float]) -> ProfilePreset:
@@ -216,8 +218,8 @@ def synthesize_session(
         forces = np.asarray(profile.base_force_n)[:, None] * gain * envelope[None, :]
         if profile.noise_sd_mv > 0:
             sd_n = profile.noise_sd_mv * cal.anchor_force_n / cal.anchor_voltage_mv
-            children = np.random.SeedSequence([plan.seed, glove_index]).spawn(12)
-            for s in range(12):
+            children = np.random.SeedSequence([plan.seed, glove_index]).spawn(SENSOR_COUNT)
+            for s in range(SENSOR_COUNT):
                 forces[s] += np.random.default_rng(children[s]).normal(0.0, sd_n, n)
         np.clip(forces, 0.0, FORCE_CEILING_N, out=forces)
         out[side] = forces
@@ -243,8 +245,8 @@ def emit_frames(
         raise ConfigError(f"battery_nominal_v {cfg.battery_nominal_v:g} V is outside "
                           f"(0, {BATTERY_LIMIT_MV / 1000:g}] V, the battery field's range")
     traj = np.asarray(trajectories, dtype=float)
-    if traj.ndim != 2 or traj.shape[0] != 12:
-        raise ConfigError(f"trajectories must be shaped (12, n), got {traj.shape}")
+    if traj.ndim != 2 or traj.shape[0] != SENSOR_COUNT:
+        raise ConfigError(f"trajectories must be shaped ({SENSOR_COUNT}, n), got {traj.shape}")
     volts = np.rint(voltage_from_force(traj, cal, cfg)).T
     k = np.arange(len(volts))
     # np.rint rounds half to even, as round() does

@@ -94,6 +94,16 @@ def test_flag_validation_precedes_data_access(tmp_path, capsys):
     assert main(["serve", "--port", "65536"]) == 1
     assert main(["serve", "--port", "-1"]) == 1
     capsys.readouterr()
+    # each of these used to read --in (and --config) first and exit 2, or run on with a flag
+    # dropped; the first word of each message names the flag at fault
+    absent_config = str(tmp_path / "absent.cfg")
+    for flags in ["--anova subject", "--anova hand,hand", "--population hand,conditon",
+                  "--population hand,hand", "--population hand,sensor,condition,hand",
+                  "--shares S2,S3 --sensors S1", "--population hand --sensors S1"]:
+        argv = ["analyze", "--in", missing, "--config", absent_config, *flags.split()]
+        assert main(argv) == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags.split()[-2]} "), (flags, err)
 
 
 def test_missing_inputs_are_data_errors(tmp_path, capsys):
@@ -155,6 +165,35 @@ def test_labels_that_cannot_name_files_are_usage_errors(tmp_path, capsys, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
 
 
+# the longest name a recording writes: <subject>_<L|R>_<condition>_battery.tsv.tmp
+LONGEST_SUFFIX_BYTES = len("_R_quiet_battery.tsv.tmp")
+# with condition quiet, the longest name is exactly 255 bytes; each é takes two of them
+SUBJECT_AT_LIMIT = "é" * 100 + "a" * (255 - LONGEST_SUFFIX_BYTES - 200)
+
+
+def test_a_label_pair_that_names_255_bytes_records_and_loads(tmp_path, capsys):
+    out = simulate_dir(tmp_path, subject=SUBJECT_AT_LIMIT)
+    (session,) = load_sessions(out)
+    assert session.subject == SUBJECT_AT_LIMIT
+    assert max(len(p.name.encode()) for p in out.iterdir()) == 255 - len(".tmp")
+
+
+@pytest.mark.parametrize("command", ["simulate --raw x.bin", "record --in x.bin", "serve"])
+def test_a_label_pair_one_byte_too_long_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                         command):
+    def no_bind(*args, **kwargs):
+        raise AssertionError("serve bound a port before checking its labels")
+
+    monkeypatch.setattr(socket, "create_server", no_bind)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.bin").write_bytes(high_force_blob(duration_s=0.1))
+    argv = [*command.split(), "--subject", SUBJECT_AT_LIMIT + "a", "--out", "rec/"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "make a 256-byte file name; a file name takes at most 255 bytes" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.bin"]
+
+
 def test_unknown_config_key_is_a_data_error(tmp_path, capsys):
     config = tmp_path / "glove.cfg"
     config.write_text("sample_perod_ms = 10\n", encoding="utf-8")
@@ -188,7 +227,10 @@ def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, name
      ": '" + "R" * 80 + "…' (100000 characters) is not a valid Side\n"),
     ("anon_R_quiet_meta.txt", "subject = anon\n", "subject = " + "!" * 100_000 + "\n",
      ": subject '" + "!" * 80 + "…' (100000 characters) is not a label"),
-], ids=["column-line", "gap-entry", "hand", "subject"])
+    ("anon_R_quiet_meta.txt", "subject = anon\n", "subject = " + "a" * 100_000 + "\n",
+     ": subject '" + "a" * 80 + "…' (100000 characters) and condition 'quiet' make a "
+     "100024-byte file name"),
+], ids=["column-line", "gap-entry", "hand", "subject", "subject-length"])
 def test_a_load_error_quotes_at_most_80_characters(tmp_path, capsys, name, old, new, message):
     out = simulate_dir(tmp_path)
     path = out / name
@@ -365,6 +407,11 @@ def test_analyze_population_table(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "condition,mean_force_n"
     assert sorted(line.split(",")[0] for line in lines[1:]) == ["hardrock", "quiet"]
+    # all three keys, given in any order, group in hand, sensor, condition order
+    assert main(["analyze", "--in", str(out), "--population", "condition,sensor,hand"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "hand,sensor,condition,mean_force_n"
+    assert len(lines) == 1 + 12 * 2  # one dominant hand, 12 sensors, two conditions
 
 
 def test_export_writes_flat_csv(tmp_path, capsys):
