@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Microbenchmark of the codec kernel, one layer of the pipeline.
 
-Five workloads, each timed best of --repeats:
+Six workloads, each timed best of --repeats:
 
   scan/clean    frame scanning over a well-formed stream, in one call
   scan/dirty    frame scanning over a stream salted with garbage and bit rot,
@@ -10,13 +10,14 @@ Five workloads, each timed best of --repeats:
   feed/whole    SessionBuilder.feed of the salted stream in one call, with
                 another glove's frame, a replay and a stale frame spliced in,
                 as `gripstream record` feeds a capture
-  load          load_session of the clean stream's session, recorded to a
-                temporary directory: 13 column files read back
+  record        record_session of the clean stream's session into a fresh
+                directory: 13 column files and the metadata written
+  load          load_session of that recording: 13 column files read back
 
 A whole stream is scanned and accepted as numpy columns and a 36-byte chunk
 a frame at a time (protocol.BLOCK_MIN_BYTES), so scan and the two feeds time
-both paths. load reads the column files that recording writes, which the
-one-pass digit conversion accepts.
+both paths. record formats its column files as numpy word matrices, and load
+reads them back with the one-pass digit conversion.
 
 Run after installing the package:  python3 benchmarks/bench_codec.py
 End-to-end numbers come from perfbench/run.py.
@@ -115,6 +116,8 @@ def main() -> int:
     whole_s = best_time(lambda: feed_whole(spliced), args.repeats)
     session = feed_whole(clean).session()
     with tempfile.TemporaryDirectory() as study:
+        record_s = best_time(lambda: record_session(session, tempfile.mkdtemp(dir=study)),
+                             args.repeats)
         record_session(session, study)
         load_s = best_time(lambda: load_session(study), args.repeats)
         assert load_session(study) == session, "the recording did not load back"
@@ -131,6 +134,8 @@ def main() -> int:
           f"({len(dirty) / 2**20 / chunked_s:.2f} MB/s in {FRAME_SIZE}-byte chunks)")
     print(f"feed/whole {accepted / 1e3 / whole_s:.1f} kframes/s "
           f"({len(spliced) / 2**20 / whole_s:.2f} MB/s in one call)")
+    print(f"record {record_s / args.frames * 1e6:.2f} us/frame "
+          f"({args.frames / 1e3 / record_s:.1f} kframes/s to 13 column files)")
     print(f"load {load_s / args.frames * 1e6:.2f} us/frame "
           f"({args.frames / 1e3 / load_s:.1f} kframes/s from 13 column files)")
     return 0

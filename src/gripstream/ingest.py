@@ -113,9 +113,10 @@ class _SensorPairs(Mapping):
 class Session:
     """One glove's recording: metadata plus one row per decoded frame.
 
-    timestamps_ms (int64, (n,)) strictly increases; voltages_mv (uint16,
-    (n, 12)) holds S1..S12 and battery_mv (uint16, (n,)) the battery at
-    those times; gaps keeps the sequence gap events seen during ingestion.
+    timestamps_ms (int64, (n,)) strictly increases from 0 or more;
+    voltages_mv (uint16, (n, 12)) holds S1..S12 and battery_mv (uint16,
+    (n,)) the battery at those times; gaps keeps the sequence gap events
+    seen during ingestion.
     samples and battery_trace give the same data as (timestamp_ms, value) pairs;
     they remain only for the benchmark's reference (perfbench/reference.py).
     subject and condition name the recorded files, so label_problem must pass them.
@@ -144,6 +145,8 @@ class Session:
         stalls = np.flatnonzero(np.diff(self.timestamps_ms) <= 0)
         if stalls.size:
             raise IngestError(f"timestamps not strictly increasing at index {stalls[0] + 1}")
+        if n and self.timestamps_ms[0] < 0:
+            raise IngestError(f"timestamps start at {self.timestamps_ms[0]}, below 0")
         for ev in self.gaps:
             if ev.kind is not EventKind.SEQUENCE_GAP:
                 raise IngestError(f"gaps may only hold sequence-gap events, got {ev.kind}")
@@ -366,34 +369,60 @@ def _column_paths(directory: Path, stem: str) -> list[Path]:
     return [directory / f"{stem}_{suffix}.tsv" for suffix in [*_SENSOR_LABELS, "battery"]]
 
 
-def _write_tsv(path: Path, stamps: list[str], values) -> None:
-    """Write one line per stamp: the stamp's text, then its value's text."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(map(operator.add, stamps, values)))
+def _ascii_words(values, sep: bytes) -> np.ndarray:
+    """Each non-negative integer's ASCII digits then sep, as a row of 8-byte words.
+
+    Returns an (n, w) uint64 array, w the fewest words that hold the
+    largest number's digits and sep. The text is right-aligned: the bytes
+    before a number's first digit are 0, so a line's text is its row's
+    bytes without the zeros. The words are only moved, never computed on,
+    so byte order does not matter.
+    """
+    rest = np.asarray(values).astype(np.uint64)
+    digits = len(str(int(rest.max(initial=0))))
+    end = -(-(digits + len(sep)) // 8) * 8 - len(sep)  # the byte after the last digit
+    text = np.zeros((rest.size, end + len(sep)), np.uint8)
+    text[:, end:] = np.frombuffer(sep, np.uint8)
+    text[:, end - 1] = rest % 10 + ord("0")  # 0 is the one number whose first digit is 0
+    for at in range(end - 2, end - 1 - digits, -1):
+        rest //= 10
+        text[:, at] = np.where(rest, rest % 10 + ord("0"), 0)
+    return text.view(np.uint64)
+
+
+def _write_tsv(path: Path, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def record_session(session: Session, directory) -> Manifest:
     """Write one TSV per sensor, a battery trace, and a metadata file.
 
     Files are named <subject>_<hand>_<condition>_S<k>.tsv with lines
-    "timestamp_ms<TAB>voltage_mv". All 14 are written under temporary
-    names first; then the old metadata is removed, the columns take their
-    final names and the metadata comes last, so its presence marks a complete
-    recording. A failure while writing leaves an earlier recording whole.
+    "timestamp_ms<TAB>voltage_mv". A file's lines are the rows of one
+    uint64 word matrix (_ascii_words): the session's timestamp words, shared
+    by all 13 files, then the column's value words, gathered from a table
+    of every value up to the largest. All 14 files are written under
+    temporary names first; then the old metadata is removed, the columns
+    take their final names and the metadata comes last, so its presence
+    marks a complete recording. A failure while writing leaves an earlier
+    recording whole.
     """
     directory = Path(directory)
     meta_path = directory / f"{session.stem}_meta.txt"
     paths = [*_column_paths(directory, session.stem), meta_path]
     temps = [path.with_name(path.name + _TEMP) for path in paths]  # outside the *_meta.txt glob
-    columns = np.column_stack([session.voltages_mv, session.battery_mv])
-    # every line is its timestamp's text plus its value's: format each distinct text once
-    stamps = [f"{ts}\t" for ts in session.timestamps_ms.tolist()]
-    texts = [f"{value}\n" for value in range(int(columns.max(initial=0)) + 1)]
+    columns = np.vstack([session.voltages_mv.T, session.battery_mv])
+    stamps = _ascii_words(session.timestamps_ms, b"\t")
+    table = _ascii_words(np.arange(int(columns.max(initial=0)) + 1), b"\n")
+    rows = np.empty((session.frame_count, stamps.shape[1] + table.shape[1]), np.uint64)
+    rows[:, :stamps.shape[1]] = stamps
     completed: list[Path] = []
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        for k, temp in enumerate(temps[:-1]):
-            _write_tsv(temp, stamps, map(texts.__getitem__, columns[:, k].tolist()))
+        for column, temp in zip(columns, temps[:-1]):
+            rows[:, stamps.shape[1]:] = table[column]
+            _write_tsv(temp, rows.tobytes().translate(None, b"\0"))
         lines = [
             f"subject = {session.subject}",
             f"hand = {session.hand.side.value}",
@@ -619,19 +648,13 @@ def session_summary(session: Session) -> SessionSummary:
 
 
 CSV_HEADER = ("timestamp_ms", "glove", "sensor", "voltage_mv")
+_GLOVE_LETTERS = sorted(side.value for side in Side)  # glove codes sort as their letters do
+# the "<glove>,S<k>," between an export line's timestamp and voltage, one 8-byte word each
+_CSV_LABELS = np.frombuffer(b"".join(f"{glove},{label},".encode().rjust(8, b"\0")
+                                     for glove in _GLOVE_LETTERS for label in _SENSOR_LABELS),
+                            np.uint64).reshape(len(_GLOVE_LETTERS), SENSOR_COUNT)
+_EXPORT_SLICE = 4096  # frames an export formats at a time, rounded up to a whole group
 _WRITE_PIECE = 1 << 16  # characters per write of an export
-
-
-def _csv_group_template(size: int) -> str:
-    """CSV lines of one (timestamp, glove) group of `size` frames, as a str.format template.
-
-    Field 0 is the timestamp, 1 the glove, then the group's voltages frame
-    by frame, as its rows of voltages_mv lie; lines go sensor by sensor,
-    frame by frame within a sensor.
-    """
-    width = len(SENSOR_IDS)
-    return "".join(f"{{0}},{{1}},{label},{{{2 + j * width + k}}}\r\n"
-                   for k, label in enumerate(_SENSOR_LABELS) for j in range(size))
 
 
 def export_csv(sessions, dest) -> int:
@@ -639,35 +662,51 @@ def export_csv(sessions, dest) -> int:
 
     Rows are ordered by timestamp, then glove, then sensor; rows that tie
     on all three keep the order of `sessions`. The frames sharing a
-    (timestamp, glove) form a group whose rows one template per group size
-    formats in one call; the file is joined whole, then written in 64 KiB pieces.
+    (timestamp, glove) form a group: of a group of s frames starting at
+    sorted frame a, frame i puts S(k+1) on line 12·a + k·s + (i − a).
+    Each line is a row of uint64 words (_ascii_words): the timestamp, the
+    glove and sensor from a table of 24, and the voltage from a table of
+    every value up to the largest. The study is formatted in slices of
+    whole groups of about _EXPORT_SLICE frames, so the word matrix stays
+    small, and each slice is written in pieces of at most 64 KiB.
     """
     sessions = list(sessions)
     width = len(SENSOR_IDS)
     ts = np.concatenate([np.empty(0, np.int64), *(s.timestamps_ms for s in sessions)])
-    glove = np.repeat([s.hand.side.value for s in sessions], [s.frame_count for s in sessions])
+    glove = np.repeat([_GLOVE_LETTERS.index(s.hand.side.value) for s in sessions],
+                      [s.frame_count for s in sessions])
     mv = np.concatenate([np.empty((0, width), np.uint16), *(s.voltages_mv for s in sessions)])
     order = np.lexsort((glove, ts))  # stable: ties keep session order
-    ts, glove = ts[order], glove[order]
+    ts, glove, mv = ts[order], glove[order], mv[order]
     first = np.ones(len(ts), bool)
     first[1:] = (ts[1:] != ts[:-1]) | (glove[1:] != glove[:-1])
-    starts = np.flatnonzero(first)
-    values = mv[order].ravel().tolist()
-    templates: dict[int, str] = {}
-    parts = [",".join(CSV_HEADER) + "\r\n"]
-    for a, b, stamp, side in zip(starts.tolist(), [*starts[1:].tolist(), len(ts)],
-                                 ts[starts].tolist(), glove[starts].tolist()):
-        template = templates.get(b - a) or templates.setdefault(b - a, _csv_group_template(b - a))
-        parts.append(template.format(stamp, side, *values[width * a:width * b]))
-    text = "".join(parts)
+    bounds = np.append(np.flatnonzero(first), len(ts))
+    group = np.cumsum(first) - 1
+    size = np.diff(bounds)[group]
+    s1_line = (width - 1) * bounds[group] + np.arange(len(ts))  # 12·a + (i − a)
+    # each slice ends at the first group to start at or after a multiple of _EXPORT_SLICE
+    cuts = np.unique(np.append(
+        bounds[np.searchsorted(bounds, np.arange(0, len(ts), _EXPORT_SLICE))], len(ts)))
+    values = _ascii_words(np.arange(int(mv.max(initial=0)) + 1), b"\r\n")
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
-        # in pieces: a text stream drops the unwritten rest of a partial write to a pipe
-        # whose reader left, without raising; the next piece raises BrokenPipeError
-        for at in range(0, len(text), _WRITE_PIECE):
-            fh.write(text[at:at + _WRITE_PIECE])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            stamps = _ascii_words(ts[lo:hi], b",")
+            words = np.empty((hi - lo, width, stamps.shape[1] + 1 + values.shape[1]), np.uint64)
+            words[:, :, :stamps.shape[1]] = stamps[:, None]
+            words[:, :, stamps.shape[1]] = _CSV_LABELS[glove[lo:hi]]
+            words[:, :, stamps.shape[1] + 1:] = values[mv[lo:hi]]
+            line = s1_line[lo:hi, None] + np.arange(width) * size[lo:hi, None] - width * lo
+            lines = np.empty_like(words).reshape(-1, words.shape[2])
+            lines[line.ravel()] = words.reshape(-1, words.shape[2])
+            text = lines.tobytes().translate(None, b"\0").decode("ascii")
+            # in pieces: a text stream drops the unwritten rest of a partial write to a pipe
+            # whose reader left, without raising; the next piece raises BrokenPipeError
+            for at in range(0, len(text), _WRITE_PIECE):
+                fh.write(text[at:at + _WRITE_PIECE])
     finally:
         if own:
             fh.close()
-    return len(values)
+    return width * len(ts)

@@ -79,6 +79,12 @@ def reference_scan(buf: bytes) -> tuple[list[tuple[int, Frame]], list[StreamEven
     return frames, events, b""
 
 
+def reference_tsv_text(timestamps, values) -> str:
+    """One recorded column file's text, a line at a time, the oracle for record_session."""
+    return "".join(f"{t}\t{v}\n" for t, v in zip(np.asarray(timestamps).tolist(),
+                                                  np.asarray(values).tolist()))
+
+
 _DIGITS = re.compile(rb"[0-9]+")
 
 

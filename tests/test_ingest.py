@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gripstream.ingest
@@ -36,6 +36,7 @@ from helpers import (
     random_frame,
     reference_export_csv,
     reference_read_tsv,
+    reference_tsv_text,
     wire,
 )
 
@@ -345,6 +346,8 @@ def test_session_invariants_enforced():
     with pytest.raises(IngestError):
         columns(timestamps=[0, 20, 40, 40, 60])  # not strictly increasing
     with pytest.raises(IngestError):
+        columns(timestamps=[-20, 0, 20, 40, 60])  # would record a line load refuses
+    with pytest.raises(IngestError):
         columns(gaps=[StreamEvent(EventKind.SYNC_LOSS, 0)])
 
 
@@ -629,6 +632,44 @@ def test_loading_a_recording_takes_the_one_pass(tmp_path, session):
     assert load_session(tmp_path) == session
 
 
+# 0, 9, 10, 99, 100, ... : both sides of every change of digit count
+_TIMESTAMP_EDGES = sorted({0, _INT64_MAX, *(10**k + d for k in range(1, 19) for d in (-1, 0))})
+_VALUE_EDGES = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 0xFFFF]
+
+
+def _tsv_session(timestamps, rows) -> Session:
+    """A session whose sensor and battery columns are the 13 columns of rows."""
+    rows = np.asarray(rows, np.uint16).reshape(len(timestamps), 13)
+    return Session("t", Hand(Side.RIGHT, Dominance.DOMINANT), "quiet", "", timestamps,
+                   rows[:, :12], rows[:, 12])
+
+
+@st.composite
+def tsv_sessions(draw):
+    """Sessions of 0-20 frames whose timestamps and values favour digit-count edges."""
+    stamps = draw(st.sets(st.sampled_from(_TIMESTAMP_EDGES) | st.integers(0, _INT64_MAX),
+                          max_size=20))
+    rows = draw(st.lists(st.lists(st.sampled_from(_VALUE_EDGES) | st.integers(0, 0xFFFF),
+                                  min_size=13, max_size=13),
+                         min_size=len(stamps), max_size=len(stamps)))
+    return _tsv_session(sorted(stamps), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tsv_sessions())
+@example(_tsv_session([], []))
+@example(_tsv_session([_INT64_MAX], [[0xFFFF] * 13]))
+@example(_tsv_session([0], [[0] * 13]))
+@example(_tsv_session(_TIMESTAMP_EDGES,
+                      np.resize(_VALUE_EDGES, 13 * len(_TIMESTAMP_EDGES))))
+def test_recorded_files_match_the_line_by_line_writer(session):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = record_session(session, tmp)
+        paths = [*manifest.sensor_paths.values(), manifest.battery_path]
+        for path, column in zip(paths, [*session.voltages_mv.T, session.battery_mv]):
+            assert path.read_bytes() == reference_tsv_text(session.timestamps_ms, column).encode()
+
+
 def test_load_rejects_missing_sensor_file(tmp_path):
     session = build_session(frame_run(random.Random(56), 5), subject="m")
     record_session(session, tmp_path)
@@ -815,6 +856,35 @@ def test_export_csv_matches_the_row_by_row_writer(sessions):
         assert export_csv(iter(sessions), path) == rows
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == want.getvalue()
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(sessions=export_studies())
+def test_export_slices_cut_only_between_groups(frames, sessions):
+    want = io.StringIO()
+    rows = reference_export_csv(sessions, want)
+    got = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gripstream.ingest, "_EXPORT_SLICE", frames)
+        assert export_csv(sessions, got) == rows
+    assert got.getvalue() == want.getvalue()
+
+
+def test_an_export_slice_takes_the_whole_group_it_reaches_into():
+    # three sessions of one glove on one clock: groups of 3 frames, so the first slice
+    # ends at frame 4,098, past its nominal size
+    assert gripstream.ingest._EXPORT_SLICE % 3
+    rng = np.random.default_rng(62)
+    sessions = [Session(f"p{k}", Hand(Side.LEFT, Dominance.DOMINANT), "quiet", "",
+                        20 * np.arange(5000), rng.integers(0, 3300, (5000, 12)), np.zeros(5000))
+                for k in range(3)]
+    want, got = io.StringIO(), io.StringIO()
+    assert export_csv(sessions, got) == reference_export_csv(sessions, want) == 3 * 5000 * 12
+    # the first differing line, not a diff of 180,000 lines, which takes pytest minutes
+    differ = [(k, a, b) for k, (a, b) in enumerate(zip(got.getvalue().splitlines(),
+                                                       want.getvalue().splitlines())) if a != b]
+    assert differ[:1] == [] and len(got.getvalue()) == len(want.getvalue())
 
 
 # ---------------------------------------------------------------------------
