@@ -61,6 +61,11 @@ class AlertPolicy:
         return self.sensor_scope is None or sensor in self.sensor_scope
 
     @property
+    def watched(self) -> tuple[int, ...]:
+        """The sensors this policy watches, in SENSOR_IDS order."""
+        return tuple(sid for sid in SENSOR_IDS if self.watches(sid))
+
+    @property
     def clear_level_n(self) -> float:
         return self.threshold_n - self.hysteresis_n
 
@@ -99,7 +104,7 @@ class GripMonitor:
         self.policy = policy or AlertPolicy()
         self.glove = glove
         self.alerts: list[AlertEvent] = []
-        self.watched = tuple(sid for sid in SENSOR_IDS if self.policy.watches(sid))
+        self.watched = self.policy.watched
         self._states = [_SensorState() for _ in self.watched]
         self._last_ts: int | None = None
 
@@ -170,7 +175,7 @@ def monitor_session(
     Events still open at the end of the session keep cleared=None.
     """
     policy = policy or AlertPolicy()
-    watched = [sid for sid in SENSOR_IDS if policy.watches(sid)]
+    watched = policy.watched
     ts = session.timestamps_ms.tolist()
     if not ts:
         return []

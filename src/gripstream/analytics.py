@@ -8,7 +8,6 @@ depend on an external stats stack.
 """
 
 import math
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,12 +130,7 @@ def population_average(
     no matter how many samples it holds. Hand groups use dominance, which is
     what population comparisons care about.
     """
-    keys = list(group_by)
-    unknown = [k for k in keys if k not in GROUP_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown group keys {unknown}; valid: {GROUP_KEYS}")
-    if len(set(keys)) != len(keys):
-        raise ConfigError("duplicate group keys")
+    keys = _checked_keys(group_by, "group keys")
     if not keys:
         return {}
     keys = [k for k in GROUP_KEYS if k in keys]
@@ -144,24 +138,29 @@ def population_average(
     return {key: math.fsum(vals) / len(vals) for key, vals in groups.items()}
 
 
+def _checked_keys(keys, what: str) -> list[str]:
+    """keys as a list; ConfigError names `what` when one is not in GROUP_KEYS or repeats."""
+    keys = list(keys)
+    unknown = [k for k in keys if k not in GROUP_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown}; valid: {GROUP_KEYS}")
+    if len(set(keys)) != len(keys):
+        raise ConfigError(f"duplicate {what}")
+    return keys
+
+
 def _observation_groups(sessions, sensors, keys, cal, cfg) -> dict[tuple[str, ...], list[float]]:
-    """Per-(session, sensor) mean forces, the observation unit, grouped by `keys` labels."""
-    groups: dict[tuple[str, ...], list[float]] = {}
+    """Per-(session, sensor) mean forces, the observation unit, grouped by `keys` in value order."""
+    groups: dict[tuple, list[float]] = {}
     for s in sessions:
-        labels = {"hand": s.hand.dominance.value, "condition": s.condition}
+        values = {"hand": s.hand.dominance.value, "condition": s.condition}
         for sid in sensors:
-            labels["sensor"] = f"S{sid}"
-            key = tuple(labels[k] for k in keys)
+            values["sensor"] = sid
+            key = tuple(values[k] for k in keys)
             groups.setdefault(key, []).append(session_mean_force(s, sid, cal, cfg))
-    return dict(sorted(groups.items(), key=lambda kv: _group_sort_key(kv[0])))
-
-
-def _group_sort_key(key: tuple[str, ...]) -> tuple:
-    out = []
-    for part in key:
-        m = re.fullmatch(r"S(\d+)", part)
-        out.append(f"S{int(m.group(1)):02d}" if m else part)
-    return tuple(out)
+    # sorted while a sensor is still its int id, so S2 comes before S10; conditions sort as text
+    return {tuple(f"S{v}" if k == "sensor" else v for k, v in zip(keys, key)): groups[key]
+            for key in sorted(groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,34 +361,12 @@ def _effect_result(ss_eff: float, df_eff: int, ss_err: float, df_err: int,
 def anova_twoway(table, factor_a: str = "A", factor_b: str = "B") -> TwoWayAnova:
     """Balanced two-way ANOVA with interaction.
 
-    `table` is either a nested mapping {a_level: {b_level: observations}}
-    or an array shaped (levels_a, levels_b, replicates). Every cell must
-    hold the same number (>= 2) of observations.
+    `table` is an array shaped (levels_a, levels_b, replicates): every cell
+    holds the same number (>= 2) of observations.
     """
-    if isinstance(table, dict):
-        # the one form that can be ragged: check each row's levels and cells as it is built
-        first = next(iter(table.values()), {})
-        b_levels = list(first)
-        reps = len(first[b_levels[0]]) if b_levels else 0
-        rows = []
-        for a, cells in table.items():
-            levels = list(cells)
-            if set(levels) != set(b_levels):
-                raise UnbalancedDesignError(
-                    f"factor-B levels differ across A={a!r}: {levels} vs {b_levels}"
-                )
-            row = [[float(v) for v in cells[b]] for b in b_levels]
-            for b, cell in zip(b_levels, row):
-                if len(cell) != reps:
-                    raise UnbalancedDesignError(
-                        f"cell ({a!r}, {b!r}) has {len(cell)} observations, expected {reps}"
-                    )
-            rows.append(row)
-        y = np.array(rows, dtype=float).reshape(len(rows), len(b_levels), reps)
-    else:
-        y = np.asarray(table, dtype=float)
-        if y.ndim != 3:
-            raise UnbalancedDesignError(f"array table must be 3-d, got shape {y.shape}")
+    y = np.asarray(table, dtype=float)
+    if y.ndim != 3:
+        raise UnbalancedDesignError(f"array table must be 3-d, got shape {y.shape}")
     n_a, n_b, reps = y.shape  # (I, J, K)
     if n_a < 2 or n_b < 2:
         raise InsufficientDataError("both factors need at least 2 levels")
@@ -437,24 +414,24 @@ def anova_from_sessions(
     balanced two-way analysis. The observation unit is one session's mean
     force at one sensor (restricted to `sensors` when given).
     """
-    factors = list(factors)
-    unknown = [f for f in factors if f not in GROUP_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown factors {unknown}; valid: {GROUP_KEYS}")
+    factors = _checked_keys(factors, "factors")
     if not 1 <= len(factors) <= 2:
         raise ConfigError("need one or two factors")
-    if len(set(factors)) != len(factors):
-        raise ConfigError("duplicate factors")
     sensors = SENSOR_IDS if sensors is None else list(sensors)
     groups = _observation_groups(sessions, sensors, factors, cal, cfg)
     if not groups:
         raise InsufficientDataError("no observations")
     if len(factors) == 1:
         return anova_oneway(groups.values())
-    table: dict[str, dict[str, list[float]]] = {}
-    for (a, b), values in groups.items():
-        table.setdefault(a, {})[b] = values
-    return anova_twoway(table, factor_a=factors[0], factor_b=factors[1])
+    # the groups come sorted by (a, b): a complete table of equal cells is the cube in row order
+    n_a, n_b = (len(set(levels)) for levels in zip(*groups))
+    sizes = sorted({len(values) for values in groups.values()})
+    if len(groups) != n_a * n_b or len(sizes) != 1:
+        raise UnbalancedDesignError(
+            f"{factors[0]} x {factors[1]} needs all {n_a * n_b} cells with one size; "
+            f"got {len(groups)} cell(s) of size(s) {sizes}"
+        )
+    return anova_twoway(np.reshape(list(groups.values()), (n_a, n_b, sizes[0])), *factors)
 
 
 # ---------------------------------------------------------------------------

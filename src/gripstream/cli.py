@@ -17,7 +17,7 @@ import selectors
 import socket
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
@@ -31,8 +31,8 @@ from gripstream.alerting import (
     format_alert,
     monitor_session,
 )
-from gripstream.core import (SENSOR_COUNT, Calibration, GloveConfig, Side, force_from_voltage,
-                             load_config)
+from gripstream.core import (SENSOR_COUNT, Calibration, GloveConfig, Side, _ascii_int,
+                             force_from_voltage, load_config)
 from gripstream.errors import GripstreamError
 from gripstream.ingest import (
     GROUP_KEYS,
@@ -101,9 +101,9 @@ def _parse_sides(text: str) -> list[Side]:
 def _parse_sensor_list(text: str) -> list[int]:
     out = []
     for token in text.split(","):
-        token = token.strip().upper().lstrip("S")
+        token = token.strip()
         try:
-            sid = int(token)
+            sid = _ascii_int(token[1:] if token.startswith(("S", "s")) else token)
         except ValueError:
             raise CliUsageError(f"bad sensor id {token!r}; use forms like S2 or 2") from None
         if sid not in SENSOR_IDS:
@@ -190,6 +190,13 @@ def _output(args):
 # ---------------------------------------------------------------------------
 # subcommands
 
+_RECORD_WINDOW = 1 << 16  # bytes of a capture that record feeds at a time
+
+
+def _record(session, out) -> None:
+    print(f"recorded {record_session(session, out).meta_path}", file=sys.stderr)
+
+
 def _cmd_simulate(args, cfg: GloveConfig, cal: Calibration) -> int:
     profile = args.preset.with_gains(
         condition=condition_gain(args.condition),
@@ -211,10 +218,8 @@ def _cmd_simulate(args, cfg: GloveConfig, cal: Calibration) -> int:
             raw_path.write_bytes(blob)
             log.info("wrote %d raw bytes to %s", len(blob), raw_path)
         if args.out:
-            session = session_from_capture(blob, args.dominant, args.subject, args.condition,
-                                           started, cfg)
-            manifest = record_session(session, args.out)
-            print(f"recorded {manifest.meta_path}", file=sys.stderr)
+            _record(session_from_capture(blob, args.dominant, args.subject, args.condition,
+                                         started, cfg), args.out)
     return 0
 
 
@@ -261,8 +266,7 @@ class _GloveLink:
             taken = bool(out) and session.stem in stems
             stems.add(session.stem)
             if out and not taken:
-                manifest = record_session(session, out)
-                print(f"recorded {manifest.meta_path}", file=sys.stderr)
+                _record(session, out)
             print(
                 f"session {session.stem}: {summary.frames} frames, "
                 f"{summary.gap_count} gap(s), battery {summary.battery_final_mv} mV",
@@ -349,15 +353,16 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
 
 
 def _cmd_record(args, cfg: GloveConfig, cal: Calibration) -> int:
-    if args.infile == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        data = Path(args.infile).read_bytes()
     builder = _session_builder(args, cfg)
-    appended, events = builder.feed(data)
+    appended, events = 0, []
+    # windows keep memory to the recording's size; the builder's result does not depend on the cuts
+    with (nullcontext(sys.stdin.buffer) if args.infile == "-" else open(args.infile, "rb")) as fh:
+        while window := fh.read(_RECORD_WINDOW):
+            samples, found = builder.feed(window)
+            appended += samples
+            events += found
     session = builder.session()
-    manifest = record_session(session, args.out)
-    print(f"recorded {manifest.meta_path}", file=sys.stderr)
+    _record(session, args.out)
     print(
         f"{session.frame_count} frames, {appended} samples, {len(events)} event(s)"
         + (f", {builder.pending_bytes} byte(s) of trailing partial frame" if builder.pending_bytes else ""),
@@ -403,14 +408,10 @@ def _cmd_analyze(args, cfg: GloveConfig, cal: Calibration) -> int:
             for key, value in averages.items():
                 w.writerow(list(key) + [f"{value:.6g}"])
         else:
+            cell = {"hand": lambda hand: hand.side.value, "duration_s": "{:.3f}".format}
             w.writerow([f.name for f in fields(SessionSummary)])
-            for s in sessions:
-                m = session_summary(s)
-                w.writerow(
-                    [m.subject, m.hand.side.value, m.condition, m.frames, f"{m.duration_s:.3f}",
-                     m.gap_count, m.missing_frames, m.min_voltage_mv, m.max_voltage_mv,
-                     m.battery_final_mv]
-                )
+            for m in map(session_summary, sessions):
+                w.writerow([cell.get(f.name, str)(getattr(m, f.name)) for f in fields(m)])
     return 0
 
 

@@ -24,6 +24,7 @@ millivolt channels are directly comparable.
 """
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -33,6 +34,14 @@ import numpy as np
 from gripstream.errors import ConfigError, DomainError, excerpt
 
 SENSOR_COUNT = 12
+_DIGITS = re.compile(r"[0-9]+")  # str.isdigit and int() take other scripts' digits too
+
+
+def _ascii_int(text: str) -> int:
+    """text as an int when it is ASCII digits alone; ValueError otherwise."""
+    if not _DIGITS.fullmatch(text):
+        raise ValueError(f"{text!r} is not ASCII digits")
+    return int(text)
 
 
 def require_finite(config) -> None:
@@ -326,7 +335,7 @@ def config_from_mapping(kv: dict[str, str]) -> tuple[GloveConfig, Calibration]:
         if not key.startswith("sensor_S"):
             continue
         try:
-            sid = int(key[len("sensor_S"):])
+            sid = _ascii_int(key[len("sensor_S"):])
         except ValueError:
             raise ConfigError(f"bad sensor key {excerpt(key)}") from None
         if ":" not in value:

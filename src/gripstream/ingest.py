@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gripstream.core import SENSOR_COUNT, Dominance, GloveConfig, Hand, Side, parse_kv_text
+from gripstream.core import (SENSOR_COUNT, Dominance, GloveConfig, Hand, Side, _ascii_int,
+                             parse_kv_text)
 from gripstream.errors import GripstreamError, excerpt
 from gripstream.protocol import (BLOCK_MIN_BYTES, BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT,
                                  GLOVE_BYTE, SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets)
@@ -39,7 +40,6 @@ _TAB_LF = np.frombuffer(b"\t\n", "<u2")[0]  # a whole line's two separators read
 _LABEL = re.compile(r"\w[\w.-]*")
 _NAME_MAX_BYTES = 255  # the longest file name ext4, XFS, btrfs and APFS take
 _TEMP = ".tmp"  # a recording's files are written under their name plus this first
-_DIGITS = re.compile(r"[0-9]+")  # str.isdigit and int() take other scripts' digits too
 
 
 class IngestError(GripstreamError):
@@ -506,13 +506,6 @@ def _read_tsv(path: Path) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(path, i + 1, f"{excerpt(text)} is not <timestamp>TAB<value>LF with a "
                                       f"rising timestamp and a value up to {_VALUE_MAX}")
     return ts.astype(np.int64), values.astype(np.uint16)
-
-
-def _ascii_int(text: str) -> int:
-    """text as an int when it is ASCII digits alone; ValueError otherwise."""
-    if not _DIGITS.fullmatch(text):
-        raise ValueError(f"{text!r} is not ASCII digits")
-    return int(text)
 
 
 def _meta_field(meta: dict, key: str, path: Path) -> str:

@@ -142,10 +142,19 @@ def test_population_average_key_order_and_hand_labels():
     keys = list(population_average([dom], ["sensor"]))
     assert keys == [(f"S{k}",) for k in range(1, 13)]  # S2 before S10
     assert population_average([dom], []) == {}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"unknown group keys \['subject'\]"):
         population_average([dom], ["subject"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="duplicate group keys"):
         population_average([dom], ["hand", "hand"])
+
+
+def test_population_groups_come_in_value_order():
+    # conditions sort as text even when shaped like a sensor label; sensors sort by id
+    sessions = [mv_session({2: [150], 10: [300]}, condition=c) for c in ("quiet", "S9", "S10")]
+    assert list(population_average(sessions, ["condition"])) == [("S10",), ("S9",), ("quiet",)]
+    assert list(population_average(sessions, ["sensor"])) == [(f"S{k}",) for k in range(1, 13)]
+    both = list(population_average(sessions, ["sensor", "condition"]))
+    assert both == [(f"S{k}", c) for k in range(1, 13) for c in ("S10", "S9", "quiet")]
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +321,6 @@ def test_twoway_matches_brute_force_reference():
         assert got.df_error == df[3]
 
 
-def test_twoway_dict_and_array_inputs_agree():
-    cube = [[[1.0, 2.0], [4.0, 5.0]], [[2.0, 3.0], [8.0, 9.0]]]
-    table = {"L": {"quiet": cube[0][0], "hardrock": cube[0][1]},
-             "R": {"quiet": cube[1][0], "hardrock": cube[1][1]}}
-    got_dict = anova_twoway(table, factor_a="hand", factor_b="condition")
-    got_arr = anova_twoway(np.array(cube))
-    assert got_dict.effect_a.f_stat == pytest.approx(got_arr.effect_a.f_stat, rel=1e-12)
-    assert got_dict.interaction.f_stat == pytest.approx(got_arr.interaction.f_stat,
-                                                        rel=1e-12)
-    assert set(got_dict.effects) == {"hand", "condition", "hand*condition"}
-
-
 def test_twoway_null_factor_has_zero_f():
     # observations depend on A only, so B and the interaction carry nothing
     cube = [[[a - 1.0, a + 1.0] for _ in range(3)] for a in (2.0, 5.0, 11.0)]
@@ -343,11 +340,6 @@ def test_twoway_additive_table_has_zero_interaction():
 
 
 def test_twoway_rejects_bad_designs():
-    with pytest.raises(UnbalancedDesignError):
-        anova_twoway({"a": {"x": [1.0, 2.0], "y": [1.0, 2.0]},
-                      "b": {"x": [1.0, 2.0], "y": [1.0, 2.0, 3.0]}})
-    with pytest.raises(UnbalancedDesignError):
-        anova_twoway({"a": {"x": [1.0, 2.0]}, "b": {"z": [1.0, 2.0]}})
     with pytest.raises(UnbalancedDesignError):
         anova_twoway(np.zeros((2, 2)))
     with pytest.raises(InsufficientDataError):
@@ -381,11 +373,9 @@ def test_anova_from_sessions_two_factors():
             sessions.append(mv_session({2: [base + bump], 3: [2 * base + bump]},
                                        condition=cond))
     got = anova_from_sessions(sessions, ["sensor", "condition"], sensors=[2, 3])
-    table = {
-        "S2": {"hardrock": [4.0, 4.2], "quiet": [2.0, 2.2]},
-        "S3": {"hardrock": [8.0, 8.2], "quiet": [4.0, 4.2]},
-    }
-    want = anova_twoway(table, factor_a="sensor", factor_b="condition")
+    # (sensor S2, S3) x (condition hardrock, quiet) x replicates
+    cube = [[[4.0, 4.2], [2.0, 2.2]], [[8.0, 8.2], [4.0, 4.2]]]
+    want = anova_twoway(np.array(cube), factor_a="sensor", factor_b="condition")
     assert got.factor_a == "sensor" and got.factor_b == "condition"
     for name in ("sensor", "condition", "sensor*condition"):
         assert got.effects[name].f_stat == pytest.approx(
@@ -400,8 +390,37 @@ def test_anova_from_sessions_validates_factors():
         anova_from_sessions([session], [])
     with pytest.raises(ConfigError):
         anova_from_sessions([session], ["hand", "sensor", "condition"])
+    with pytest.raises(ConfigError, match="duplicate factors"):  # before the count
+        anova_from_sessions([session], ["hand", "hand", "sensor"])
+    with pytest.raises(ConfigError, match=r"unknown factors \['subject'\]"):
+        anova_from_sessions([session], ["hand", "subject"])
     with pytest.raises(InsufficientDataError):
         anova_from_sessions([], ["condition"])
+
+
+def hand_condition_sessions(cells):
+    """One session per (dominance, condition) entry, S2 at a force that varies per session."""
+    return [mv_session({2: [300 + 30 * k]}, condition=cond, dominance=dom)
+            for k, (dom, cond) in enumerate(cells)]
+
+
+def test_anova_from_sessions_refuses_a_missing_cell():
+    cells = [(Dominance.DOMINANT, "quiet"), (Dominance.DOMINANT, "soft"),
+             (Dominance.NON_DOMINANT, "quiet")] * 2
+    with pytest.raises(UnbalancedDesignError, match=r"hand x condition needs all 4 cells "
+                                                    r"with one size; got 3 cell\(s\)"):
+        anova_from_sessions(hand_condition_sessions(cells), ["hand", "condition"], sensors=[2])
+
+
+def test_anova_from_sessions_refuses_unequal_cells():
+    cells = [(dom, cond) for dom in Dominance for cond in ("quiet", "soft")] * 2
+    cells.append((Dominance.NON_DOMINANT, "soft"))
+    with pytest.raises(UnbalancedDesignError, match=r"got 4 cell\(s\) of size\(s\) \[2, 3\]"):
+        anova_from_sessions(hand_condition_sessions(cells), ["hand", "condition"], sensors=[2])
+    # the complete table of the same sessions is balanced and runs
+    got = anova_from_sessions(hand_condition_sessions(cells[:-1]), ["hand", "condition"],
+                              sensors=[2])
+    assert set(got.effects) == {"hand", "condition", "hand*condition"}
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from gripstream.analytics import anova_from_sessions
-from gripstream.cli import main
+from gripstream.cli import build_parser, main
 from gripstream.core import Calibration, Dominance, GloveConfig, Side, save_config
-from gripstream.ingest import load_sessions
+from gripstream.ingest import SessionBuilder, load_sessions, record_session
 from gripstream.pipeline import session_from_capture
-from gripstream.protocol import Frame, encode_frame
+from gripstream.protocol import FRAME_SIZE, EventKind, Frame, encode_frame, encode_records
 from gripstream.simulate import (
     SessionPlan,
     emit_frames,
@@ -204,6 +204,33 @@ def test_unknown_config_key_is_a_data_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["glove.cfg"]
 
 
+@pytest.mark.parametrize("token", ["S1_2", "SS4", "S+2", "S\u0662", "-3", "S", ""])
+def test_a_sensor_id_is_one_optional_s_then_ascii_digits(tmp_path, capsys, token):
+    # int() alone read S1_2 as 12, SS4 as 4, S+2 and an Arabic-Indic two as 2
+    argv = ["monitor", "--in", str(tmp_path / "absent"), "--sensors", f"S1,{token}"]
+    assert main(argv) == 1
+    assert f"error: bad sensor id {token!r}; use forms like S2 or 2" in capsys.readouterr().err
+
+
+def test_a_sensor_id_may_be_lowercase_spaced_or_zero_padded():
+    args = build_parser().parse_args(["analyze", "--in", "rec", "--shares", " S2, s3,012,7"])
+    assert args.shares == [2, 3, 12, 7]
+
+
+@pytest.mark.parametrize("key, meant", [("sensor_S1_0", "sensor_S10"),
+                                        ("sensor_S\u0661", "sensor_S1")])
+def test_a_config_sensor_key_is_ascii_digits(tmp_path, capsys, key, meant):
+    config = tmp_path / "glove.cfg"
+    save_config(config, GloveConfig(), Calibration())
+    text = config.read_text(encoding="utf-8")
+    assert f"\n{meant} = " in text
+    config.write_text(text.replace(f"\n{meant} = ", f"\n{key} = "), encoding="utf-8")
+    argv = ["simulate", "--config", str(config), "--raw", str(tmp_path / "x.bin")]
+    assert main(argv) == 2
+    assert f"error: bad sensor key {key!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["glove.cfg"]
+
+
 @pytest.mark.parametrize("command, name", [("simulate", "glove.cfg"),
                                            ("analyze", "anon_R_quiet_meta.txt")])
 def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, name):
@@ -318,6 +345,65 @@ def test_record_reads_stdin_and_reports_partial_tail(tmp_path, capsys, monkeypat
     assert "25 frames" in err and "20 byte(s) of trailing partial frame" in err
     (session,) = load_sessions(out)
     assert session.frame_count == 25
+
+
+def salted_capture() -> bytes:
+    """About 200 KiB of one glove's frames, damaged, with two 64 KiB window edges placed.
+
+    One frame in 100 is never sent, one byte in 400 is flipped and a partial
+    frame ends it. A 1,000-byte garbage run with false sync bytes spans
+    offset 65,536, and offset 131,072 falls 4 bytes into a frame.
+    """
+    rng = np.random.default_rng(26)
+    pos = np.delete(np.arange(5600), rng.choice(5600, 56, replace=False))
+    records = encode_records(Side.RIGHT, pos & 0xFFFF, 20 * pos, np.full(len(pos), 4100),
+                             rng.integers(0, 3300, (len(pos), 12))).tobytes()
+    garbage = bytearray(rng.bytes(1000))
+    garbage[::50] = b"\xa5" * 20
+    cut = 1800 * FRAME_SIZE
+    assert cut < 1 << 16 < cut + len(garbage)
+    assert ((2 << 16) - len(garbage)) % FRAME_SIZE == 4
+    blob = bytearray(records[:cut] + garbage + records[cut:])
+    for at in rng.choice(len(blob), len(blob) // 400, replace=False):
+        blob[at] ^= 0xFF
+    return bytes(blob) + records[:20]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_record_feeds_a_capture_in_64_kib_windows(tmp_path, capsys, monkeypatch, source):
+    blob = salted_capture()
+    started = "2026-01-02T03:04:05"
+    builder = SessionBuilder(started_at=started)  # the whole capture in one feed
+    appended, events = builder.feed(blob)
+    assert {EventKind.SYNC_LOSS, EventKind.SEQUENCE_GAP} <= {ev.kind for ev in events}
+    want = tmp_path / "want"
+    record_session(builder.session(), want)
+
+    sizes = []
+    feed = SessionBuilder.feed
+
+    def windowed_feed(self, data):
+        sizes.append(len(data))
+        return feed(self, data)
+
+    monkeypatch.setattr(SessionBuilder, "feed", windowed_feed)
+    monkeypatch.setattr("gripstream.cli._now", lambda: started)
+    raw = tmp_path / "cap.bin"
+    raw.write_bytes(blob)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(blob)})())
+    got = tmp_path / "got"
+    capsys.readouterr()
+    assert main(["record", "--in", "-" if source == "stdin" else str(raw), "--out", str(got)]) == 0
+    assert sum(sizes) == len(blob) and len(sizes) == 4 and max(sizes) == 1 << 16
+    assert capsys.readouterr().err == (
+        f"recorded {got / 'anon_R_quiet_meta.txt'}\n"
+        f"{builder.frames} frames, {appended} samples, {len(events)} event(s), "
+        f"{builder.pending_bytes} byte(s) of trailing partial frame\n"
+    )
+    assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_record_counts_an_outage_in_the_configured_sample_period(tmp_path, capsys):
