@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Microbenchmark of the codec kernel, one layer of the pipeline.
 
-Six workloads, each timed best of --repeats:
+Seven workloads, each timed best of --repeats:
 
+  encode        encode_records of the clean stream's fields, checksums
+                included, in one call
   scan/clean    frame scanning over a well-formed stream, in one call
   scan/dirty    frame scanning over a stream salted with garbage and bit rot,
                 in one call
@@ -36,10 +38,11 @@ from gripstream.protocol import (FRAME_DTYPE, FRAME_SIZE, EventKind, encode_reco
                                  scan_stream_offsets)
 
 
-def random_frames(rng: random.Random, count: int) -> bytes:
-    volts = [[rng.randrange(0, 3300) for _ in range(12)] for _ in range(count)]
+def random_fields(rng: random.Random, count: int) -> tuple:
+    """encode_records' seq, timestamp, battery and voltage inputs for count frames."""
+    volts = np.array([[rng.randrange(0, 3300) for _ in range(12)] for _ in range(count)])
     k = np.arange(count)
-    return encode_records(Side.RIGHT, k & 0xFFFF, 20 * k, np.full(count, 4200), volts).tobytes()
+    return k & 0xFFFF, 20 * k, np.full(count, 4200), volts
 
 
 def salt_stream(clean: bytes, rng: random.Random) -> bytes:
@@ -104,12 +107,14 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(2024)
-    clean = random_frames(rng, args.frames)
+    fields = random_fields(rng, args.frames)
+    clean = encode_records(Side.RIGHT, *fields).tobytes()
     dirty = salt_stream(clean, rng)
     spliced = splice_intruders(dirty)
     print(f"workloads: clean {len(clean) / 2**20:.2f} MiB ({args.frames} frames), "
           f"dirty {len(dirty) / 2**20:.2f} MiB")
 
+    encode_s = best_time(lambda: encode_records(Side.RIGHT, *fields), args.repeats)
     clean_s = best_time(lambda: scan_stream_offsets(clean), args.repeats)
     dirty_s = best_time(lambda: scan_stream_offsets(dirty), args.repeats)
     chunked_s = best_time(lambda: feed_chunked(dirty), args.repeats)
@@ -128,6 +133,7 @@ def main() -> int:
     assert whole.frames == accepted, "the spliced frames changed what the builder accepts"
     refused = {EventKind.FORMAT_ERROR, EventKind.DUPLICATE_FRAME, EventKind.OUT_OF_ORDER}
     assert refused <= {ev.kind for ev in whole.events}, "a spliced frame was not refused"
+    print(f"encode {args.frames / 1e3 / encode_s:.1f} kframes/s")
     print(f"clean {args.frames / 1e3 / clean_s:.1f} kframes/s, "
           f"dirty {len(dirty) / 2**20 / dirty_s:.2f} MB/s")
     print(f"feed/chunked {accepted / 1e3 / chunked_s:.1f} kframes/s "

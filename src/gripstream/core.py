@@ -35,6 +35,11 @@ from gripstream.errors import ConfigError, DomainError, excerpt
 
 SENSOR_COUNT = 12
 _DIGITS = re.compile(r"[0-9]+")  # str.isdigit and int() take other scripts' digits too
+# float() also takes other scripts' digits and underscores; nan and inf go on to
+# require_finite, which says why they are refused. Each digit run matches only one
+# way, so a long line that is not a number fails in linear time.
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
+                    re.ASCII | re.IGNORECASE)
 
 
 def _ascii_int(text: str) -> int:
@@ -312,10 +317,9 @@ def _floats(kv: dict[str, str], keys: tuple[str, ...]) -> dict[str, float]:
     out = {}
     for key in keys:
         if key in kv:
-            try:
-                out[key] = float(kv[key])
-            except ValueError:
-                raise ConfigError(f"{key}: not a number: {excerpt(kv[key])}") from None
+            if not _FLOAT.fullmatch(kv[key]):
+                raise ConfigError(f"{key}: not a number: {excerpt(kv[key])}")
+            out[key] = float(kv[key])
     return out
 
 
@@ -346,7 +350,7 @@ def config_from_mapping(kv: dict[str, str]) -> tuple[GloveConfig, Calibration]:
         except ValueError:
             raise ConfigError(f"{key}: unknown locus {excerpt(locus_name)}") from None
         try:
-            dia = int(diameter)
+            dia = _ascii_int(diameter.strip())
         except ValueError:
             raise ConfigError(f"{key}: bad diameter {excerpt(diameter)}") from None
         layout.append(SensorSpec(sid, locus, dia))

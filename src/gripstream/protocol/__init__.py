@@ -28,9 +28,12 @@ the intact frames' offsets and their records as one FRAME_DTYPE buffer, with
 the events in byte order. A buffer of BLOCK_MIN_BYTES or more is scanned as
 numpy columns, a shorter one a position at a time, which is cheaper per call
 for the few frames a live read brings. Frame, encode_frame and decode_frame
-are the single-frame API. The checksum is the standard library's
-binascii.crc_hqx(data, 0xFFFF), CRC-16/CCITT-FALSE in C, one call per
-candidate frame.
+are the single-frame API. The checksum is CRC-16/CCITT-FALSE: decode_frame
+and the position-at-a-time scan call the standard library's
+binascii.crc_hqx(data, 0xFFFF), one call per candidate frame, and the bulk
+paths (encode_records, which encode_frame calls, and the block scan)
+compute the same CRC over all rows at once from a position table derived
+from crc_hqx.
 """
 
 import struct
@@ -38,6 +41,7 @@ from binascii import crc_hqx
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -61,6 +65,32 @@ FRAME_STRUCT = struct.Struct("<BBHIH12HH")
 FRAME_DTYPE = np.dtype([("sync", "u1"), ("glove", "u1"), ("seq", "<u2"), ("timestamp_ms", "<u4"),
                         ("battery_mv", "<u2"), ("voltages_mv", "<u2", (12,)), ("crc", "<u2")])
 assert FRAME_STRUCT.size == FRAME_DTYPE.itemsize == FRAME_SIZE
+
+
+def _crc_position_table() -> np.ndarray:
+    """The CRC of a 33-byte body is the XOR over positions p of entry [p, body[p]].
+
+    crc_hqx is affine in its data (Sarwate, CACM 31(8), 1988), so entry [p, b]
+    is the CRC of byte b followed by 32 - p zero bytes, from 0xFFFF for p == 0
+    and from 0 after it. Flat, with entry [p, b] at 256 * p + b, so that one
+    take gathers the entries of many rows.
+    """
+    heads = [bytes((b,)) + bytes(32) for b in range(256)]
+    return np.array([crc_hqx(head[:33 - p], 0xFFFF if p == 0 else 0)
+                     for p in range(33) for head in heads], np.uint16)
+
+
+_CRC_TABLE = _crc_position_table()
+_CRC_ROW_STARTS = np.arange(0, 33 * 256, 256)
+_CRC_CHUNK = 1024  # rows per gather, whose index takes 264 bytes a row while it runs
+
+
+def _crc_rows(body: np.ndarray) -> np.ndarray:
+    """crc_hqx(row, 0xFFFF) of every row of an (n, 33) uint8 array, as n uint16."""
+    if len(body) > _CRC_CHUNK:
+        return np.concatenate([_crc_rows(body[i:i + _CRC_CHUNK])
+                               for i in range(0, len(body), _CRC_CHUNK)])
+    return np.bitwise_xor.reduce(_CRC_TABLE.take(body + _CRC_ROW_STARTS), axis=1)
 
 
 def kernel_backend() -> str:
@@ -146,21 +176,22 @@ def encode_records(glove: Side, seq, timestamp_ms, battery_mv, voltages_mv) -> n
     """
     if not isinstance(glove, Side):
         raise EncodeError(f"glove must be a Side, got {glove!r}")
-    records = np.zeros(len(seq), FRAME_DTYPE)
+    frames = np.zeros((len(seq), FRAME_SIZE), np.uint8)
+    records = frames.view(FRAME_DTYPE)[:, 0]
     for name, values, high in (("seq", seq, 0xFFFF), ("timestamp_ms", timestamp_ms, 0xFFFFFFFF),
                                ("battery_mv", battery_mv, BATTERY_LIMIT_MV),
                                ("voltages_mv", voltages_mv, VOLTAGE_LIMIT_MV - 1)):
         column = np.asarray(values, dtype=float)  # exact for every in-range value
-        if column.shape != records[name].shape:
-            raise EncodeError(f"{name} shaped {column.shape}, expected {records[name].shape}")
-        bad = ~((column >= 0) & (column <= high) & (column == np.trunc(column)))
-        if bad.any():
+        field = records[name]
+        if column.shape != field.shape:
+            raise EncodeError(f"{name} shaped {column.shape}, expected {field.shape}")
+        bad = (column != np.trunc(column)) | (column < 0) | (column > high)  # NaN != NaN
+        if np.count_nonzero(bad):  # a third of bad.any()'s cost on encode_frame's one row
             raise EncodeError(f"{name} {column[bad][0].item()!r} is not an integer in [0, {high}]")
-        records[name] = column
+        field[...] = column
     records["sync"] = SYNC_BYTE
     records["glove"] = GLOVE_BYTE[glove]
-    body = records.tobytes()
-    records["crc"] = [crc_hqx(body[i:i + 33], 0xFFFF) for i in range(1, len(body), FRAME_SIZE)]
+    records["crc"] = _crc_rows(frames[:, 1:34])
     return records
 
 
@@ -236,7 +267,8 @@ def _walk(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEvent], b
 
 
 # event codes of the block scan, indexes into _KINDS; 0 is no event
-_KINDS = (None, EventKind.SYNC_LOSS, EventKind.CRC_MISMATCH, EventKind.FORMAT_ERROR)
+_KINDS = np.array([None, EventKind.SYNC_LOSS, EventKind.CRC_MISMATCH, EventKind.FORMAT_ERROR],
+                  object)
 
 
 def _scan_block(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEvent], bytes]:
@@ -244,18 +276,18 @@ def _scan_block(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEve
 
     From a candidate the walk moves 36 bytes on when its checksum holds and
     one byte on when not, then resumes at the first sync byte from there,
-    after a SYNC_LOSS if that is not where it moved to. Python loops only
-    over the chain of candidates visited, plus one crc_hqx call per candidate.
+    after a SYNC_LOSS if that is not where it moved to. The candidates'
+    checksums come from _crc_rows, the same CRC-16/CCITT-FALSE as _walk's
+    crc_hqx; Python loops only over the chain of candidates visited.
     """
     n = len(buf)
     a = np.frombuffer(buf, np.uint8)
     syncs = np.flatnonzero(a == SYNC_BYTE)
     m = int(np.searchsorted(syncs, n - FRAME_SIZE, side="right"))
     cands = syncs[:m]
-    mv = memoryview(buf)
-    crcs = np.array([crc_hqx(mv[c + 1:c + 34], 0xFFFF) for c in cands.tolist()], np.uint16)
-    recs = sliding_window_view(a, FRAME_SIZE)[cands].view(FRAME_DTYPE)[:, 0]
-    crc_ok = recs["crc"] == crcs
+    rows = sliding_window_view(a, FRAME_SIZE)[cands]
+    recs = rows.view(FRAME_DTYPE)[:, 0]
+    crc_ok = recs["crc"] == _crc_rows(rows[:, 1:34])
     glove = recs["glove"]
     fields_ok = (((glove == GLOVE_BYTE[Side.LEFT]) | (glove == GLOVE_BYTE[Side.RIGHT]))
                  & (recs["battery_mv"] <= BATTERY_LIMIT_MV)
@@ -273,9 +305,12 @@ def _scan_block(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEve
     at = np.column_stack([cands[path], resume[path]]).ravel()
     codes = np.column_stack([np.where(crc_ok[path], np.where(fields_ok[path], 0, 3), 2),
                              np.where(lost[path], 1, 0)]).ravel()
+    hit = codes > 0
     events = [StreamEvent(EventKind.SYNC_LOSS, base)] if n and (not syncs.size or syncs[0]) else []
-    events += [StreamEvent(_KINDS[code], base + off)
-               for code, off in zip(codes[codes > 0].tolist(), at[codes > 0].tolist())]
+    # built as tuples, past StreamEvent.__new__: its one check is for SEQUENCE_GAP,
+    # which a scan never reports
+    events += map(_new_tuple, repeat(StreamEvent),
+                  zip(_KINDS[codes[hit]].tolist(), (at[hit] + base).tolist(), repeat(0)))
     remainder = buf[syncs[j]:] if j < syncs.size else b""
     return (cands[accepted] + base).tolist(), recs[accepted].tobytes(), events, remainder
 

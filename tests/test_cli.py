@@ -231,6 +231,25 @@ def test_a_config_sensor_key_is_ascii_digits(tmp_path, capsys, key, meant):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["glove.cfg"]
 
 
+@pytest.mark.parametrize("written, edited, message", [
+    ("fingertip_thumb:10", "fingertip_thumb:1_0", "sensor_S1: bad diameter '1_0'"),
+    ("fingertip_thumb:10", "fingertip_thumb:\u0661\u0660", "sensor_S1: bad diameter '\u0661\u0660'"),
+    ("pulldown_ohm = 10000.0", "pulldown_ohm = 1_0000", "pulldown_ohm: not a number: '1_0000'"),
+    ("supply_voltage_v = 3.3", "supply_voltage_v = \u0663.\u0663",
+     "supply_voltage_v: not a number: '\u0663.\u0663'"),
+], ids=["diameter-underscore", "diameter-arabic-indic", "float-underscore", "float-arabic-indic"])
+def test_config_numbers_are_ascii(tmp_path, capsys, written, edited, message):
+    config = tmp_path / "glove.cfg"
+    save_config(config, GloveConfig(), Calibration())
+    text = config.read_text(encoding="utf-8")
+    assert written in text
+    config.write_text(text.replace(written, edited), encoding="utf-8")
+    argv = ["simulate", "--config", str(config), "--raw", str(tmp_path / "x.bin")]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["glove.cfg"]
+
+
 @pytest.mark.parametrize("command, name", [("simulate", "glove.cfg"),
                                            ("analyze", "anon_R_quiet_meta.txt")])
 def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, name):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gripstream.core import (
     Calibration,
@@ -10,6 +12,7 @@ from gripstream.core import (
     GloveConfig,
     SensorLocus,
     SensorSpec,
+    config_from_mapping,
     divider_voltage,
     force_from_voltage,
     format_config,
@@ -221,6 +224,22 @@ def test_config_file_round_trip(tmp_path):
     cfg2, cal2 = load_config(path)
     assert cfg2 == cfg
     assert cal2 == cal
+
+
+_SETTINGS = st.floats(min_value=5e-324, allow_infinity=False) | st.integers(1, 2**53)
+
+
+@given(st.tuples(*[_SETTINGS] * 6), st.sampled_from(ConversionMode))
+def test_every_config_format_config_writes_loads_back(values, mode):
+    supply, pulldown, period, battery, anchor_mv, anchor_n = values
+    try:
+        cfg = GloveConfig(supply_voltage_v=supply, pulldown_ohm=pulldown, sample_period_ms=period,
+                          battery_nominal_v=battery, conversion_mode=mode)
+        cal = Calibration(anchor_voltage_mv=anchor_mv, anchor_force_n=anchor_n)
+    except ConfigError:
+        assume(False)
+    assume(cal.anchor_voltage_mv < cfg.supply_mv)
+    assert config_from_mapping(parse_kv_text(format_config(cfg, cal))) == (cfg, cal)
 
 
 _SENSOR_LINES = """\

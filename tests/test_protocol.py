@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gripstream.core import GloveConfig, Side
+import gripstream.protocol
+from gripstream.core import Calibration, GloveConfig, Side
 from gripstream.protocol import (
     BATTERY_LIMIT_MV,
     BLOCK_MIN_BYTES,
@@ -24,6 +25,7 @@ from gripstream.protocol import (
     FrameFormatError,
     StreamEvent,
     SyncLossError,
+    _crc_rows,
     decode_frame,
     encode_frame,
     encode_records,
@@ -33,6 +35,7 @@ from gripstream.protocol import (
 )
 from gripstream.errors import DomainError
 from gripstream.ingest import SessionBuilder
+from gripstream.simulate import SessionPlan, emit_frames, get_preset, synthesize_session
 
 from helpers import frame_run, random_frame, reference_crc16, reference_scan, wire
 
@@ -53,6 +56,28 @@ def test_crc_check_value():
 @given(st.binary(max_size=80), st.sampled_from([bytes, bytearray, memoryview]))
 def test_crc_equals_table_driven_reference(payload, kind):
     assert crc_hqx(kind(payload), 0xFFFF) == reference_crc16(payload)
+
+
+def assert_crc_rows_agree(body: np.ndarray) -> None:
+    crcs = _crc_rows(body)
+    assert crcs.dtype == np.uint16 and crcs.shape == (len(body),)
+    rows = [row.tobytes() for row in body]
+    assert crcs.tolist() == [crc_hqx(row, 0xFFFF) for row in rows]
+    assert crcs.tolist() == [reference_crc16(row) for row in rows]
+
+
+@given(st.integers(0, 50).flatmap(lambda n: st.binary(min_size=36 * n, max_size=36 * n)))
+def test_crc_rows_equals_crc_hqx_row_by_row(blob):
+    records = np.frombuffer(blob, np.uint8).reshape(-1, FRAME_SIZE)
+    assert_crc_rows_agree(records[:, 1:34])  # strided, as encode_records and the scan pass them
+    assert_crc_rows_agree(records[:, :33].copy())
+
+
+def test_crc_rows_of_constant_rows_and_across_gathers():
+    for value in (0x00, 0xFF):
+        assert_crc_rows_agree(np.full((3, 33), value, np.uint8))
+    rows = 2 * gripstream.protocol._CRC_CHUNK + 5
+    assert_crc_rows_agree(np.random.default_rng(36).integers(0, 256, (rows, 33), np.uint8))
 
 
 def test_documented_example_frame_is_byte_exact():
@@ -123,6 +148,9 @@ def test_encode_validates_fields():
         Frame(Side.LEFT, 0, 0, 0, (1.7,) * 12),
         Frame(Side.LEFT, 0, 2**32, 0, (0,) * 12),
         Frame(Side.LEFT, 0, 0, 4000.5, (0,) * 12),
+        Frame(Side.LEFT, 0, 0, 0, (float("nan"),) * 12),
+        Frame(Side.LEFT, 0, float("inf"), 0, (0,) * 12),
+        Frame(Side.LEFT, 0, 0, -0.5, (0,) * 12),
     ):
         with pytest.raises(EncodeError):
             encode_frame(bad)
@@ -272,6 +300,32 @@ def test_required_bandwidth_budget():
     assert required_bandwidth(1, GloveConfig(sample_period_ms=10.0)) == 28_800.0
     with pytest.raises(DomainError):
         required_bandwidth(0, cfg)
+
+
+def test_bulk_codec_paths_call_no_crc_hqx(monkeypatch):
+    cal, cfg = Calibration(), GloveConfig()
+    plan = SessionPlan({Side.LEFT: get_preset("novice")}, duration_s=10.0, seed=7)
+    trajectory = synthesize_session(plan, cal, cfg)[Side.LEFT]
+    capture = emit_frames(trajectory, cal, cfg, side=Side.LEFT).tobytes()
+    rng = random.Random(37)
+    damaged = bytearray(capture)
+    for _ in range(20):
+        at = rng.randrange(len(damaged))
+        damaged[at:at] = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
+        damaged[rng.randrange(len(damaged))] ^= 0xFF
+    damaged = raw_frame(glove_byte=0x58) + damaged
+    assert len(damaged) >= BLOCK_MIN_BYTES
+
+    def called(*args):
+        raise AssertionError("crc_hqx was called")
+
+    monkeypatch.setattr(gripstream.protocol, "crc_hqx", called)
+    assert emit_frames(trajectory, cal, cfg, side=Side.LEFT).tobytes() == capture
+    assert scan(damaged) == scanned_as_oracle(damaged)
+    events = scan_stream_offsets(damaged)[2]
+    assert {ev.kind for ev in events} == {EventKind.SYNC_LOSS, EventKind.CRC_MISMATCH,
+                                         EventKind.FORMAT_ERROR}
+    assert all(type(ev) is StreamEvent and ev.missing_count == 0 for ev in events)
 
 
 def test_kernel_backend_reports_selection():
