@@ -45,9 +45,10 @@ class ForceSeries:
     forces_n: np.ndarray
 
     @property
-    def points(self) -> tuple[tuple[int, float], ...]:
-        """(timestamp_ms, force_n) pairs, kept only for the benchmark (perfbench/run.py)."""
-        return tuple(zip(self.timestamps_ms.tolist(), self.forces_n.tolist()))
+    def points(self) -> np.ndarray:
+        """(timestamp_ms, force_n) rows as an (n, 2) float64 array, the form
+        render_profile_svg draws."""
+        return np.column_stack((self.timestamps_ms, self.forces_n))
 
     def __len__(self) -> int:
         return len(self.timestamps_ms)

@@ -1,7 +1,9 @@
 """Dependency-free SVG line charts for force/voltage profiles.
 
 Output is a plain string, fully determined by the input, so charts can be
-diffed and golden-tested byte for byte.
+diffed and golden-tested byte for byte. Polyline coordinates are written by
+the numpy digit writer of recorded columns (ingest._ascii_words), with bytes
+equal to Python's "{:.2f}" of each coordinate.
 """
 
 import math
@@ -10,6 +12,7 @@ from html import escape
 import numpy as np
 
 from gripstream.errors import GripstreamError
+from gripstream.ingest import _ascii_words
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
@@ -18,6 +21,15 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 58, 16, 30, 44
 _PLOT_W = _WIDTH - _MARGIN_L - _MARGIN_R
 _PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
 _TARGET_TICKS = 5
+# Below this, 100·x as a float64 is within half a unit of the exact 100·x, so
+# its rint is "{:.2f}"'s rounding wherever 100·x is not near a .5 tie.
+_CENTS_EXACT_BELOW = 2.0**53 / 100
+# The two decimals then the separator, right-aligned in an 8-byte word (zeros
+# first, as _ascii_words writes): 100 entries ending "," for x, then 100 ending " " for y.
+_DECIMALS = np.frombuffer(
+    b"".join(f"{d:02d}{sep}".encode().rjust(8, b"\0") for sep in ", " for d in range(100)),
+    np.uint64,
+)
 
 
 class NoDataError(GripstreamError):
@@ -46,12 +58,37 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
+def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """"x,y x,y ..." with each coordinate as "{:.2f}" writes it.
+
+    xs and ys are >= 0. Each coordinate is written from its hundredths
+    k = rint(100·x): the digits of k // 100 and ".", then a word of k's last
+    two digits and the separator. "{:.2f}" rounds the exact binary value
+    (half to even), which rint of the rounded product can miss only where
+    100·x lies near a .5 tie, so those entries take k from format itself. A
+    series with a coordinate past _CENTS_EXACT_BELOW, or not finite, keeps
+    format.
+    """
+    coords = np.column_stack((xs, ys))
+    if not coords.max() < _CENTS_EXACT_BELOW:
+        return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+    scaled = coords * 100.0
+    cents = np.rint(scaled).astype(np.int64)
+    for at in zip(*np.nonzero(np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6)):
+        cents[at] = int(format(coords[at], ".2f").replace(".", ""))
+    words = np.column_stack((_ascii_words((cents // 100).ravel(), b"."),
+                             _DECIMALS[cents % 100 + (0, 100)].ravel()))
+    return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+
+
 def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> str:
     """Render labeled (label, points) series as a 640x360 SVG chart.
 
     points holds (t_ms, value) rows: a sequence of pairs or an (n, 2) array.
     Empty series are skipped; if nothing remains there is nothing to plot
-    and NoDataError is raised. The x axis is task time in seconds.
+    and NoDataError is raised. The x axis is task time in seconds. Polyline
+    points come from the numpy digit writer (_polyline_points), byte for
+    byte what "{:.2f}" writes.
     """
     drawable = []
     for label, points in series:
@@ -133,10 +170,10 @@ def render_profile_svg(series, y_label: str = "force (N)", title: str = "") -> s
     # one polyline per series
     for i, (label, pts) in enumerate(drawable):
         color = PALETTE[i % len(PALETTE)]
-        xs, ys = sx(pts[:, 0] / 1000.0).tolist(), sy(pts[:, 1]).tolist()
-        coords = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
+        xs, ys = sx(pts[:, 0] / 1000.0), sy(pts[:, 1])
         parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{_polyline_points(xs, ys)}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"/>'
         )
         if len(pts) == 1:
             parts.append(f'<circle cx="{xs[0]:.2f}" cy="{ys[0]:.2f}" r="2.5" fill="{color}"/>')
