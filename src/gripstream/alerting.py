@@ -84,6 +84,12 @@ class AlertEvent:
 
 
 def format_alert(event: AlertEvent) -> str:
+    """The alert's log line, with its peak_force_n at the time of the call.
+
+    serve formats an alert the moment it opens, so its peak is the top of
+    the debounce window; monitor formats finished episodes, so its peak is
+    the whole episode's.
+    """
     return (
         f"ALERT glove={event.glove.value} sensor=S{event.sensor} "
         f"onset={event.onset_timestamp_ms} peak={event.peak_force_n:.2f}"

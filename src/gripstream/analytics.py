@@ -172,36 +172,25 @@ _BETA_TINY = 1e-300
 _BETA_MAX_ITER = 300
 
 
+def _lentz_floor(v: float) -> float:
+    return _BETA_TINY if abs(v) < _BETA_TINY else v
+
+
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     # modified Lentz evaluation of the standard continued fraction for I_x
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_TINY:
-        d = _BETA_TINY
-    d = 1.0 / d
+    d = 1.0 / _lentz_floor(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # step m takes the even coefficient, then the odd one
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _lentz_floor(1.0 + aa * d)
+            c = _lentz_floor(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

@@ -224,37 +224,27 @@ def _cmd_simulate(args, cfg: GloveConfig, cal: Calibration) -> int:
 
 
 class _GloveLink:
-    """One connection of serve's loop: its builder, monitor, force table and cursor."""
+    """One connection of serve's loop: its builder, monitor and stall deadline."""
 
-    def __init__(self, conn, args, cfg, cal, deadline: float):
+    def __init__(self, conn, builder: SessionBuilder, deadline: float):
         self.conn = conn
-        self.cfg, self.cal, self.policy = cfg, cal, args.policy
-        self.builder = _session_builder(args, cfg)
-        self.monitor = self.columns = self.table = None
-        self.cursor = 0
+        self.builder = builder
+        self.monitor: GripMonitor | None = None  # made once a frame names the glove
         self.deadline = deadline  # time.monotonic() past which the connection has stalled
 
-    def take(self, chunk: bytes) -> None:
-        """Feed one read and step the monitor over every frame it completed."""
+    def take(self, chunk: bytes, policy: AlertPolicy, forces) -> None:
+        """Feed one read; step the monitor over each frame it completed, converted by forces."""
         builder = self.builder
+        start = builder.frames  # all before it were stepped: a take that raises ends the link
         _, events = builder.feed(chunk)
         for ev in events:
             log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
         if self.monitor is None and builder.hand is not None:
-            self.monitor = GripMonitor(self.policy, glove=builder.hand.side)
-            self.columns = [sid - 1 for sid in self.monitor.watched]
-            self.table = force_table(self.cal, self.cfg)
-        monitor, columns, table, cursor = self.monitor, self.columns, self.table, self.cursor
-        while cursor < builder.frames:
-            ts, volts = builder.frame_samples(cursor)
-            try:  # a lookup per sample: a numpy call per frame costs serve more CPU
-                forces = [table[volts[i]] for i in columns]
-            except IndexError:  # outside the table: the scalar call raises DomainError
-                forces = [force_from_voltage(volts[i], self.cal, self.cfg) for i in columns]
-            for alert in monitor.step(ts, forces):
+            self.monitor = GripMonitor(policy, glove=builder.hand.side)
+        for index in range(start, builder.frames):
+            ts, volts = builder.frame_samples(index)
+            for alert in self.monitor.step(ts, forces(volts)):
                 print("\a" + format_alert(alert), file=sys.stderr, flush=True)
-            cursor += 1
-        self.cursor = cursor
 
     def record(self, out, stems: set[str], problem: Exception | None) -> Exception | None:
         """Close the connection and record what arrived; returns the first problem, if any."""
@@ -294,6 +284,15 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
     is recorded before the error goes on.
     """
     stall_s = cfg.sample_period_ms  # 1,000 sample periods (20 s at 50 Hz) without a byte
+    table = force_table(cal, cfg)
+    columns = [sid - 1 for sid in args.policy.watched]
+
+    def forces(volts) -> list[float]:
+        try:  # a lookup per sample: a numpy call per frame costs serve more CPU
+            return [table[volts[i]] for i in columns]
+        except IndexError:  # outside the table: the scalar call raises DomainError
+            return [force_from_voltage(volts[i], cal, cfg) for i in columns]
+
     failures: list[Exception] = []
     stems: set[str] = set()
     links: list[_GloveLink] = []  # open connections
@@ -323,7 +322,7 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
                     if link is None:  # the listening socket
                         conn, addr = server.accept()
                         log.info("connection from %s:%d", *addr)
-                        link = _GloveLink(conn, args, cfg, cal, now + stall_s)
+                        link = _GloveLink(conn, _session_builder(args, cfg), now + stall_s)
                         selector.register(conn, selectors.EVENT_READ, link)
                         links.append(link)
                         waiting -= 1
@@ -336,7 +335,7 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
                         chunk = link.conn.recv(4096)
                         if chunk:
                             link.deadline = now + stall_s
-                            link.take(chunk)
+                            link.take(chunk, args.policy, forces)
                             continue
                     except Exception as exc:  # e.g. a reset or an unconvertible sample
                         problem = exc

@@ -339,6 +339,17 @@ def test_twoway_additive_table_has_zero_interaction():
     assert got.effect_a.f_stat > 0 and got.effect_b.f_stat > 0
 
 
+def test_twoway_constant_cells_of_an_additive_table():
+    # no spread inside any cell: both main effects are certain, the interaction is empty
+    a_levels, b_levels = (0.0, 6.0), (1.0, 3.0, 8.0)
+    cube = [[[a + b, a + b] for b in b_levels] for a in a_levels]
+    got = anova_twoway(np.array(cube))
+    assert got.ss_error == 0.0
+    for effect in (got.effect_a, got.effect_b):
+        assert math.isinf(effect.f_stat) and effect.p_value == 0.0
+    assert got.interaction.f_stat == 0.0 and got.interaction.p_value == 1.0
+
+
 def test_twoway_rejects_bad_designs():
     with pytest.raises(UnbalancedDesignError):
         anova_twoway(np.zeros((2, 2)))

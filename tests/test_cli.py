@@ -6,18 +6,27 @@ import socket
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from contextlib import contextmanager
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gripstream.alerting import AlertPolicy, format_alert, monitor_session
 from gripstream.analytics import anova_from_sessions
 from gripstream.cli import build_parser, main
-from gripstream.core import Calibration, Dominance, GloveConfig, Side, save_config
-from gripstream.ingest import SessionBuilder, load_sessions, record_session
+from gripstream.core import (Calibration, Dominance, GloveConfig, Side, force_from_voltage,
+                             save_config)
+from gripstream.ingest import SessionBuilder, load_sessions, record_session, session_summary
 from gripstream.pipeline import session_from_capture
-from gripstream.protocol import FRAME_SIZE, EventKind, Frame, encode_frame, encode_records
+from gripstream.protocol import (FRAME_SIZE, SYNC_BYTE, EventKind, Frame, encode_frame,
+                                 encode_records)
 from gripstream.simulate import (
     SessionPlan,
     emit_frames,
@@ -570,27 +579,120 @@ def test_monitor_stays_quiet_below_threshold(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # live ingestion over a socket
 
-def test_serve_ingests_alerts_and_records(tmp_path):
-    out = tmp_path / "live"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "1",
-         "--subject", "live", "--threshold", "3", "--sensors", "S4",
-         "--out", str(out)],
+@contextmanager
+def start_serve(*flags):
+    """`serve` on an ephemeral port, read up to its listening line; yields it and the port.
+
+    A serve that is still running when the block ends is killed.
+    """
+    with subprocess.Popen(
+        [sys.executable, "-m", "gripstream", "serve", "--port", "0", *flags],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        banner = proc.stderr.readline()
-        assert banner.startswith("listening on 127.0.0.1:")
-        port = int(banner.rsplit(":", 1)[1])
+    ) as proc:
+        try:
+            banner = proc.stderr.readline()
+            assert banner.startswith("listening on 127.0.0.1:")
+            yield proc, int(banner.rsplit(":", 1)[1])
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+
+
+@st.composite
+def damaged_gloves(draw):
+    """One glove's power_grip lift capture or both, damaged, and how to cut the wire.
+
+    The damage is that of test_ingest.damaged_links: dropped frames, garbage
+    runs (holding false sync bytes) before a frame, and 1-3 flipped bits in a
+    frame. Returns (blobs by side, seed of the 1-200-byte pieces, debounce).
+    """
+    sides = draw(st.sampled_from([(Side.RIGHT,), (Side.LEFT,), tuple(Side)]))
+    plan = SessionPlan(profiles={side: get_preset("power_grip") for side in sides},
+                       duration_s=3.0, seed=draw(st.integers(0, 1000)), dominant=Side.RIGHT,
+                       waveform="lift")
+    blobs = {}
+    for side, matrix in synthesize_session(plan).items():
+        blob = encode_session(emit_frames(matrix, side=side))
+        frames = [blob[at:at + FRAME_SIZE] for at in range(0, len(blob), FRAME_SIZE)]
+        damage = draw(st.dictionaries(st.integers(0, len(frames) - 1),
+                                      st.sampled_from(("drop", "flip", "garbage")), max_size=20))
+        for k, op in damage.items():
+            if op == "drop":
+                frames[k] = b""
+            elif op == "garbage":
+                noise = st.just(SYNC_BYTE) | st.integers(0, 255)
+                frames[k] = bytes(draw(st.lists(noise, min_size=1, max_size=50))) + frames[k]
+            else:
+                flipped = bytearray(frames[k])
+                for bit in draw(st.sets(st.integers(0, 8 * FRAME_SIZE - 1), min_size=1,
+                                        max_size=3)):
+                    flipped[bit // 8] ^= 1 << (bit % 8)
+                frames[k] = bytes(flipped)
+        blobs[side] = b"".join(frames)
+    return blobs, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=10, deadline=None)
+@given(damaged_gloves())
+def test_serve_records_and_alerts_as_record_and_monitor_do(case):
+    blobs, seed, debounce = case
+    rng = random.Random(seed)
+    policy = AlertPolicy(threshold_n=5.0, debounce=debounce)
+    cal, cfg = Calibration(), GloveConfig()
+    with tempfile.TemporaryDirectory() as tmp:
+        live, offline = Path(tmp, "live"), Path(tmp, "offline")
+        with start_serve("--sessions", str(len(blobs)), "--threshold", "5",
+                         "--debounce", str(debounce), "--out", str(live)) as (proc, port):
+            socks = {side: socket.create_connection(("127.0.0.1", port), timeout=10)
+                     for side in blobs}
+            sent = dict.fromkeys(blobs, 0)
+            while unsent := [side for side in blobs if sent[side] < len(blobs[side])]:
+                side = rng.choice(unsent)  # the gloves' pieces interleave
+                step = rng.randint(1, 200)
+                socks[side].sendall(blobs[side][sent[side]:sent[side] + step])
+                sent[side] += step
+            for sock in socks.values():
+                sock.close()
+            _, stderr = proc.communicate(timeout=30)
+        assert proc.returncode == 0, stderr
+        for side, blob in blobs.items():
+            capture = Path(tmp, f"{side.value}.bin")
+            capture.write_bytes(blob)
+            assert main(["record", "--in", str(capture), "--out", str(offline)]) == 0
+        # (a) the files record writes from the same bytes, apart from the start time
+        assert sorted(p.name for p in live.iterdir()) == sorted(p.name for p in offline.iterdir())
+        for path in offline.iterdir():
+            got, want = (live / path.name).read_bytes(), path.read_bytes()
+            if path.name.endswith("_meta.txt"):
+                got, want = ([line for line in text.splitlines()
+                              if not line.startswith(b"started_at = ")] for text in (got, want))
+            assert got == want, path.name
+        lines = stderr.splitlines()
+        for session in load_sessions(live):
+            # (b) monitor's episodes, each with its peak when it opened: the debounce window's
+            forces = force_from_voltage(session.voltages_mv.T, cal, cfg)
+            want = []
+            for alert in monitor_session(session, policy, cal, cfg):
+                onset = int(np.searchsorted(session.timestamps_ms, alert.onset_timestamp_ms))
+                peak = float(forces[alert.sensor - 1, onset - debounce + 1:onset + 1].max())
+                want.append("\a" + format_alert(replace(alert, peak_force_n=peak)))
+            glove = f"\aALERT glove={session.hand.side.value} "
+            assert [line for line in lines if line.startswith(glove)] == want
+            # (c) the summary line
+            summary = session_summary(session)
+            assert (f"session {session.stem}: {summary.frames} frames, {summary.gap_count} gap(s), "
+                    f"battery {summary.battery_final_mv} mV") in lines
+
+
+def test_serve_ingests_alerts_and_records(tmp_path):
+    out = tmp_path / "live"
+    with start_serve("--sessions", "1", "--subject", "live", "--threshold", "3",
+                     "--sensors", "S4", "--out", str(out)) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(high_force_blob(duration_s=1.0, seed=9))
         stdout, stderr = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     assert proc.returncode == 0, stderr
     assert "ALERT glove=R sensor=S4" in stderr
     assert "recorded" in stderr
@@ -601,15 +703,8 @@ def test_serve_ingests_alerts_and_records(tmp_path):
 
 def test_serve_records_what_arrived_before_a_reset(tmp_path):
     out = tmp_path / "live"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "1",
-         "--subject", "cut", "--threshold", "3", "--sensors", "S4", "--out", str(out)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        port = int(proc.stderr.readline().rsplit(":", 1)[1])
+    with start_serve("--sessions", "1", "--subject", "cut", "--threshold", "3",
+                     "--sensors", "S4", "--out", str(out)) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(high_force_blob(duration_s=1.0, seed=9))
             line = proc.stderr.readline()
@@ -619,10 +714,6 @@ def test_serve_records_what_arrived_before_a_reset(tmp_path):
             # linger 0: close sends a reset instead of a clean end of stream
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         _, stderr = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     assert proc.returncode == 2, stderr
     assert "error:" in stderr
     (session,) = load_sessions(out)
@@ -636,22 +727,11 @@ def test_serve_records_what_arrived_before_a_stall(tmp_path):
     plan = SessionPlan(profiles={Side.RIGHT: get_preset("steady")}, duration_s=0.1)
     blob = encode_session(emit_frames(synthesize_session(plan, cfg=cfg)[Side.RIGHT], cfg=cfg))
     out = tmp_path / "live"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "1",
-         "--config", str(config), "--out", str(out)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        port = int(proc.stderr.readline().rsplit(":", 1)[1])
+    with start_serve("--sessions", "1", "--config", str(config),
+                     "--out", str(out)) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(blob)  # 50 frames, then silence with the socket held open
             _, stderr = proc.communicate(timeout=10)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     assert proc.returncode == 2, stderr
     assert "error: no byte came for 2 s" in stderr
     (session,) = load_sessions(out)
@@ -664,22 +744,11 @@ def test_serve_records_what_arrived_before_a_sample_it_cannot_convert(tmp_path):
     frames = [Frame(Side.RIGHT, k, 20 * k, 4000, (600,) * 12) for k in range(50)]
     frames[-1] = Frame(Side.RIGHT, 49, 980, 4000, (600,) * 11 + (2600,))  # over the supply
     out = tmp_path / "live"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "1",
-         "--config", str(config), "--out", str(out)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        port = int(proc.stderr.readline().rsplit(":", 1)[1])
+    with start_serve("--sessions", "1", "--config", str(config),
+                     "--out", str(out)) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(b"".join(encode_frame(f) for f in frames))
         _, stderr = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     assert proc.returncode == 2, stderr
     assert "session anon_R_quiet: 50 frames, 0 gap(s)" in stderr
     assert "error: voltage 2600 mV outside [0, 2500) mV" in stderr
@@ -689,15 +758,8 @@ def test_serve_records_what_arrived_before_a_sample_it_cannot_convert(tmp_path):
 
 def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
     out = tmp_path / "live"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gripstream", "serve", "--port", "0", "--sessions", "2",
-         "--threshold", "19.9", "--out", str(out)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        port = int(proc.stderr.readline().rsplit(":", 1)[1])
+    with start_serve("--sessions", "2", "--threshold", "19.9",
+                     "--out", str(out)) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(high_force_blob(duration_s=2.0, seed=9))  # 100 frames
         line = proc.stderr.readline()
@@ -707,10 +769,6 @@ def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(high_force_blob(duration_s=3.0, seed=10))  # 150 frames
         _, stderr = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     assert proc.returncode == 2, stderr
     assert not [line for line in stderr.splitlines() if line.startswith("recorded")]
     assert "session anon_R_quiet: 150 frames" in stderr
@@ -721,9 +779,8 @@ def test_serve_refuses_to_overwrite_a_session_of_the_same_glove(tmp_path):
 
 def test_serve_refuses_a_connection_past_its_sessions(tmp_path):
     out = tmp_path / "live"
-    proc, port = start_serve("--sessions", "1", "--threshold", "3", "--sensors", "S4",
-                             "--out", str(out))
-    try:
+    with start_serve("--sessions", "1", "--threshold", "3", "--sensors", "S4",
+                     "--out", str(out)) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(high_force_blob(duration_s=1.0, seed=9))
             # an alert comes from a read after the accept, so the accept is complete
@@ -734,31 +791,15 @@ def test_serve_refuses_a_connection_past_its_sessions(tmp_path):
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection(("127.0.0.1", port), timeout=10).close()
         _, stderr = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     assert proc.returncode == 0, stderr
     (session,) = load_sessions(out)
     assert session.frame_count == 50
 
 
-def start_serve(*flags):
-    """`serve` on an ephemeral port, started up to its listening line; returns it and the port."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gripstream", "serve", "--port", "0", *flags],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    return proc, int(proc.stderr.readline().rsplit(":", 1)[1])
-
-
 def test_serve_takes_two_gloves_at_once(tmp_path):
     blobs = {side: high_force_blob(duration_s=2.0, seed=9, side=side) for side in Side}
     out = tmp_path / "live"
-    proc, port = start_serve("--sessions", "2", "--threshold", "3", "--out", str(out))
-    try:
+    with start_serve("--sessions", "2", "--threshold", "3", "--out", str(out)) as (proc, port):
         socks = {side: socket.create_connection(("127.0.0.1", port), timeout=10) for side in blobs}
         rng = random.Random(15)
         sent = dict.fromkeys(blobs, 0)
@@ -780,10 +821,6 @@ def test_serve_takes_two_gloves_at_once(tmp_path):
         for sock in socks.values():
             sock.close()
         _, rest = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     stderr = "".join(seen) + rest
     assert proc.returncode == 0, stderr
     recorded = {session.hand.side: session for session in load_sessions(out)}
@@ -804,8 +841,8 @@ def test_serve_records_a_stalled_glove_at_its_own_deadline(tmp_path):
     blobs = {side: encode_session(emit_frames(matrix, cfg=cfg, side=side))
              for side, matrix in synthesize_session(plan, cfg=cfg).items()}
     out = tmp_path / "live"
-    proc, port = start_serve("--sessions", "2", "--config", str(config), "--out", str(out))
-    try:
+    with start_serve("--sessions", "2", "--config", str(config),
+                     "--out", str(out)) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as stalled, \
                 socket.create_connection(("127.0.0.1", port), timeout=10) as streaming:
             stalled.sendall(blobs[Side.LEFT][:50 * 36])  # then silence with the socket held open
@@ -815,10 +852,6 @@ def test_serve_records_a_stalled_glove_at_its_own_deadline(tmp_path):
                 time.sleep(0.07)
             streaming.close()
             _, stderr = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     assert proc.returncode == 2, stderr
     assert "error: no byte came for 2 s" in stderr
     # the stalled glove was recorded while the other one still streamed
@@ -832,9 +865,8 @@ def ctrl_c_serve(tmp_path, sessions):
     """One glove's 50 frames into `serve --sessions N`, then SIGINT; returns serve's stderr."""
     frames = [Frame(Side.RIGHT, k, 20 * k, 4000, (300,) * 12) for k in range(49)]
     frames.append(Frame(Side.RIGHT, 49, 980, 4000, (1500,) * 12))  # 10 N: the last frame alerts
-    proc, port = start_serve("--sessions", str(sessions), "--threshold", "6", "--debounce", "1",
-                             "--sensors", "S4", "--out", str(tmp_path / "live"))
-    try:
+    with start_serve("--sessions", str(sessions), "--threshold", "6", "--debounce", "1",
+                     "--sensors", "S4", "--out", str(tmp_path / "live")) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(b"".join(encode_frame(f) for f in frames))
             seen = [proc.stderr.readline()]
@@ -846,10 +878,6 @@ def ctrl_c_serve(tmp_path, sessions):
             while seen[-1] and seen[-1] != "KeyboardInterrupt\n":
                 seen.append(proc.stderr.readline())
         _, rest = proc.communicate(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
     stderr = "".join(seen) + rest
     assert proc.returncode == -signal.SIGINT, stderr
     return stderr
