@@ -16,10 +16,11 @@ Seven workloads, each timed best of --repeats:
                 directory: 13 column files and the metadata written
   load          load_session of that recording: 13 column files read back
 
-A whole stream is scanned and accepted as numpy columns and a 36-byte chunk
-a frame at a time (protocol.BLOCK_MIN_BYTES), so scan and the two feeds time
-both paths. record formats its column files as numpy word matrices, and load
-reads them back with the one-pass digit conversion.
+scan_stream_offsets works as numpy columns at any length. SessionBuilder.feed
+accepts a whole stream as numpy columns and walks a 36-byte chunk a frame at a
+time (protocol.BLOCK_MIN_BYTES), so the two feeds time both of its paths.
+record formats its column files as numpy word matrices, and load reads them
+back with the one-pass digit conversion.
 
 Run after installing the package:  python3 benchmarks/bench_codec.py
 End-to-end numbers come from perfbench/run.py.

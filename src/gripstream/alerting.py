@@ -113,19 +113,27 @@ class GripMonitor:
         self.watched = self.policy.watched
         self._states = [_SensorState() for _ in self.watched]
         self._last_ts: int | None = None
+        self._quiet = True  # no sensor has an open episode or a run over the threshold
 
     def step(self, timestamp_ms: int, forces) -> list[AlertEvent]:
         """Advance one frame; forces[i] is the force at sensor watched[i].
 
         Returns the alerts that opened at this frame. Peak updates and clears
         mutate previously returned events rather than producing new ones, so
-        len(monitor.alerts) counts episodes.
+        len(monitor.alerts) counts episodes. While every sensor is quiet, a
+        frame with no force over the threshold costs one max().
         """
         if self._last_ts is not None and timestamp_ms <= self._last_ts:
             raise SequencingError(f"frame at {timestamp_ms} ms not after {self._last_ts} ms")
         self._last_ts = timestamp_ms
         pol = self.policy
+        if self._quiet:
+            if len(forces) != len(self._states):
+                raise ValueError(f"{len(forces)} forces for {len(self._states)} watched sensors")
+            if max(forces) <= pol.threshold_n:
+                return []
         opened = []
+        quiet = True
         for sensor, state, force_n in zip(self.watched, self._states, forces, strict=True):
             if state.active is not None:
                 alert = state.active
@@ -133,7 +141,10 @@ class GripMonitor:
                 if force_n < pol.clear_level_n:
                     alert.cleared_timestamp_ms = timestamp_ms
                     state.active = None
+                else:
+                    quiet = False
             elif force_n > pol.threshold_n:
+                quiet = False
                 state.run_count += 1
                 state.run_peak = max(state.run_peak, force_n)
                 if state.run_count >= pol.debounce:
@@ -151,6 +162,7 @@ class GripMonitor:
             else:
                 state.run_count = 0
                 state.run_peak = 0.0
+        self._quiet = quiet
         return opened
 
 

@@ -233,17 +233,19 @@ class _GloveLink:
         self.deadline = deadline  # time.monotonic() past which the connection has stalled
 
     def take(self, chunk: bytes, policy: AlertPolicy, forces) -> None:
-        """Feed one read; step the monitor over each frame it completed, converted by forces."""
+        """Feed one read; step the monitor over each frame it accepted, converted by forces.
+
+        The frames come as the feed's field tuples (builder.last_accepted), so
+        none is unpacked again; a take that raises ends the link.
+        """
         builder = self.builder
-        start = builder.frames  # all before it were stepped: a take that raises ends the link
         _, events = builder.feed(chunk)
         for ev in events:
             log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
         if self.monitor is None and builder.hand is not None:
             self.monitor = GripMonitor(policy, glove=builder.hand.side)
-        for index in range(start, builder.frames):
-            ts, volts = builder.frame_samples(index)
-            for alert in self.monitor.step(ts, forces(volts)):
+        for fields in builder.last_accepted():
+            for alert in self.monitor.step(fields[3], forces(fields)):
                 print("\a" + format_alert(alert), file=sys.stderr, flush=True)
 
     def record(self, out, stems: set[str], problem: Exception | None) -> Exception | None:
@@ -277,21 +279,25 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
     the connections and reads whichever socket is ready, so two gloves do not
     take turns at the interpreter lock on every read. Each connection has its
     own builder, monitor and stall deadline, 1,000 sample periods after its
-    last byte. A connection's session is recorded when it ends (end of stream,
-    reset, stall or a sample that cannot be converted) inside the loop, a few
-    microseconds per frame, and the other glove's reads wait in the kernel's
-    buffer meanwhile. On Ctrl-C or any other error of the loop, every open connection
+    last byte. A read shorter than BLOCK_MIN_BYTES is scanned, checked and
+    accepted in the builder's one walk, without numpy; the monitor steps over
+    the field tuples that walk unpacked, each watched voltage converted by a
+    lookup in force_table, and a frame with no force over the threshold
+    while no alert or run is under way costs one comparison. A connection's
+    session is recorded when it ends (end of stream, reset, stall or a sample
+    that cannot be converted) inside the loop, a few microseconds per frame,
+    and the other glove's reads wait in the kernel's buffer meanwhile. On Ctrl-C or any other error of the loop, every open connection
     is recorded before the error goes on.
     """
     stall_s = cfg.sample_period_ms  # 1,000 sample periods (20 s at 50 Hz) without a byte
     table = force_table(cal, cfg)
-    columns = [sid - 1 for sid in args.policy.watched]
+    columns = [sid + 4 for sid in args.policy.watched]  # S1 is field 5 of a FRAME_STRUCT tuple
 
-    def forces(volts) -> list[float]:
+    def forces(fields) -> list[float]:
         try:  # a lookup per sample: a numpy call per frame costs serve more CPU
-            return [table[volts[i]] for i in columns]
+            return [table[fields[i]] for i in columns]
         except IndexError:  # outside the table: the scalar call raises DomainError
-            return [force_from_voltage(volts[i], cal, cfg) for i in columns]
+            return [force_from_voltage(fields[i], cal, cfg) for i in columns]
 
     failures: list[Exception] = []
     stems: set[str] = set()

@@ -14,6 +14,7 @@ back bit-exact.
 import operator
 import os
 import re
+from binascii import crc_hqx
 from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -25,7 +26,8 @@ from gripstream.core import (SENSOR_COUNT, Dominance, GloveConfig, Hand, Side, _
                              parse_kv_text)
 from gripstream.errors import GripstreamError, excerpt
 from gripstream.protocol import (BLOCK_MIN_BYTES, BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT,
-                                 GLOVE_BYTE, SYNC_BYTE, EventKind, StreamEvent, scan_stream_offsets)
+                                 SYNC_BYTE, EventKind, StreamEvent, _field_error,
+                                 scan_stream_offsets)
 
 SENSOR_IDS = tuple(range(1, SENSOR_COUNT + 1))
 _SENSOR_LABELS = tuple(f"S{sid}" for sid in SENSOR_IDS)
@@ -193,10 +195,14 @@ class SessionBuilder:
     says went by unseen. It keeps each accepted frame only as its 36 wire
     bytes.
 
-    A feed of at least BLOCK_MIN_BYTES (tail included) appends in one step
+    A feed shorter than BLOCK_MIN_BYTES (tail included) is scanned, checked
+    and accepted in one walk without numpy, which unpacks each
+    checksum-valid frame once and hands the accepted frames' fields to
+    last_accepted, so a live consumer such as serve unpacks nothing again.
+    A longer feed is scanned by scan_stream_offsets and appends in one step
     the records those rules accept, found with their gaps over numpy
-    columns; only the refused records then go frame by frame, for their
-    events. A shorter feed goes frame by frame.
+    columns; only the refused records then go one at a time, for their
+    events, through the rule the walk applies (_refused).
     """
 
     def __init__(
@@ -215,12 +221,15 @@ class SessionBuilder:
         self.sample_period_ms = sample_period_ms
         self.events: list[StreamEvent] = []
         self._records = bytearray()  # accepted frames back to back, FRAME_DTYPE rows
+        self._glove = -1  # the locked glove's id byte; -1 before the first frame
         self._last_ts = -1  # the last accepted frame's timestamp; -1 before the first
         self._last_seq = 0
         self._gaps: list[StreamEvent] = []
         self._tail = b""
         self._base = 0  # absolute stream offset of the carried tail's first byte
         self._in_garbage = False  # the last chunk ended inside a reported garbage run
+        self._accepted: list[tuple] | None = []  # the last feed's accepted fields; None: unpack
+        self._accepted_at = 0  # where the last feed's accepted records begin in _records
 
     @property
     def frames(self) -> int:
@@ -232,13 +241,19 @@ class SessionBuilder:
         return len(self._tail)
 
     def frame_samples(self, index: int) -> tuple[int, tuple[int, ...]]:
-        """Timestamp and the 12 voltages of accepted frame `index`.
-
-        Lets a live consumer (e.g. an alert monitor) walk frames as they
-        land without snapshotting the whole session after every feed.
-        """
+        """Timestamp and the 12 voltages of accepted frame `index`."""
         fields = FRAME_STRUCT.unpack_from(self._records, FRAME_SIZE * range(self.frames)[index])
         return fields[3], fields[5:17]
+
+    def last_accepted(self) -> list[tuple]:
+        """FRAME_STRUCT field tuples of the frames the last feed accepted, in byte order.
+
+        A short feed's come from its walk; a long feed's are unpacked here,
+        on the first call.
+        """
+        if self._accepted is None:
+            self._accepted = list(FRAME_STRUCT.iter_unpack(self._records[self._accepted_at:]))
+        return self._accepted
 
     def feed(self, data: bytes) -> tuple[int, list[StreamEvent]]:
         """Consume a chunk; returns (samples appended, events this chunk).
@@ -247,8 +262,12 @@ class SessionBuilder:
         not within the chunk, so logs stay meaningful across reads.
         """
         buf = self._tail + bytes(data)
-        offsets, records, events, remainder = scan_stream_offsets(buf, self._base)
-        if buf:
+        before = self._accepted_at = len(self._records)
+        if len(buf) < BLOCK_MIN_BYTES:
+            events, remainder, self._accepted = self._walk(buf)
+        else:
+            self._accepted = None
+            offsets, records, events, remainder = scan_stream_offsets(buf, self._base)
             last_frame = offsets[-1] if offsets else -1
             ends_in_garbage = (not remainder and bool(events)
                                and events[-1].kind is EventKind.SYNC_LOSS
@@ -257,28 +276,106 @@ class SessionBuilder:
                 # a garbage run that began in an earlier chunk was reported there
                 events = events[1:]
             self._in_garbage = ends_in_garbage
-        before = len(self._records)
-        if offsets:
-            if self.hand is None:
-                glove = BYTE_GLOVE[records[1]]
-                dom = Dominance.DOMINANT if glove is self.dominant_side else Dominance.NON_DOMINANT
-                self.hand = Hand(side=glove, dominance=dom)
-            accept = self._accept_block if len(buf) >= BLOCK_MIN_BYTES else self._accept_each
-            found = accept(offsets, records)
-            if found:
-                events = sorted(events + found, key=_AT_BYTE)  # sorted runs: a linear merge
+            if offsets:
+                if self._glove < 0:
+                    self._lock(records[1])
+                found = self._accept_block(offsets, records)
+                if found:
+                    events = sorted(events + found, key=_AT_BYTE)  # sorted runs: a linear merge
         self._base += len(buf) - len(remainder)
         self._tail = remainder
         self.events.extend(events)
         return SENSOR_COUNT * (len(self._records) - before) // FRAME_SIZE, events
 
+    def _lock(self, glove: int) -> None:
+        """Lock the connection to the glove of id byte `glove`, the first frame's."""
+        side = BYTE_GLOVE[glove]
+        dom = Dominance.DOMINANT if side is self.dominant_side else Dominance.NON_DOMINANT
+        self.hand = Hand(side=side, dominance=dom)
+        self._glove = glove
+
+    def _walk(self, buf: bytes) -> tuple[list[StreamEvent], bytes, list[tuple]]:
+        """Scan, check and accept buf a position at a time, as the numpy path does over columns.
+
+        Returns the events in byte order, the remainder, and the accepted
+        frames' FRAME_STRUCT tuples. Each checksum-valid frame is unpacked once.
+        """
+        events: list[StreamEvent] = []
+        accepted: list[tuple] = []
+        base, n = self._base, len(buf)
+        # a garbage run that began in an earlier chunk was reported there
+        i = buf.find(SYNC_BYTE) if self._in_garbage else 0
+        if i < 0:
+            return events, b"", accepted
+        self._in_garbage = False
+        while i < n:
+            if buf[i] != SYNC_BYTE:
+                events.append(StreamEvent(EventKind.SYNC_LOSS, base + i))
+                i = buf.find(SYNC_BYTE, i)
+                if i < 0:
+                    self._in_garbage = True
+                    break
+                continue
+            if n - i < FRAME_SIZE:
+                return events, buf[i:], accepted
+            if crc_hqx(buf[i + 1:i + 34], 0xFFFF) != buf[i + 34] | buf[i + 35] << 8:
+                events.append(StreamEvent(EventKind.CRC_MISMATCH, base + i))
+                i += 1
+                continue
+            fields = FRAME_STRUCT.unpack_from(buf, i)
+            start, at = i, base + i
+            i += FRAME_SIZE
+            if _field_error(fields):
+                events.append(StreamEvent(EventKind.FORMAT_ERROR, at))
+                continue
+            if self._glove < 0:
+                self._lock(fields[1])
+            _, glove, seq, ts = fields[:4]
+            refused = self._refused(glove, seq, ts, at)
+            if refused is not None:
+                events.append(refused)
+                continue
+            if self._last_ts >= 0:
+                missing = (seq - (self._last_seq + 1)) % _SEQ_MOD
+                # add the whole wraps the clock says went by (RFC 3550 A.1)
+                elapsed = round((ts - self._last_ts) / self.sample_period_ms) - 1
+                missing += _SEQ_MOD * max(0, round((elapsed - missing) / _SEQ_MOD))
+                if missing:
+                    gap = StreamEvent(EventKind.SEQUENCE_GAP, at, missing_count=missing)
+                    events.append(gap)
+                    self._gaps.append(gap)
+            self._last_ts, self._last_seq = ts, seq
+            self._records += buf[start:i]
+            accepted.append(fields)
+        return events, b"", accepted
+
+    def _refused(self, glove: int, seq: int, ts: int, at: int) -> StreamEvent | None:
+        """The event refusing the checksum-valid frame at byte `at`, or None to accept it.
+
+        Another glove's frame is a FORMAT_ERROR. A frame whose timestamp does
+        not pass the last accepted one is a DUPLICATE_FRAME when an accepted
+        frame has its seq and timestamp, else OUT_OF_ORDER.
+        """
+        if glove != self._glove:
+            return StreamEvent(EventKind.FORMAT_ERROR, at)
+        if ts > self._last_ts:
+            return None
+        # the accepted timestamps strictly rise; a view held past this call would stop them growing
+        rows = np.frombuffer(self._records, FRAME_DTYPE)
+        i = int(np.searchsorted(rows["timestamp_ms"], ts))
+        replayed = int(rows["timestamp_ms"][i]) == ts and int(rows["seq"][i]) == seq
+        return StreamEvent(EventKind.DUPLICATE_FRAME if replayed else EventKind.OUT_OF_ORDER, at)
+
     def _accept_block(self, offsets: list[int], records: bytes) -> list[StreamEvent]:
         """Append at once the locked glove's records whose timestamps pass every earlier one.
 
-        Returns their sequence gaps, then the refused records' events from _accept_each.
+        Returns their sequence gaps, then the refused records' events from _refused:
+        each refused timestamp is at or below one appended before it, and every
+        record appended after it is later, so those are the events of taking
+        every record one at a time.
         """
         rows = np.frombuffer(records, FRAME_DTYPE)
-        mine = rows["glove"] == GLOVE_BYTE[self.hand.side]
+        mine = rows["glove"] == self._glove
         stamps = np.where(mine, rows["timestamp_ms"], np.int64(-1))  # timestamps are u32
         keep = stamps > np.maximum.accumulate(np.concatenate(([self._last_ts], stamps[:-1])))
         ts = np.concatenate(([self._last_ts], stamps[keep]))
@@ -293,48 +390,11 @@ class SessionBuilder:
         gaps = [StreamEvent(EventKind.SEQUENCE_GAP, offsets[k], missing_count=count)
                 for k, count in zip(np.flatnonzero(keep)[at].tolist(), missing[at].tolist())]
         self._gaps += gaps
-        refused = np.flatnonzero(~keep).tolist()
-        self._records += rows[keep].tobytes() if refused else records
+        refused = np.flatnonzero(~keep)
+        self._records += rows[keep].tobytes() if refused.size else records
         self._last_ts, self._last_seq = int(ts[-1]), int(seq[-1])
-        return gaps + self._accept_each([offsets[k] for k in refused], rows[refused].tobytes())
-
-    def _accept_each(self, offsets: list[int], records: bytes) -> list[StreamEvent]:
-        """Append records one at a time, dropping the other glove's, replays and stale timestamps.
-
-        Returns the events of the dropped records and the sequence gaps of the others.
-        """
-        events = []
-        side = GLOVE_BYTE[self.hand.side]
-        last_ts, last_seq = self._last_ts, self._last_seq
-        for at, off in zip(range(0, len(records), FRAME_SIZE), offsets):
-            glove, seq, ts = FRAME_STRUCT.unpack_from(records, at)[1:4]
-            if glove != side:
-                events.append(StreamEvent(EventKind.FORMAT_ERROR, off))
-                continue
-            if ts <= last_ts:
-                replayed = self._replayed(seq, ts)
-                events.append(StreamEvent(EventKind.DUPLICATE_FRAME if replayed
-                                          else EventKind.OUT_OF_ORDER, off))
-                continue
-            if last_ts >= 0:
-                missing = (seq - (last_seq + 1)) % _SEQ_MOD
-                # add the whole wraps the clock says went by (RFC 3550 A.1)
-                elapsed = round((ts - last_ts) / self.sample_period_ms) - 1
-                missing += _SEQ_MOD * max(0, round((elapsed - missing) / _SEQ_MOD))
-                if missing:
-                    gap = StreamEvent(EventKind.SEQUENCE_GAP, off, missing_count=missing)
-                    events.append(gap)
-                    self._gaps.append(gap)
-            last_ts, last_seq = ts, seq
-            self._records += records[at:at + FRAME_SIZE]
-        self._last_ts, self._last_seq = last_ts, last_seq
-        return events
-
-    def _replayed(self, seq: int, ts: int) -> bool:
-        """Whether an accepted frame has seq and ts; a held view would stop the records growing."""
-        rows = np.frombuffer(self._records, FRAME_DTYPE)
-        i = int(np.searchsorted(rows["timestamp_ms"], ts))  # ts <= the last; they strictly rise
-        return int(rows["timestamp_ms"][i]) == ts and int(rows["seq"][i]) == seq
+        fields = rows[["glove", "seq", "timestamp_ms"]][refused].tolist()
+        return gaps + [self._refused(*f, offsets[k]) for k, f in zip(refused.tolist(), fields)]
 
     def session(self) -> Session:
         """Snapshot the accepted frames as columns of an immutable-by-convention Session."""

@@ -25,15 +25,13 @@ FRAME_DTYPE (numpy) and FRAME_STRUCT (struct) mirror the layout above; no
 other module declares it. Bulk paths move whole records: encode_records
 returns a FRAME_DTYPE array whose bytes are the capture, scan_stream_offsets
 the intact frames' offsets and their records as one FRAME_DTYPE buffer, with
-the events in byte order. A buffer of BLOCK_MIN_BYTES or more is scanned as
-numpy columns, a shorter one a position at a time, which is cheaper per call
-for the few frames a live read brings. Frame, encode_frame and decode_frame
-are the single-frame API. The checksum is CRC-16/CCITT-FALSE: decode_frame
-and the position-at-a-time scan call the standard library's
-binascii.crc_hqx(data, 0xFFFF), one call per candidate frame, and the bulk
-paths (encode_records, which encode_frame calls, and the block scan)
-compute the same CRC over all rows at once from a position table derived
-from crc_hqx.
+the events in byte order, scanned as numpy columns. Frame, encode_frame and
+decode_frame are the single-frame API. The checksum is CRC-16/CCITT-FALSE:
+decode_frame calls the standard library's binascii.crc_hqx(data, 0xFFFF), as
+SessionBuilder does once per candidate frame of a feed shorter than
+BLOCK_MIN_BYTES, and the bulk paths (encode_records, which encode_frame
+calls, and scan_stream_offsets) compute the same CRC over all rows at once
+from a position table derived from crc_hqx.
 """
 
 import struct
@@ -53,9 +51,9 @@ SYNC_BYTE = 0xA5
 FRAME_SIZE = 36
 VOLTAGE_LIMIT_MV = 3300
 BATTERY_LIMIT_MV = 4300
-# A buffer this long or longer is scanned, and accepted by SessionBuilder.feed,
-# as numpy columns; a shorter one a frame at a time, which costs less per call
-# below the measured crossover (docs/protocol.md).
+# SessionBuilder.feed scans and accepts a buffer this long or longer as numpy
+# columns, a shorter one in one walk a frame at a time, which costs less per
+# call below the measured crossover (docs/protocol.md).
 BLOCK_MIN_BYTES = 64 * FRAME_SIZE
 
 GLOVE_BYTE = {Side.LEFT: 0x4C, Side.RIGHT: 0x52}
@@ -236,56 +234,40 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(BYTE_GLOVE[fields[1]], fields[2], fields[3], fields[4], fields[5:17])
 
 
-def _walk(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEvent], bytes]:
-    """scan_stream_offsets of buf, one position at a time."""
-    offsets: list[int] = []
-    records = bytearray()
-    events: list[StreamEvent] = []
-    n = len(buf)
-    i = 0
-    while i < n:
-        if buf[i] != SYNC_BYTE:
-            events.append(StreamEvent(EventKind.SYNC_LOSS, base + i))
-            i = buf.find(SYNC_BYTE, i)
-            if i < 0:
-                break
-            continue
-        if n - i < FRAME_SIZE:
-            return offsets, bytes(records), events, buf[i:]
-        stored = buf[i + 34] | (buf[i + 35] << 8)
-        if crc_hqx(buf[i + 1:i + 34], 0xFFFF) != stored:
-            events.append(StreamEvent(EventKind.CRC_MISMATCH, base + i))
-            i += 1
-            continue
-        if _field_error(FRAME_STRUCT.unpack_from(buf, i)):
-            events.append(StreamEvent(EventKind.FORMAT_ERROR, base + i))
-        else:
-            offsets.append(base + i)
-            records += buf[i:i + FRAME_SIZE]
-        i += FRAME_SIZE
-    return offsets, bytes(records), events, b""
-
-
-# event codes of the block scan, indexes into _KINDS; 0 is no event
+# event codes of the scan, indexes into _KINDS; 0 is no event
 _KINDS = np.array([None, EventKind.SYNC_LOSS, EventKind.CRC_MISMATCH, EventKind.FORMAT_ERROR],
                   object)
 
 
-def _scan_block(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEvent], bytes]:
-    """_walk's scan as numpy columns over each sync byte with a whole frame after it.
+def scan_stream_offsets(
+    buffer, base: int = 0,
+) -> tuple[list[int], bytes, list[StreamEvent], bytes]:
+    """Extract every intact frame from a buffer, resynchronizing past damage.
 
-    From a candidate the walk moves 36 bytes on when its checksum holds and
-    one byte on when not, then resumes at the first sync byte from there,
-    after a SYNC_LOSS if that is not where it moved to. The candidates'
-    checksums come from _crc_rows, the same CRC-16/CCITT-FALSE as _walk's
-    crc_hqx; Python loops only over the chain of candidates visited.
+    Returns (offsets, records, events, remainder). offsets holds each
+    intact frame's position in the buffer plus base; records holds the
+    frames' 36 bytes back to back, which np.frombuffer(records, FRAME_DTYPE)
+    reads as rows. Garbage runs surface as one SYNC_LOSS event each, failed
+    checksums as CRC_MISMATCH (scan resumes one byte later), checksum-valid
+    frames with out-of-range fields as FORMAT_ERROR (consumed whole); events
+    come in byte order, each at its position plus base. The remainder is a
+    trailing partial frame, to be fed back with the next chunk.
+
+    The walk runs as numpy columns over each sync byte with a whole frame
+    after it: from a candidate it moves 36 bytes on when its checksum holds
+    and one byte on when not, then resumes at the first sync byte from
+    there, after a SYNC_LOSS if that is not where it moved to. The
+    candidates' checksums come from _crc_rows; Python loops only over the
+    chain of candidates visited.
     """
+    buf = bytes(buffer)
     n = len(buf)
     a = np.frombuffer(buf, np.uint8)
     syncs = np.flatnonzero(a == SYNC_BYTE)
     m = int(np.searchsorted(syncs, n - FRAME_SIZE, side="right"))
     cands = syncs[:m]
-    rows = sliding_window_view(a, FRAME_SIZE)[cands]
+    # no candidate in a buffer shorter than a frame, where sliding_window_view raises
+    rows = sliding_window_view(a, FRAME_SIZE)[cands] if m else np.empty((0, FRAME_SIZE), np.uint8)
     recs = rows.view(FRAME_DTYPE)[:, 0]
     crc_ok = recs["crc"] == _crc_rows(rows[:, 1:34])
     glove = recs["glove"]
@@ -313,26 +295,6 @@ def _scan_block(buf: bytes, base: int) -> tuple[list[int], bytes, list[StreamEve
                   zip(_KINDS[codes[hit]].tolist(), (at[hit] + base).tolist(), repeat(0)))
     remainder = buf[syncs[j]:] if j < syncs.size else b""
     return (cands[accepted] + base).tolist(), recs[accepted].tobytes(), events, remainder
-
-
-def scan_stream_offsets(
-    buffer, base: int = 0,
-) -> tuple[list[int], bytes, list[StreamEvent], bytes]:
-    """Extract every intact frame from a buffer, resynchronizing past damage.
-
-    Returns (offsets, records, events, remainder). offsets holds each
-    intact frame's position in the buffer plus base; records holds the
-    frames' 36 bytes back to back, which np.frombuffer(records, FRAME_DTYPE)
-    reads as rows. Garbage runs surface as one SYNC_LOSS event each, failed
-    checksums as CRC_MISMATCH (scan resumes one byte later), checksum-valid
-    frames with out-of-range fields as FORMAT_ERROR (consumed whole); events
-    come in byte order, each at its position plus base. The remainder is a
-    trailing partial frame, to be fed back with the next chunk. A buffer of
-    BLOCK_MIN_BYTES or more is scanned as numpy columns, a shorter one a
-    position at a time without numpy; both give the same result.
-    """
-    buf = bytes(buffer)
-    return (_scan_block if len(buf) >= BLOCK_MIN_BYTES else _walk)(buf, base)
 
 
 def required_bandwidth(gloves: int, cfg: GloveConfig) -> float:

@@ -225,3 +225,57 @@ def test_monitor_session_matches_manual_stepping(case):
     assert manual.alerts == [alert for alert, _ in expected]
     assert onset_peaks == [peak for _, peak in expected]  # what serve prints
     assert monitor_session(session, policy) == manual.alerts
+
+
+@st.composite
+def _hovering_forces(draw):
+    """A policy and forces that hover around its threshold and clear level, with runs of
+    frames whose every force is at or below the threshold between them."""
+    threshold = draw(st.sampled_from([2.0, 8.0, 12.0]))
+    hysteresis = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    scope = draw(st.none() | st.frozensets(st.integers(1, 12), min_size=1))
+    policy = AlertPolicy(threshold_n=threshold, hysteresis_n=hysteresis,
+                         debounce=draw(st.integers(1, 4)), sensor_scope=scope)
+    clear = policy.clear_level_n
+    levels = [math.nextafter(level, toward) for level in (threshold, clear)
+              for toward in (-math.inf, math.inf)] + [threshold, clear, 0.0, threshold + 5.0]
+    busy = st.lists(st.sampled_from(levels), min_size=12, max_size=12)
+    quiet = st.lists(st.sampled_from([level for level in levels if level <= threshold]),
+                     min_size=12, max_size=12)
+    frames = draw(st.lists(busy | quiet, max_size=60))
+    return policy, {sid: [frame[sid - 1] for frame in frames] for sid in range(1, 13)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hovering_forces())
+def test_stepping_matches_the_reference_around_the_threshold(case):
+    policy, forces = case
+    timestamps = [20 * k for k in range(len(forces[1]))]
+    monitor = GripMonitor(policy, glove=Side.RIGHT)
+    onset_peaks = []
+    for k, ts in enumerate(timestamps):
+        opened = monitor.step(ts, [forces[sid][k] for sid in monitor.watched])
+        onset_peaks += [alert.peak_force_n for alert in opened]
+    expected = reference_alerts(timestamps, forces, policy)
+    assert monitor.alerts == [alert for alert, _ in expected]
+    assert onset_peaks == [peak for _, peak in expected]
+
+
+def test_a_quiet_frame_still_checks_its_time_and_length():
+    monitor = GripMonitor(AlertPolicy(threshold_n=8.0, debounce=1, sensor_scope={2, 3}))
+    clock = iter(range(0, 10_000, 20))
+    for _ in range(2):  # before any alert, then after one has cleared
+        t = next(clock)
+        monitor.step(t, [1.0, 1.0])
+        with pytest.raises(SequencingError):
+            monitor.step(t, [1.0, 1.0])
+        with pytest.raises(SequencingError):
+            monitor.step(t - 1, [1.0, 1.0])
+        for wrong in ([1.0], [1.0, 1.0, 1.0], []):
+            with pytest.raises(ValueError):
+                monitor.step(next(clock), wrong)
+        (alert,) = monitor.step(next(clock), [9.0, 1.0])
+        t = next(clock)
+        monitor.step(t, [1.0, 1.0])
+        assert alert.cleared_timestamp_ms == t
+    assert len(monitor.alerts) == 2

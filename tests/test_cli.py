@@ -579,11 +579,16 @@ def test_monitor_stays_quiet_below_threshold(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # live ingestion over a socket
 
+SERVE_WATCHDOG_S = 60  # far past any serve test's run; a serve this old is killed
+
+
 @contextmanager
 def start_serve(*flags):
     """`serve` on an ephemeral port, read up to its listening line; yields it and the port.
 
-    A serve that is still running when the block ends is killed.
+    A watchdog kills a serve still running after SERVE_WATCHDOG_S, so a test
+    that waits for a line serve never prints reads the end of its stderr and
+    fails instead of hanging. A serve still running when the block ends is killed.
     """
     with subprocess.Popen(
         [sys.executable, "-m", "gripstream", "serve", "--port", "0", *flags],
@@ -591,11 +596,14 @@ def start_serve(*flags):
         stderr=subprocess.PIPE,
         text=True,
     ) as proc:
+        watchdog = threading.Timer(SERVE_WATCHDOG_S, proc.kill)
+        watchdog.start()
         try:
             banner = proc.stderr.readline()
             assert banner.startswith("listening on 127.0.0.1:")
             yield proc, int(banner.rsplit(":", 1)[1])
         finally:
+            watchdog.cancel()
             if proc.poll() is None:
                 proc.kill()
 
@@ -808,15 +816,12 @@ def test_serve_takes_two_gloves_at_once(tmp_path):
                 step = rng.randint(36, 72)
                 sock.sendall(blobs[side][sent[side]:sent[side] + step])
                 sent[side] += step
-        # both gloves alert while both connections are open; a watchdog ends a serve
-        # that waits for one connection to end before it reads the other
-        watchdog = threading.Timer(20, proc.kill)
-        watchdog.start()
+        # both gloves alert while both connections are open; start_serve's watchdog
+        # ends a serve that waits for one connection to end before it reads the other
         seen = [proc.stderr.readline()]
         while seen[-1] and not ("ALERT glove=L " in "".join(seen)
                                 and "ALERT glove=R " in "".join(seen)):
             seen.append(proc.stderr.readline())
-        watchdog.cancel()
         assert seen[-1], "".join(seen)
         for sock in socks.values():
             sock.close()

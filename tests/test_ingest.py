@@ -236,18 +236,18 @@ def test_events_come_in_byte_order_however_the_stream_is_cut():
 def test_block_and_frame_by_frame_feeds_agree(intruders, monkeypatch):
     blob = noisy_capture(61, intruders=intruders)
     blocks, handed = [], []
-    accept_block, accept_each = SessionBuilder._accept_block, SessionBuilder._accept_each
+    accept_block, refuse = SessionBuilder._accept_block, SessionBuilder._refused
 
     def block_spy(self, offsets, records):
         blocks.append(len(offsets))
         return accept_block(self, offsets, records)
 
-    def each_spy(self, offsets, records):
-        handed.extend(offsets)
-        return accept_each(self, offsets, records)
+    def refused_spy(self, glove, seq, ts, at):
+        handed.append(at)
+        return refuse(self, glove, seq, ts, at)
 
     monkeypatch.setattr(SessionBuilder, "_accept_block", block_spy)
-    monkeypatch.setattr(SessionBuilder, "_accept_each", each_spy)
+    monkeypatch.setattr(SessionBuilder, "_refused", refused_spy)
     whole = fed_in_pieces(blob, [])
     assert len(blocks) == 1
     # the block path hands on frame by frame only the records it refuses: the intruders
@@ -1068,3 +1068,48 @@ def test_gap_totals_equal_the_frames_dropped(link):
     assert session.timestamps_ms.tolist() == [sent[pos].timestamp_ms for pos in delivered]
     dropped = delivered[-1] - delivered[0] + 1 - len(delivered) if delivered else 0
     assert sum(ev.missing_count for ev in session.gaps) == dropped
+
+
+@st.composite
+def damaged_flaky_links(draw) -> bytes:
+    """flaky_links' frames (skips, replays, stale and other-glove frames) damaged on the
+    wire: garbage runs holding stray sync bytes before a frame, 1-3 flipped bits in a
+    frame, and a partial frame at the end."""
+    frames, _, _ = draw(flaky_links())
+    noise = st.lists(st.just(0xA5) | st.integers(0, 255), min_size=1, max_size=50).map(bytes)
+    parts = []
+    for frame in frames:
+        blob = bytearray(encode_frame(frame))
+        op = draw(st.sampled_from(("send", "send", "send", "garbage", "flip")))
+        if op == "garbage":
+            parts.append(draw(noise))
+        elif op == "flip":
+            for bit in draw(st.sets(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3)):
+                blob[bit // 8] ^= 1 << (bit % 8)
+        parts.append(bytes(blob))
+    blob = b"".join(parts)
+    return blob[:len(blob) - draw(st.integers(0, 35))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_flaky_links(), st.integers(0, 2**32 - 1))
+def test_short_feeds_and_one_whole_feed_agree(blob, seed):
+    # serve's reads: pieces of 1-200 bytes, each walked; the whole link in one feed,
+    # which takes the numpy path once it reaches BLOCK_MIN_BYTES
+    whole = fed_in_pieces(blob, [])
+    rng = random.Random(seed)
+    builder, handed = SessionBuilder(), []
+    at = 0
+    while at < len(blob):
+        step = rng.randint(1, 200)
+        builder.feed(blob[at:at + step])
+        handed += builder.last_accepted()  # what serve steps its monitor over
+        at += step
+    assert builder.events == whole.events
+    assert builder.pending_bytes == whole.pending_bytes
+    session = builder.session()
+    assert session == whole.session()  # columns, hand and gaps
+    assert [fields[3] for fields in handed] == session.timestamps_ms.tolist()
+    assert [list(fields[5:17]) for fields in handed] == session.voltages_mv.tolist()
+    assert [fields[4] for fields in handed] == session.battery_mv.tolist()
+    assert whole.last_accepted() == handed

@@ -414,6 +414,36 @@ _OUT_OF_RANGE = ({"glove_byte": 0x58}, {"battery": BATTERY_LIMIT_MV + 1},
 
 
 @st.composite
+def two_frames_in_garbage(draw) -> bytes:
+    """Garbage, a frame, garbage, a frame, garbage: each frame intact, with a flipped
+    bit or checksum-valid with a field out of range, and the garbage holding stray
+    sync bytes."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    noise = st.lists(st.just(0xA5) | st.integers(0, 255), max_size=40).map(bytes)
+    buf = bytearray(draw(noise))
+    for _ in range(2):
+        frame = bytearray(wire([random_frame(rng, glove=Side.RIGHT)]))
+        kind = draw(st.sampled_from(["intact", "flipped", "out of range"]))
+        if kind == "flipped":
+            frame[draw(st.integers(0, FRAME_SIZE - 1))] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "out of range":
+            frame = bytearray(raw_frame(**draw(st.sampled_from(_OUT_OF_RANGE))))
+        buf += frame + draw(noise)
+    return bytes(buf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_frames_in_garbage(), st.integers(0, 2**32 - 1))
+def test_scan_equals_reference_scan_at_every_length_up_to_two_frames(buf, base):
+    # lengths below one frame have no candidate, where the numpy window view would raise
+    for length in range(len(buf) + 1):
+        pairs, events, remainder = scanned_as_oracle(buf[:length])
+        want = ([(off + base, fields) for off, fields in pairs],
+                [StreamEvent(ev.kind, ev.at_byte_offset + base) for ev in events], remainder)
+        assert scan(buf[:length], base) == want, f"length {length}"
+
+
+@st.composite
 def block_edge_buffers(draw) -> bytes:
     """Runs of intact frames, BLOCK_MIN_BYTES or more in all, damaged where a run meets
     its neighbours: a flipped first or last byte, garbage after the run with stray 0xA5
@@ -446,7 +476,7 @@ def test_block_scan_equals_reference_scan_at_run_edges_split_anywhere(buf):
     for cut in range(len(buf) + 1):
         first = scan(buf[:cut])
         rest = first[2] + buf[cut:]
-        # parts shorter than BLOCK_MIN_BYTES are walked, as in the test above
+        # parts shorter than BLOCK_MIN_BYTES lose the long run; the tests above cover them
         if cut >= BLOCK_MIN_BYTES:
             assert first == scanned_as_oracle(buf[:cut]), f"first part of split at byte {cut}"
         if len(rest) >= BLOCK_MIN_BYTES:
