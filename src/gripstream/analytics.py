@@ -273,22 +273,7 @@ def anova_oneway(groups) -> AnovaResult:
     ss_total = math.fsum((v - grand) ** 2 for g in data for v in g)
     if ss_total == 0.0:
         raise DegenerateDataError("all observations identical; F undefined")
-    df_between = len(data) - 1
-    df_within = n_total - len(data)
-    ms_within = ss_within / df_within
-    if ms_within == 0.0:
-        f_stat = 0.0 if ss_between <= 1e-12 * ss_total else math.inf
-    else:
-        f_stat = (ss_between / df_between) / ms_within
-    return AnovaResult(
-        f_stat=f_stat,
-        df_between=df_between,
-        df_within=df_within,
-        p_value=f_survival(f_stat, df_between, df_within),
-        ss_between=ss_between,
-        ss_within=ss_within,
-        ss_total=ss_total,
-    )
+    return _effect_result(ss_between, len(data) - 1, ss_within, n_total - len(data), ss_total)
 
 
 @dataclass(frozen=True)
@@ -332,9 +317,14 @@ class TwoWayAnova:
 
 def _effect_result(ss_eff: float, df_eff: int, ss_err: float, df_err: int,
                    ss_total: float) -> AnovaResult:
+    """One effect tested against the error term, for one-way and two-way alike.
+
+    With no error at all, F is inf unless the effect is at most 1e-12 of the
+    table's total sum of squares, ss_total: rounding noise at any scale.
+    """
     ms_err = ss_err / df_err
     if ms_err == 0.0:
-        f_stat = 0.0 if ss_eff <= 1e-12 * max(ss_total, 1.0) else math.inf
+        f_stat = 0.0 if ss_eff <= 1e-12 * ss_total else math.inf
     else:
         f_stat = (ss_eff / df_eff) / ms_err
     return AnovaResult(

@@ -20,19 +20,13 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from gripstream.alerting import (
-    AlertPolicy,
-    GripMonitor,
-    force_table,
-    format_alert,
-    monitor_session,
-)
-from gripstream.core import (SENSOR_COUNT, Calibration, GloveConfig, Side, _ascii_int,
-                             force_from_voltage, load_config)
+from gripstream.alerting import AlertPolicy, GripMonitor, format_alert, monitor_session
+from gripstream.core import SENSOR_COUNT, Calibration, GloveConfig, Side, _ascii_int, load_config
 from gripstream.errors import GripstreamError
 from gripstream.ingest import (
     GROUP_KEYS,
@@ -232,20 +226,22 @@ class _GloveLink:
         self.monitor: GripMonitor | None = None  # made once a frame names the glove
         self.deadline = deadline  # time.monotonic() past which the connection has stalled
 
-    def take(self, chunk: bytes, policy: AlertPolicy, forces) -> None:
-        """Feed one read; step the monitor over each frame it accepted, converted by forces.
+    def take(self, chunk: bytes, new_monitor) -> None:
+        """Feed one read; step the monitor over each frame it accepted.
 
         The frames come as the feed's field tuples (builder.last_accepted), so
-        none is unpacked again; a take that raises ends the link.
+        none is unpacked again: the monitor takes a tuple's S1..S12 millivolts
+        as they are. new_monitor(glove=side) makes the monitor once a frame
+        names the glove; a take that raises ends the link.
         """
         builder = self.builder
         _, events = builder.feed(chunk)
         for ev in events:
             log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
         if self.monitor is None and builder.hand is not None:
-            self.monitor = GripMonitor(policy, glove=builder.hand.side)
+            self.monitor = new_monitor(glove=builder.hand.side)
         for fields in builder.last_accepted():
-            for alert in self.monitor.step(fields[3], forces(fields)):
+            for alert in self.monitor.step(fields[3], fields[5:17]):
                 print("\a" + format_alert(alert), file=sys.stderr, flush=True)
 
     def record(self, out, stems: set[str], problem: Exception | None) -> Exception | None:
@@ -281,23 +277,17 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
     own builder, monitor and stall deadline, 1,000 sample periods after its
     last byte. A read shorter than BLOCK_MIN_BYTES is scanned, checked and
     accepted in the builder's one walk, without numpy; the monitor steps over
-    the field tuples that walk unpacked, each watched voltage converted by a
-    lookup in force_table, and a frame with no force over the threshold
-    while no alert or run is under way costs one comparison. A connection's
-    session is recorded when it ends (end of stream, reset, stall or a sample
-    that cannot be converted) inside the loop, a few microseconds per frame,
-    and the other glove's reads wait in the kernel's buffer meanwhile. On Ctrl-C or any other error of the loop, every open connection
-    is recorded before the error goes on.
+    the millivolts of the field tuples that walk unpacked, and a frame with
+    no watched reading over the threshold while no alert or run is under way
+    costs one comparison. A connection's session is recorded when it ends
+    (end of stream, reset, stall or a sample that cannot be converted)
+    inside the loop, a few microseconds per frame, and the other glove's
+    reads wait in the kernel's buffer meanwhile. On Ctrl-C or any other
+    error of the loop, every open connection is recorded before the error
+    goes on.
     """
     stall_s = cfg.sample_period_ms  # 1,000 sample periods (20 s at 50 Hz) without a byte
-    table = force_table(cal, cfg)
-    columns = [sid + 4 for sid in args.policy.watched]  # S1 is field 5 of a FRAME_STRUCT tuple
-
-    def forces(fields) -> list[float]:
-        try:  # a lookup per sample: a numpy call per frame costs serve more CPU
-            return [table[fields[i]] for i in columns]
-        except IndexError:  # outside the table: the scalar call raises DomainError
-            return [force_from_voltage(fields[i], cal, cfg) for i in columns]
+    new_monitor = partial(GripMonitor, args.policy, cal=cal, cfg=cfg)
 
     failures: list[Exception] = []
     stems: set[str] = set()
@@ -341,7 +331,7 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
                         chunk = link.conn.recv(4096)
                         if chunk:
                             link.deadline = now + stall_s
-                            link.take(chunk, args.policy, forces)
+                            link.take(chunk, new_monitor)
                             continue
                     except Exception as exc:  # e.g. a reset or an unconvertible sample
                         problem = exc
@@ -359,21 +349,19 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
 
 def _cmd_record(args, cfg: GloveConfig, cal: Calibration) -> int:
     builder = _session_builder(args, cfg)
-    appended, events = 0, []
     # windows keep memory to the recording's size; the builder's result does not depend on the cuts
     with (nullcontext(sys.stdin.buffer) if args.infile == "-" else open(args.infile, "rb")) as fh:
         while window := fh.read(_RECORD_WINDOW):
-            samples, found = builder.feed(window)
-            appended += samples
-            events += found
+            builder.feed(window)
     session = builder.session()
     _record(session, args.out)
     print(
-        f"{session.frame_count} frames, {appended} samples, {len(events)} event(s)"
+        f"{session.frame_count} frames, {SENSOR_COUNT * session.frame_count} samples, "
+        f"{len(builder.events)} event(s)"
         + (f", {builder.pending_bytes} byte(s) of trailing partial frame" if builder.pending_bytes else ""),
         file=sys.stderr,
     )
-    for ev in events:
+    for ev in builder.events:
         log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
     return 0
 

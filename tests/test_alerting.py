@@ -55,19 +55,29 @@ def test_policy_rejects_non_finite_numbers(name, bad):
         AlertPolicy(**{name: bad})
 
 
+def _frame(readings: dict[int, int]) -> tuple[int, ...]:
+    """A frame's twelve readings: readings[sid] mV at those sensors and 0 mV elsewhere.
+
+    At the default calibration a reading of 150 * f mV is f N, bit for bit
+    when 150 * f is whole.
+    """
+    return tuple(readings.get(sid, 0) for sid in range(1, 13))
+
+
 def test_forces_at_or_below_threshold_never_alert():
     rng = random.Random(80)
     monitor = GripMonitor(AlertPolicy(threshold_n=8.0))
+    assert (monitor.over_mv, monitor.clear_mv) == (1201, 1125)  # over 8 N, under 7.5 N
     for k in range(500):
-        forces = [8.0 if k % 7 == 0 else rng.uniform(0.0, 8.0) for _ in monitor.watched]
-        assert monitor.step(20 * k, forces) == []
+        frame = tuple(1200 if k % 7 == 0 else rng.randint(0, 1200) for _ in range(12))
+        assert monitor.step(20 * k, frame) == []
     assert monitor.alerts == []
 
 
 def test_debounce_delays_onset_and_keeps_run_peak():
     monitor = GripMonitor(AlertPolicy(threshold_n=8.0, debounce=2, sensor_scope={3}))
-    assert monitor.step(1000, [8.5]) == []
-    opened = monitor.step(1020, [8.2])
+    assert monitor.step(1000, _frame({3: 1275})) == []
+    opened = monitor.step(1020, _frame({3: 1230, 4: 3000}))  # S4 is not watched
     assert len(opened) == 1
     event = opened[0]
     assert event.sensor == 3 and event.onset_timestamp_ms == 1020
@@ -77,14 +87,14 @@ def test_debounce_delays_onset_and_keeps_run_peak():
 
 def test_single_spikes_between_dips_never_open():
     monitor = GripMonitor(AlertPolicy(debounce=2, sensor_scope={4}))
-    for k, force in enumerate([8.5, 2.0, 9.9, 2.0, 8.1, 2.0] * 5):
-        assert monitor.step(20 * k, [force]) == []
+    for k, mv in enumerate([1275, 300, 1485, 300, 1215, 300] * 5):
+        assert monitor.step(20 * k, _frame({4: mv})) == []
     assert monitor.alerts == []
 
 
 def test_debounce_of_one_fires_immediately():
     monitor = GripMonitor(AlertPolicy(debounce=1, sensor_scope={2}))
-    opened = monitor.step(340, [8.01])
+    opened = monitor.step(340, _frame({2: 1201}))
     assert len(opened) == 1
     assert opened[0].onset_timestamp_ms == 340
 
@@ -92,13 +102,13 @@ def test_debounce_of_one_fires_immediately():
 def test_hysteresis_band_cannot_flap():
     monitor = GripMonitor(AlertPolicy(threshold_n=8.0, hysteresis_n=0.5, debounce=1,
                                       sensor_scope={6}))
-    (event,) = monitor.step(0, [9.0])
+    (event,) = monitor.step(0, _frame({6: 1350}))
     # rattle inside the band, including exactly the clear level
-    for k, force in enumerate([7.6, 8.4, 7.5, 7.9, 8.2], start=1):
-        assert monitor.step(20 * k, [force]) == []
+    for k, mv in enumerate([1140, 1260, 1125, 1185, 1230], start=1):
+        assert monitor.step(20 * k, _frame({6: mv})) == []
         assert event.open
     assert len(monitor.alerts) == 1
-    monitor.step(200, [7.49])
+    monitor.step(200, _frame({6: 1124}))
     assert not event.open
     assert event.cleared_timestamp_ms == 200
     assert not any(alert.open for alert in monitor.alerts)
@@ -106,21 +116,21 @@ def test_hysteresis_band_cannot_flap():
 
 def test_peak_updates_in_place_while_open():
     monitor = GripMonitor(AlertPolicy(debounce=1, sensor_scope={1}))
-    (event,) = monitor.step(0, [8.5])
-    assert monitor.step(20, [11.25]) == []
-    assert event.peak_force_n == 11.25
-    monitor.step(40, [7.0])  # clears
-    monitor.step(60, [7.2])
-    assert event.peak_force_n == 11.25  # frozen after the clear
+    (event,) = monitor.step(0, _frame({1: 1275}))
+    assert monitor.step(20, _frame({1: 1680})) == []
+    assert event.peak_force_n == 11.2
+    monitor.step(40, _frame({1: 1050}))  # clears
+    monitor.step(60, _frame({1: 1080}))
+    assert event.peak_force_n == 11.2  # frozen after the clear
 
 
 def test_reopening_is_a_new_episode():
     monitor = GripMonitor(AlertPolicy(threshold_n=8.0, hysteresis_n=0.5, debounce=2,
                                       sensor_scope={9}))
-    forces = [8.5, 8.5, 9.0, 7.0, 3.0, 8.2, 8.3]
+    readings = [1275, 1275, 1350, 1050, 450, 1230, 1245]
     opened = []
-    for k, force in enumerate(forces):
-        opened += monitor.step(20 * k, [force])
+    for k, mv in enumerate(readings):
+        opened += monitor.step(20 * k, _frame({9: mv}))
     assert len(monitor.alerts) == 2
     first, second = monitor.alerts
     assert opened == monitor.alerts
@@ -132,23 +142,35 @@ def test_reopening_is_a_new_episode():
 
 def test_frames_must_advance():
     monitor = GripMonitor(AlertPolicy(sensor_scope={3}))
-    monitor.step(100, [1.0])
+    monitor.step(100, _frame({3: 150}))
     with pytest.raises(SequencingError):
-        monitor.step(100, [1.0])
+        monitor.step(100, _frame({3: 150}))
     with pytest.raises(SequencingError):
-        monitor.step(80, [1.0])
-    monitor.step(120, [1.0])
+        monitor.step(80, _frame({3: 150}))
+    monitor.step(120, _frame({3: 150}))
 
 
 def test_scope_limits_watching():
     monitor = GripMonitor(AlertPolicy(debounce=1, sensor_scope={5, 7}))
     assert monitor.watched == (5, 7)
-    (event,) = monitor.step(0, [19.0, 1.0])
+    (event,) = monitor.step(0, _frame({5: 2850, 7: 150, 6: 3000}))
     assert event.sensor == 5
-    # one force per watched sensor: a frame of all twelve is refused, not cut short
+    # a frame's twelve readings: the two watched ones alone are refused, not taken as the frame
     with pytest.raises(ValueError):
-        monitor.step(20, [19.0] * 12)
+        monitor.step(20, (2850, 150))
     assert GripMonitor().watched == tuple(range(1, 13))
+
+
+@pytest.mark.parametrize("supply_v, mode", [(2.5, ConversionMode.LINEAR),
+                                            (2.5005, ConversionMode.RATIONAL)])
+def test_a_watched_reading_at_or_above_the_supply_is_refused(supply_v, mode):
+    cfg = GloveConfig(supply_voltage_v=supply_v, conversion_mode=mode)
+    top = math.ceil(cfg.supply_mv)  # the first whole millivolt at or above the supply
+    monitor = GripMonitor(AlertPolicy(debounce=1, sensor_scope={2, 12}), cal=Calibration(),
+                          cfg=cfg)
+    monitor.step(0, _frame({2: 600, 1: top}))  # S1 is not watched
+    with pytest.raises(DomainError, match=f"^voltage {top} mV outside "):
+        monitor.step(20, _frame({2: 600, 12: top}))
 
 
 def test_format_alert_line():
@@ -176,86 +198,93 @@ def test_monitor_session_ramp_flags_within_two_samples():
 
 @pytest.mark.parametrize("mode", list(ConversionMode))
 @pytest.mark.parametrize("supply_v, length", [(3.3, 3300), (2.5, 2500), (2.5005, 2501),
-                                              (5.0, 3300)])
+                                              (5.0, 5000)])
 def test_force_table_is_the_scalar_conversion_of_every_frame_voltage(mode, supply_v, length):
     cal, cfg = Calibration(), GloveConfig(supply_voltage_v=supply_v, conversion_mode=mode)
     table = force_table(cal, cfg)
-    assert len(table) == length  # every whole mV below the supply, up to VOLTAGE_LIMIT_MV
+    assert len(table) == length  # every whole mV below the supply
     scalar = [float(force_from_voltage(v, cal, cfg)) for v in range(length)]
     assert [force.hex() for force in table] == [force.hex() for force in scalar]  # bit-equal
-    if length < 3300:
-        with pytest.raises(DomainError):
-            force_from_voltage(length, cal, cfg)
+    assert table == sorted(table)  # so two millivolt levels judge a reading against a policy
+    with pytest.raises(DomainError):
+        force_from_voltage(length, cal, cfg)
 
 
-_CAL, _CFG = Calibration(), GloveConfig()
+_CAL = Calibration()
+
+
+@st.composite
+def _policies(draw):
+    """A glove config of either ConversionMode and a supply of 2.5-5 V, and an alert
+    policy; returns them with the readings the config allows and the millivolts at
+    the policy's two edges, one each side of over_mv and of clear_mv included."""
+    cfg = GloveConfig(supply_voltage_v=draw(st.sampled_from([3.3, 2.5, 2.5005, 5.0])),
+                      conversion_mode=draw(st.sampled_from(ConversionMode)))
+    scope = draw(st.none() | st.frozensets(st.integers(1, 12), min_size=1))
+    policy = AlertPolicy(threshold_n=draw(st.sampled_from([2.0, 8.0, 12.0])),
+                         hysteresis_n=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         debounce=draw(st.integers(1, 5)), sensor_scope=scope)
+    monitor = GripMonitor(policy, cal=_CAL, cfg=cfg)
+    top = math.ceil(cfg.supply_mv)  # readings are 0..top - 1
+    edges = [mv for level in (monitor.over_mv, monitor.clear_mv)
+             for mv in (level - 1, level, level + 1) if 0 <= mv < top]
+    return cfg, policy, top, edges
 
 
 @st.composite
 def _alerting_cases(draw):
-    # thresholds and clear levels whose newtons convert exactly from whole
-    # millivolts (150 mV per N), so samples land exactly on both edges
-    threshold = draw(st.sampled_from([2.0, 8.0, 12.0]))
-    hysteresis = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    edges = [round(level * 150) + d for level in (threshold, threshold - hysteresis)
-             for d in (-1, 0, 1)]
+    cfg, policy, top, edges = draw(_policies())
     volts = draw(arrays(np.uint16, (draw(st.integers(0, 40)), 12),
-                        elements=st.sampled_from(edges) | st.integers(0, 3299)))
-    scope = draw(st.none() | st.frozensets(st.integers(1, 12), min_size=1))
-    policy = AlertPolicy(threshold_n=threshold, hysteresis_n=hysteresis,
-                         debounce=draw(st.integers(1, 5)), sensor_scope=scope)
-    return volts, policy
+                        elements=st.sampled_from(edges) | st.integers(0, top - 1)))
+    return cfg, policy, volts
+
+
+def _stepped(monitor: GripMonitor, timestamps, frames) -> list[float]:
+    """Step monitor over the frames as serve does; returns each alert's peak when it opened."""
+    onset_peaks = []
+    for ts, frame in zip(timestamps, frames):
+        onset_peaks += [alert.peak_force_n for alert in monitor.step(ts, tuple(frame))]
+    return onset_peaks
 
 
 @settings(max_examples=300, deadline=None)
 @given(_alerting_cases())
 def test_monitor_session_matches_manual_stepping(case):
-    volts, policy = case
+    cfg, policy, volts = case
     session = mv_session({sid: volts[:, sid - 1] for sid in range(1, 13)})
     timestamps = session.timestamps_ms.tolist()
-    # serve's path: one scalar conversion per sample, one step per frame
-    forces = {sid: [force_from_voltage(v, _CAL, _CFG) for v in volts[:, sid - 1].tolist()]
+    manual = GripMonitor(policy, glove=Side.RIGHT, cal=_CAL, cfg=cfg)
+    onset_peaks = _stepped(manual, timestamps, volts.tolist())
+    # the reference converts every sample to force with the scalar call
+    forces = {sid: [force_from_voltage(v, _CAL, cfg) for v in volts[:, sid - 1].tolist()]
               for sid in range(1, 13)}
-    manual = GripMonitor(policy, glove=Side.RIGHT)
-    onset_peaks = []
-    for k, ts in enumerate(timestamps):
-        opened = manual.step(ts, [forces[sid][k] for sid in manual.watched])
-        onset_peaks += [alert.peak_force_n for alert in opened]
     expected = reference_alerts(timestamps, forces, policy)
     assert manual.alerts == [alert for alert, _ in expected]
     assert onset_peaks == [peak for _, peak in expected]  # what serve prints
-    assert monitor_session(session, policy) == manual.alerts
+    assert monitor_session(session, policy, _CAL, cfg) == manual.alerts
 
 
 @st.composite
-def _hovering_forces(draw):
-    """A policy and forces that hover around its threshold and clear level, with runs of
-    frames whose every force is at or below the threshold between them."""
-    threshold = draw(st.sampled_from([2.0, 8.0, 12.0]))
-    hysteresis = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    scope = draw(st.none() | st.frozensets(st.integers(1, 12), min_size=1))
-    policy = AlertPolicy(threshold_n=threshold, hysteresis_n=hysteresis,
-                         debounce=draw(st.integers(1, 4)), sensor_scope=scope)
-    clear = policy.clear_level_n
-    levels = [math.nextafter(level, toward) for level in (threshold, clear)
-              for toward in (-math.inf, math.inf)] + [threshold, clear, 0.0, threshold + 5.0]
-    busy = st.lists(st.sampled_from(levels), min_size=12, max_size=12)
-    quiet = st.lists(st.sampled_from([level for level in levels if level <= threshold]),
+def _hovering_readings(draw):
+    """A config, a policy and frames whose readings hover at its millivolt edges, with
+    runs of frames whose every watched reading is under over_mv between them."""
+    cfg, policy, top, edges = draw(_policies())
+    over_mv = GripMonitor(policy, cal=_CAL, cfg=cfg).over_mv
+    busy = st.lists(st.sampled_from(edges + [0, top - 1]), min_size=12, max_size=12)
+    quiet = st.lists(st.sampled_from([mv for mv in edges + [0] if mv < over_mv]),
                      min_size=12, max_size=12)
-    frames = draw(st.lists(busy | quiet, max_size=60))
-    return policy, {sid: [frame[sid - 1] for frame in frames] for sid in range(1, 13)}
+    return cfg, policy, draw(st.lists(busy | quiet, max_size=60))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_hovering_forces())
+@given(_hovering_readings())
 def test_stepping_matches_the_reference_around_the_threshold(case):
-    policy, forces = case
-    timestamps = [20 * k for k in range(len(forces[1]))]
-    monitor = GripMonitor(policy, glove=Side.RIGHT)
-    onset_peaks = []
-    for k, ts in enumerate(timestamps):
-        opened = monitor.step(ts, [forces[sid][k] for sid in monitor.watched])
-        onset_peaks += [alert.peak_force_n for alert in opened]
+    cfg, policy, frames = case
+    timestamps = [20 * k for k in range(len(frames))]
+    monitor = GripMonitor(policy, glove=Side.RIGHT, cal=_CAL, cfg=cfg)
+    onset_peaks = _stepped(monitor, timestamps, frames)
+    forces = {sid: [force_from_voltage(frame[sid - 1], _CAL, cfg) for frame in frames]
+              for sid in range(1, 13)}
     expected = reference_alerts(timestamps, forces, policy)
     assert monitor.alerts == [alert for alert, _ in expected]
     assert onset_peaks == [peak for _, peak in expected]
@@ -264,18 +293,19 @@ def test_stepping_matches_the_reference_around_the_threshold(case):
 def test_a_quiet_frame_still_checks_its_time_and_length():
     monitor = GripMonitor(AlertPolicy(threshold_n=8.0, debounce=1, sensor_scope={2, 3}))
     clock = iter(range(0, 10_000, 20))
+    low = _frame({2: 150, 3: 150})
     for _ in range(2):  # before any alert, then after one has cleared
         t = next(clock)
-        monitor.step(t, [1.0, 1.0])
+        monitor.step(t, low)
         with pytest.raises(SequencingError):
-            monitor.step(t, [1.0, 1.0])
+            monitor.step(t, low)
         with pytest.raises(SequencingError):
-            monitor.step(t - 1, [1.0, 1.0])
-        for wrong in ([1.0], [1.0, 1.0, 1.0], []):
+            monitor.step(t - 1, low)
+        for wrong in (low[:2], low[:11], low + (150,), ()):
             with pytest.raises(ValueError):
                 monitor.step(next(clock), wrong)
-        (alert,) = monitor.step(next(clock), [9.0, 1.0])
+        (alert,) = monitor.step(next(clock), _frame({2: 1350, 3: 150}))
         t = next(clock)
-        monitor.step(t, [1.0, 1.0])
+        monitor.step(t, low)
         assert alert.cleared_timestamp_ms == t
     assert len(monitor.alerts) == 2

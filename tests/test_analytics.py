@@ -350,6 +350,18 @@ def test_twoway_constant_cells_of_an_additive_table():
     assert got.interaction.f_stat == 0.0 and got.interaction.p_value == 1.0
 
 
+def test_a_gap_far_below_one_is_judged_as_one_way_judges_it():
+    # constant cells 1e-7 apart: the whole table's spread is that gap, so it is an effect,
+    # not rounding noise, in one-way and two-way alike
+    low, high = 1.0, 1.0 + 1e-7
+    assert math.isinf(anova_oneway([[low, low], [high, high]]).f_stat)
+    got = anova_twoway(np.array([[[low, low], [low, low]], [[high, high], [high, high]]]))
+    assert got.ss_error == 0.0
+    assert math.isinf(got.effect_a.f_stat) and got.effect_a.p_value == 0.0
+    for effect in (got.effect_b, got.interaction):
+        assert effect.f_stat == 0.0 and effect.p_value == 1.0
+
+
 def test_twoway_rejects_bad_designs():
     with pytest.raises(UnbalancedDesignError):
         anova_twoway(np.zeros((2, 2)))

@@ -576,6 +576,18 @@ def test_monitor_stays_quiet_below_threshold(tmp_path, capsys):
     assert "0 alert(s)" in captured.err
 
 
+def test_monitor_refuses_a_recorded_voltage_at_or_above_the_supply(tmp_path, capsys):
+    out = simulate_dir(tmp_path)  # S4 reads 1065 mV at its first sample
+    config = tmp_path / "low.cfg"
+    save_config(config, GloveConfig(supply_voltage_v=1.05), Calibration(anchor_voltage_mv=500))
+    capsys.readouterr()
+    assert main(["monitor", "--in", str(out), "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the index is (watched sensor, sample): S4 is the fourth sensor watched
+    assert captured.err == "error: voltage 1065 mV at sample index 3, 0 outside [0, 1050) mV\n"
+
+
 # ---------------------------------------------------------------------------
 # live ingestion over a socket
 
