@@ -18,7 +18,7 @@ Seven workloads, each timed best of --repeats:
 
 scan_stream_offsets works as numpy columns at any length. SessionBuilder.feed
 accepts a whole stream as numpy columns and walks a 36-byte chunk a frame at a
-time (protocol.BLOCK_MIN_BYTES), so the two feeds time both of its paths.
+time (ingest.BLOCK_MIN_BYTES), so the two feeds time both of its paths.
 record formats its column files as numpy word matrices, and load reads them
 back with the one-pass digit conversion.
 

@@ -275,16 +275,16 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
     the connections and reads whichever socket is ready, so two gloves do not
     take turns at the interpreter lock on every read. Each connection has its
     own builder, monitor and stall deadline, 1,000 sample periods after its
-    last byte. A read shorter than BLOCK_MIN_BYTES is scanned, checked and
-    accepted in the builder's one walk, without numpy; the monitor steps over
-    the millivolts of the field tuples that walk unpacked, and a frame with
-    no watched reading over the threshold while no alert or run is under way
-    costs one comparison. A connection's session is recorded when it ends
-    (end of stream, reset, stall or a sample that cannot be converted)
-    inside the loop, a few microseconds per frame, and the other glove's
-    reads wait in the kernel's buffer meanwhile. On Ctrl-C or any other
-    error of the loop, every open connection is recorded before the error
-    goes on.
+    last byte. A read shorter than ingest.BLOCK_MIN_BYTES is scanned, checked
+    and accepted in the builder's one walk, without numpy, a replayed or
+    stale frame included; the monitor steps over the millivolts of the field
+    tuples that walk unpacked, and a frame with no watched reading over the
+    threshold while no alert or run is under way costs one comparison. A
+    connection's session is recorded when it ends (end of stream, reset,
+    stall or a sample that cannot be converted) inside the loop, a few
+    microseconds per frame, and the other glove's reads wait in the
+    kernel's buffer meanwhile. On Ctrl-C or any other error of the loop,
+    every open connection is recorded before the error goes on.
     """
     stall_s = cfg.sample_period_ms  # 1,000 sample periods (20 s at 50 Hz) without a byte
     new_monitor = partial(GripMonitor, args.policy, cal=cal, cfg=cfg)

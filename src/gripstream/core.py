@@ -288,6 +288,14 @@ _CALIBRATION_KEYS = ("anchor_voltage_mv", "anchor_force_n")
 _CONFIG_KEYS = (*_GLOVE_KEYS, "conversion_mode", *_CALIBRATION_KEYS)
 
 
+def _utf8_text(path, error: type[Exception]) -> str:
+    """The text of the file at path; error, naming the first bad byte, if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: byte {exc.start} is {exc.object[exc.start]:#04x}")
+
+
 def parse_kv_text(text: str) -> dict[str, str]:
     """Parse 'key = value' lines; later duplicate keys win."""
     out: dict[str, str] = {}
@@ -371,9 +379,4 @@ def save_config(path: str | Path, cfg: GloveConfig, cal: Calibration) -> None:
 
 
 def load_config(path: str | Path) -> tuple[GloveConfig, Calibration]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: "
-                          f"byte {exc.start} is {exc.object[exc.start]:#04x}")
-    return config_from_mapping(parse_kv_text(text))
+    return config_from_mapping(parse_kv_text(_utf8_text(path, ConfigError)))

@@ -15,6 +15,7 @@ import operator
 import os
 import re
 from binascii import crc_hqx
+from bisect import bisect_left
 from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -23,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from gripstream.core import (SENSOR_COUNT, Dominance, GloveConfig, Hand, Side, _ascii_int,
-                             parse_kv_text)
+                             _utf8_text, parse_kv_text)
 from gripstream.errors import GripstreamError, excerpt
-from gripstream.protocol import (BLOCK_MIN_BYTES, BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT,
+from gripstream.protocol import (BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT, SEQ_TS_STRUCT,
                                  SYNC_BYTE, EventKind, StreamEvent, _field_error,
                                  scan_stream_offsets)
 
@@ -33,6 +34,9 @@ SENSOR_IDS = tuple(range(1, SENSOR_COUNT + 1))
 _SENSOR_LABELS = tuple(f"S{sid}" for sid in SENSOR_IDS)
 GROUP_KEYS = ("hand", "sensor", "condition")  # what analytics can group a study's sessions by
 
+# SessionBuilder.feed takes a buffer this long or longer as numpy columns, a shorter
+# one in one walk, which costs less per call below the crossover in docs/protocol.md
+BLOCK_MIN_BYTES = 64 * FRAME_SIZE
 _SEQ_MOD = 0x10000
 _AT_BYTE = operator.attrgetter("at_byte_offset")
 _TS_MAX = np.iinfo(np.int64).max
@@ -195,14 +199,15 @@ class SessionBuilder:
     says went by unseen. It keeps each accepted frame only as its 36 wire
     bytes.
 
-    A feed shorter than BLOCK_MIN_BYTES (tail included) is scanned, checked
-    and accepted in one walk without numpy, which unpacks each
-    checksum-valid frame once and hands the accepted frames' fields to
-    last_accepted, so a live consumer such as serve unpacks nothing again.
-    A longer feed is scanned by scan_stream_offsets and appends in one step
-    the records those rules accept, found with their gaps over numpy
-    columns; only the refused records then go one at a time, for their
-    events, through the rule the walk applies (_refused).
+    A feed first skips the rest of a garbage run that the last one ended in
+    and reported. Then a buffer shorter than BLOCK_MIN_BYTES (tail included)
+    is scanned, checked and accepted in one walk without numpy, which
+    unpacks each candidate frame once and hands the accepted frames' fields
+    to last_accepted, so a live consumer such as serve unpacks nothing
+    again. A longer one is scanned by scan_stream_offsets and appends in
+    one step the records those rules accept, found with their gaps over
+    numpy columns; only the refused records then go one at a time, for
+    their events, through the rule the walk applies (_refused).
     """
 
     def __init__(
@@ -263,19 +268,21 @@ class SessionBuilder:
         """
         buf = self._tail + bytes(data)
         before = self._accepted_at = len(self._records)
+        if self._in_garbage:  # the rest of a run an earlier feed reported
+            skip = buf.find(SYNC_BYTE)
+            skip = len(buf) if skip < 0 else skip
+            self._base += skip
+            buf = buf[skip:]
+            self._in_garbage = not buf
         if len(buf) < BLOCK_MIN_BYTES:
             events, remainder, self._accepted = self._walk(buf)
         else:
             self._accepted = None
             offsets, records, events, remainder = scan_stream_offsets(buf, self._base)
             last_frame = offsets[-1] if offsets else -1
-            ends_in_garbage = (not remainder and bool(events)
-                               and events[-1].kind is EventKind.SYNC_LOSS
-                               and events[-1].at_byte_offset > last_frame)
-            if self._in_garbage and buf[0] != SYNC_BYTE:
-                # a garbage run that began in an earlier chunk was reported there
-                events = events[1:]
-            self._in_garbage = ends_in_garbage
+            self._in_garbage = (not remainder and bool(events)
+                                and events[-1].kind is EventKind.SYNC_LOSS
+                                and events[-1].at_byte_offset > last_frame)
             if offsets:
                 if self._glove < 0:
                     self._lock(records[1])
@@ -298,16 +305,11 @@ class SessionBuilder:
         """Scan, check and accept buf a position at a time, as the numpy path does over columns.
 
         Returns the events in byte order, the remainder, and the accepted
-        frames' FRAME_STRUCT tuples. Each checksum-valid frame is unpacked once.
+        frames' FRAME_STRUCT tuples. Each candidate frame is unpacked once.
         """
         events: list[StreamEvent] = []
         accepted: list[tuple] = []
-        base, n = self._base, len(buf)
-        # a garbage run that began in an earlier chunk was reported there
-        i = buf.find(SYNC_BYTE) if self._in_garbage else 0
-        if i < 0:
-            return events, b"", accepted
-        self._in_garbage = False
+        base, n, i = self._base, len(buf), 0
         while i < n:
             if buf[i] != SYNC_BYTE:
                 events.append(StreamEvent(EventKind.SYNC_LOSS, base + i))
@@ -318,11 +320,11 @@ class SessionBuilder:
                 continue
             if n - i < FRAME_SIZE:
                 return events, buf[i:], accepted
-            if crc_hqx(buf[i + 1:i + 34], 0xFFFF) != buf[i + 34] | buf[i + 35] << 8:
+            fields = FRAME_STRUCT.unpack_from(buf, i)
+            if crc_hqx(buf[i + 1:i + 34], 0xFFFF) != fields[-1]:
                 events.append(StreamEvent(EventKind.CRC_MISMATCH, base + i))
                 i += 1
                 continue
-            fields = FRAME_STRUCT.unpack_from(buf, i)
             start, at = i, base + i
             i += FRAME_SIZE
             if _field_error(fields):
@@ -354,16 +356,17 @@ class SessionBuilder:
 
         Another glove's frame is a FORMAT_ERROR. A frame whose timestamp does
         not pass the last accepted one is a DUPLICATE_FRAME when an accepted
-        frame has its seq and timestamp, else OUT_OF_ORDER.
+        frame has its seq and timestamp, else OUT_OF_ORDER, found by one
+        binary search over the accepted timestamps, which strictly rise.
         """
         if glove != self._glove:
             return StreamEvent(EventKind.FORMAT_ERROR, at)
         if ts > self._last_ts:
             return None
-        # the accepted timestamps strictly rise; a view held past this call would stop them growing
-        rows = np.frombuffer(self._records, FRAME_DTYPE)
-        i = int(np.searchsorted(rows["timestamp_ms"], ts))
-        replayed = int(rows["timestamp_ms"][i]) == ts and int(rows["seq"][i]) == seq
+        records = self._records
+        i = bisect_left(range(self.frames), ts,
+                        key=lambda k: SEQ_TS_STRUCT.unpack_from(records, FRAME_SIZE * k)[1])
+        replayed = SEQ_TS_STRUCT.unpack_from(records, FRAME_SIZE * i) == (seq, ts)
         return StreamEvent(EventKind.DUPLICATE_FRAME if replayed else EventKind.OUT_OF_ORDER, at)
 
     def _accept_block(self, offsets: list[int], records: bytes) -> list[StreamEvent]:
@@ -585,13 +588,9 @@ def _meta_enum(cls, text: str, path: Path):
 def _load_from_meta(meta_path: Path) -> Session:
     meta_path = Path(meta_path)
     try:
-        raw = meta_path.read_text(encoding="utf-8")
+        meta = parse_kv_text(_utf8_text(meta_path, StructureError))
     except FileNotFoundError:
         raise StructureError(f"missing metadata file {meta_path}")
-    except UnicodeDecodeError as exc:
-        raise StructureError(f"{meta_path} is not UTF-8 text: "
-                             f"byte {exc.start} is {exc.object[exc.start]:#04x}")
-    meta = parse_kv_text(raw)
     subject = _meta_field(meta, "subject", meta_path)
     side_txt = _meta_field(meta, "hand", meta_path)
     dom_txt = _meta_field(meta, "dominance", meta_path)

@@ -21,17 +21,18 @@ byte, checksum, and field ranges all validate, and scan_stream_offsets
 resynchronizes on the next sync byte after any corruption, reporting what
 it skipped as StreamEvents.
 
-FRAME_DTYPE (numpy) and FRAME_STRUCT (struct) mirror the layout above; no
-other module declares it. Bulk paths move whole records: encode_records
-returns a FRAME_DTYPE array whose bytes are the capture, scan_stream_offsets
-the intact frames' offsets and their records as one FRAME_DTYPE buffer, with
-the events in byte order, scanned as numpy columns. Frame, encode_frame and
-decode_frame are the single-frame API. The checksum is CRC-16/CCITT-FALSE:
-decode_frame calls the standard library's binascii.crc_hqx(data, 0xFFFF), as
+FRAME_DTYPE (numpy) and FRAME_STRUCT (struct) mirror the layout above, and
+SEQ_TS_STRUCT reads a frame's seq and timestamp; no other module declares
+the layout. Bulk paths move whole records: encode_records returns a FRAME_DTYPE
+array whose bytes are the capture, scan_stream_offsets the intact frames'
+offsets and their records as one FRAME_DTYPE buffer, with the events in
+byte order, scanned as numpy columns. Frame, encode_frame and decode_frame
+are the single-frame API. The checksum is CRC-16/CCITT-FALSE: decode_frame
+calls the standard library's binascii.crc_hqx(data, 0xFFFF), as
 SessionBuilder does once per candidate frame of a feed shorter than
-BLOCK_MIN_BYTES, and the bulk paths (encode_records, which encode_frame
-calls, and scan_stream_offsets) compute the same CRC over all rows at once
-from a position table derived from crc_hqx.
+ingest.BLOCK_MIN_BYTES, and the bulk paths (encode_records, which
+encode_frame calls, and scan_stream_offsets) compute the same CRC over all
+rows at once from a position table derived from crc_hqx.
 """
 
 import struct
@@ -51,15 +52,12 @@ SYNC_BYTE = 0xA5
 FRAME_SIZE = 36
 VOLTAGE_LIMIT_MV = 3300
 BATTERY_LIMIT_MV = 4300
-# SessionBuilder.feed scans and accepts a buffer this long or longer as numpy
-# columns, a shorter one in one walk a frame at a time, which costs less per
-# call below the measured crossover (docs/protocol.md).
-BLOCK_MIN_BYTES = 64 * FRAME_SIZE
 
 GLOVE_BYTE = {Side.LEFT: 0x4C, Side.RIGHT: 0x52}
 BYTE_GLOVE = {v: k for k, v in GLOVE_BYTE.items()}
 
 FRAME_STRUCT = struct.Struct("<BBHIH12HH")
+SEQ_TS_STRUCT = struct.Struct("<2xHI")  # a frame's (seq, timestamp_ms)
 FRAME_DTYPE = np.dtype([("sync", "u1"), ("glove", "u1"), ("seq", "<u2"), ("timestamp_ms", "<u4"),
                         ("battery_mv", "<u2"), ("voltages_mv", "<u2", (12,)), ("crc", "<u2")])
 assert FRAME_STRUCT.size == FRAME_DTYPE.itemsize == FRAME_SIZE
@@ -223,11 +221,10 @@ def decode_frame(data: bytes) -> Frame:
         raise FrameFormatError(f"frame must be {FRAME_SIZE} bytes, got {len(buf)}")
     if buf[0] != SYNC_BYTE:
         raise SyncLossError(f"expected sync byte 0x{SYNC_BYTE:02X}, got 0x{buf[0]:02X}")
-    stored = buf[34] | (buf[35] << 8)
-    computed = crc_hqx(buf[1:34], 0xFFFF)
-    if stored != computed:
-        raise CrcMismatchError(f"checksum 0x{stored:04X} != computed 0x{computed:04X}")
     fields = FRAME_STRUCT.unpack(buf)
+    computed = crc_hqx(buf[1:34], 0xFFFF)
+    if fields[-1] != computed:
+        raise CrcMismatchError(f"checksum 0x{fields[-1]:04X} != computed 0x{computed:04X}")
     problem = _field_error(fields)
     if problem:
         raise FrameFormatError(problem)

@@ -4,6 +4,7 @@ import csv
 import random
 import re
 import struct
+from binascii import crc_hqx
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,12 @@ def random_frame(rng: random.Random, glove: Side | None = None, seq: int | None 
         battery_mv=rng.randrange(BATTERY_LIMIT_MV + 1),
         voltages_mv=tuple(rng.randrange(VOLTAGE_LIMIT_MV) for _ in range(12)),
     )
+
+
+def raw_frame(glove_byte=0x52, seq=0, ts=0, battery=4200, voltages=(0,) * 12) -> bytes:
+    """Hand-packed frame with a correct checksum but arbitrary field values."""
+    body = struct.pack("<BBHIH12HH", 0xA5, glove_byte, seq, ts, battery, *voltages, 0)
+    return body[:34] + crc_hqx(body[1:34], 0xFFFF).to_bytes(2, "little")
 
 
 def frame_run(rng: random.Random, count: int, glove: Side = Side.RIGHT,

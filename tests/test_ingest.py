@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import os
 import random
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import gripstream.ingest
 from gripstream.core import Dominance, GloveConfig, Hand, Side
 from gripstream.ingest import (
+    BLOCK_MIN_BYTES,
     IngestError,
     ParseError,
     RecordError,
@@ -34,6 +36,7 @@ from helpers import (
     build_session,
     frame_run,
     random_frame,
+    raw_frame,
     reference_export_csv,
     reference_read_tsv,
     reference_tsv_text,
@@ -268,6 +271,70 @@ def test_block_and_frame_by_frame_feeds_agree(intruders, monkeypatch):
         assert builder.pending_bytes == whole.pending_bytes
         assert builder.session() == session
     assert blocks  # some random pieces reach BLOCK_MIN_BYTES
+
+
+class NoNumpy:
+    """Stands in for numpy in code that must not use it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached")
+
+
+def test_short_feeds_run_no_numpy(monkeypatch):
+    rng = random.Random(66)
+    frames = frame_run(rng, 3004)
+    reference, patched = SessionBuilder(), SessionBuilder()
+    blob = wire(frames[:3000])
+    cuts = list(range(rng.randint(36, 72), len(blob), 54))
+    for builder in (reference, patched):
+        for lo, hi in zip([0] + cuts, cuts + [len(blob)]):
+            builder.feed(blob[lo:hi])
+    assert patched.frames == 3000
+    later = [encode_frame(frame) for frame in frames[3000:]]
+    damaged = bytearray(later[1])
+    damaged[20] ^= 0x10
+    volts = frames[0].voltages_mv
+    garbage = bytes(rng.randrange(0xA5) for _ in range(120))
+    pieces = [
+        later[0],
+        blob[36 * 1234:36 * 1235],  # a replay
+        encode_frame(Frame(Side.RIGHT, 77, frames[2000].timestamp_ms + 3, 4100, volts)),  # stale
+        encode_frame(Frame(Side.LEFT, 3001, frames[3003].timestamp_ms + 20, 4100, volts)),  # other
+        bytes(damaged) + later[1],  # a CRC-damaged copy, then the frame
+        raw_frame(seq=3002, ts=frames[3002].timestamp_ms, battery=4301, voltages=volts),  # range
+        later[2] + garbage[:50],  # a garbage run across three feeds
+        garbage[50:],
+        garbage[:7] + later[3][:30],
+        later[3][30:],
+    ]
+    assert max(map(len, pieces)) < BLOCK_MIN_BYTES
+    want = [(reference.feed(piece), reference.last_accepted()) for piece in pieces]
+    monkeypatch.setattr(gripstream.ingest, "np", NoNumpy())
+    got = [(patched.feed(piece), patched.last_accepted()) for piece in pieces]
+    monkeypatch.undo()
+    assert got == want
+    assert {ev.kind for (_, events), _ in got for ev in events} == set(EventKind) - {
+        EventKind.SEQUENCE_GAP}
+    assert patched.session() == reference.session()
+    assert patched.frames == 3004
+
+
+def test_a_carried_garbage_run_longer_than_a_block_is_skipped_once():
+    rng = random.Random(67)
+    frames = frame_run(rng, 128)
+    garbage = bytes(rng.randrange(0xA5) for _ in range(6000))  # no sync byte
+    blob = wire(frames[:64]) + garbage + wire(frames[64:])
+    whole = fed_in_pieces(blob, [])
+    assert whole.events == [StreamEvent(EventKind.SYNC_LOSS, 64 * 36)]
+    assert whole.frames == 128
+    # one feed of 4,000 garbage bytes when cut at 3,000 and 7,000
+    cut_at = [1, 35, 2304, 2305, 3000, 7000]
+    for count in range(1, len(cut_at) + 1):
+        for cuts in itertools.combinations(cut_at, count):
+            builder = fed_in_pieces(blob, list(cuts))
+            assert builder.events == whole.events, cuts
+            assert builder.pending_bytes == whole.pending_bytes == 0
+            assert builder.session() == whole.session()
 
 
 def test_a_block_fed_again_appends_nothing():

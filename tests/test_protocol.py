@@ -1,5 +1,4 @@
 import random
-import struct
 from binascii import crc_hqx
 
 import numpy as np
@@ -11,12 +10,12 @@ import gripstream.protocol
 from gripstream.core import Calibration, GloveConfig, Side
 from gripstream.protocol import (
     BATTERY_LIMIT_MV,
-    BLOCK_MIN_BYTES,
     BYTE_GLOVE,
     FRAME_DTYPE,
     FRAME_SIZE,
     FRAME_STRUCT,
     GLOVE_BYTE,
+    SEQ_TS_STRUCT,
     VOLTAGE_LIMIT_MV,
     CrcMismatchError,
     EncodeError,
@@ -34,16 +33,10 @@ from gripstream.protocol import (
     scan_stream_offsets,
 )
 from gripstream.errors import DomainError
-from gripstream.ingest import SessionBuilder
+from gripstream.ingest import BLOCK_MIN_BYTES, SessionBuilder
 from gripstream.simulate import SessionPlan, emit_frames, get_preset, synthesize_session
 
-from helpers import frame_run, random_frame, reference_crc16, reference_scan, wire
-
-
-def raw_frame(glove_byte=0x52, seq=0, ts=0, battery=4200, voltages=(0,) * 12) -> bytes:
-    """Hand-packed frame with a correct checksum but arbitrary field values."""
-    body = struct.pack("<BBHIH12HH", 0xA5, glove_byte, seq, ts, battery, *voltages, 0)
-    return body[:34] + crc_hqx(body[1:34], 0xFFFF).to_bytes(2, "little")
+from helpers import frame_run, random_frame, raw_frame, reference_crc16, reference_scan, wire
 
 
 def test_crc_check_value():
@@ -102,6 +95,7 @@ def test_frame_wire_size_and_round_trip():
         assert len(blob) == FRAME_SIZE == 36
         assert blob[0] == 0xA5
         assert decode_frame(blob) == frame
+        assert SEQ_TS_STRUCT.unpack_from(blob) == (frame.seq, frame.timestamp_ms)
 
 
 def test_decode_rejects_wrong_length():
