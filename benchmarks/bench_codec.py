@@ -16,9 +16,8 @@ Seven workloads, each timed best of --repeats:
                 directory: 13 column files and the metadata written
   load          load_session of that recording: 13 column files read back
 
-scan_stream_offsets works as numpy columns at any length. SessionBuilder.feed
-accepts a whole stream as numpy columns and walks a 36-byte chunk a frame at a
-time (ingest.BLOCK_MIN_BYTES), so the two feeds time both of its paths.
+The two feeds time both paths of SessionBuilder.feed; its docstring and
+docs/protocol.md say which length takes which.
 record formats its column files as numpy word matrices, and load reads them
 back with the one-pass digit conversion.
 

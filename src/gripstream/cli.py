@@ -40,6 +40,7 @@ from gripstream.ingest import (
     session_summary,
 )
 from gripstream.pipeline import capture_plan, session_from_capture
+from gripstream.protocol import EventKind
 from gripstream.simulate import (PRESETS, WAVEFORMS, ProfilePreset, SessionPlan, condition_gain,
                                  get_preset)
 
@@ -191,6 +192,18 @@ def _record(session, out) -> None:
     print(f"recorded {record_session(session, out).meta_path}", file=sys.stderr)
 
 
+_REFUSALS = (EventKind.DUPLICATE_FRAME, EventKind.FORMAT_ERROR, EventKind.OUT_OF_ORDER)
+
+
+def _refusals(builder: SessionBuilder) -> str:
+    """', N refused (<kind> <n>, ...)' for the frames builder refused, by kind; '' for none."""
+    counts = [(kind.value, builder.counts[kind]) for kind in _REFUSALS if builder.counts[kind]]
+    if not counts:
+        return ""
+    kinds = ", ".join(f"{name} {n}" for name, n in counts)
+    return f", {sum(n for _, n in counts)} refused ({kinds})"
+
+
 def _cmd_simulate(args, cfg: GloveConfig, cal: Calibration) -> int:
     profile = args.preset.with_gains(
         condition=condition_gain(args.condition),
@@ -229,10 +242,8 @@ class _GloveLink:
     def take(self, chunk: bytes, new_monitor) -> None:
         """Feed one read; step the monitor over each frame it accepted.
 
-        The frames come as the feed's field tuples (builder.last_accepted), so
-        none is unpacked again: the monitor takes a tuple's S1..S12 millivolts
-        as they are. new_monitor(glove=side) makes the monitor once a frame
-        names the glove; a take that raises ends the link.
+        new_monitor(glove=side) makes the monitor once a frame names the
+        glove; a take that raises ends the link.
         """
         builder = self.builder
         _, events = builder.feed(chunk)
@@ -240,8 +251,8 @@ class _GloveLink:
             log.info("stream event %s at byte %d", ev.kind.name, ev.at_byte_offset)
         if self.monitor is None and builder.hand is not None:
             self.monitor = new_monitor(glove=builder.hand.side)
-        for fields in builder.last_accepted():
-            for alert in self.monitor.step(fields[3], fields[5:17]):
+        for timestamp_ms, voltages_mv in builder.last_accepted():
+            for alert in self.monitor.step(timestamp_ms, voltages_mv):
                 print("\a" + format_alert(alert), file=sys.stderr, flush=True)
 
     def record(self, out, stems: set[str], problem: Exception | None) -> Exception | None:
@@ -257,7 +268,8 @@ class _GloveLink:
                 _record(session, out)
             print(
                 f"session {session.stem}: {summary.frames} frames, "
-                f"{summary.gap_count} gap(s), battery {summary.battery_final_mv} mV",
+                f"{summary.gap_count} gap(s), battery {summary.battery_final_mv} mV"
+                f"{_refusals(self.builder)}",
                 file=sys.stderr,
             )
             if taken:
@@ -275,11 +287,11 @@ def _cmd_serve(args, cfg: GloveConfig, cal: Calibration) -> int:
     the connections and reads whichever socket is ready, so two gloves do not
     take turns at the interpreter lock on every read. Each connection has its
     own builder, monitor and stall deadline, 1,000 sample periods after its
-    last byte. A read shorter than ingest.BLOCK_MIN_BYTES is scanned, checked
-    and accepted in the builder's one walk, without numpy, a replayed or
-    stale frame included; the monitor steps over the millivolts of the field
-    tuples that walk unpacked, and a frame with no watched reading over the
-    threshold while no alert or run is under way costs one comparison. A
+    last byte. The builder takes each read by the path SessionBuilder's
+    docstring describes, and the monitor steps over the timestamp and
+    millivolts of each frame it accepted (SessionBuilder.last_accepted); a
+    frame with no watched reading over the threshold while no alert or run
+    is under way costs one comparison. A
     connection's session is recorded when it ends (end of stream, reset,
     stall or a sample that cannot be converted) inside the loop, a few
     microseconds per frame, and the other glove's reads wait in the
@@ -357,7 +369,7 @@ def _cmd_record(args, cfg: GloveConfig, cal: Calibration) -> int:
     _record(session, args.out)
     print(
         f"{session.frame_count} frames, {SENSOR_COUNT * session.frame_count} samples, "
-        f"{len(builder.events)} event(s)"
+        f"{len(builder.events)} event(s){_refusals(builder)}"
         + (f", {builder.pending_bytes} byte(s) of trailing partial frame" if builder.pending_bytes else ""),
         file=sys.stderr,
     )

@@ -219,33 +219,31 @@ def resistance_from_voltage(v: float, cfg: GloveConfig) -> float:
 # --- force calibration -------------------------------------------------------
 
 
+def _check_anchor(cal: Calibration, cfg: GloveConfig) -> None:
+    """ConfigError unless the calibration anchor lies below the supply rail."""
+    if cal.anchor_voltage_mv >= cfg.supply_mv:
+        raise ConfigError("anchor_voltage_mv must be below the supply rail")
+
+
 def rational_gain(cal: Calibration, cfg: GloveConfig) -> float:
     """Constant c of the RATIONAL map f = c*v/(supply - v), anchor-exact."""
-    supply = cfg.supply_mv
-    if cal.anchor_voltage_mv >= supply:
-        raise ConfigError("calibration anchor voltage must be below the supply rail")
-    return cal.anchor_force_n * (supply - cal.anchor_voltage_mv) / cal.anchor_voltage_mv
+    _check_anchor(cal, cfg)
+    return cal.anchor_force_n * (cfg.supply_mv - cal.anchor_voltage_mv) / cal.anchor_voltage_mv
 
 
 def _in_domain(x, lo: float, hi: float, hi_closed: bool, what: str, unit: str):
-    """x unchanged if it is a scalar in the domain, else a float array of it.
+    """x as a float array, or a float if it is a scalar, when every value is in the domain.
 
     The domain is [lo, hi) or, with hi_closed, [lo, hi]; NaN is outside it.
     """
-    if isinstance(x, (int, float, np.number)):
-        if lo <= x < hi or (hi_closed and x == hi):
-            return x
-        bad, where = x, ""
-    else:
-        a = np.asarray(x, dtype=float)
-        ok = (a >= lo) & ((a <= hi) if hi_closed else (a < hi))
-        if ok.all():
-            return a
-        pos = np.argwhere(~ok)[0]
-        bad = f"{a[tuple(pos)]:g}"
-        where = " at sample index " + ", ".join(str(int(p)) for p in pos)
+    a = np.asarray(x, dtype=float)
+    ok = (a >= lo) & ((a <= hi) if hi_closed else (a < hi))
+    if ok.all():
+        return a if a.ndim else float(a)
+    pos = np.argwhere(~ok)[0]
+    where = " at sample index " + ", ".join(str(int(p)) for p in pos) if pos.size else ""
     bounds = f"[{lo:g}, {hi:g}{']' if hi_closed else ')'}"
-    raise DomainError(f"{what} {bad} {unit}{where} outside {bounds} {unit}")
+    raise DomainError(f"{what} {a[tuple(pos)]:g} {unit}{where} outside {bounds} {unit}")
 
 
 def force_from_voltage(v_mv, cal: Calibration, cfg: GloveConfig):
@@ -369,8 +367,7 @@ def config_from_mapping(kv: dict[str, str]) -> tuple[GloveConfig, Calibration]:
         conversion_mode=mode,
     )
     cal = Calibration(**_floats(kv, _CALIBRATION_KEYS))
-    if cal.anchor_voltage_mv >= cfg.supply_mv:
-        raise ConfigError("anchor_voltage_mv must be below the supply rail")
+    _check_anchor(cal, cfg)
     return cfg, cal
 
 

@@ -16,6 +16,7 @@ import os
 import re
 from binascii import crc_hqx
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -26,19 +27,18 @@ import numpy as np
 from gripstream.core import (SENSOR_COUNT, Dominance, GloveConfig, Hand, Side, _ascii_int,
                              _utf8_text, parse_kv_text)
 from gripstream.errors import GripstreamError, excerpt
-from gripstream.protocol import (BYTE_GLOVE, FRAME_DTYPE, FRAME_SIZE, FRAME_STRUCT, SEQ_TS_STRUCT,
-                                 SYNC_BYTE, EventKind, StreamEvent, _field_error,
+from gripstream.protocol import (BYTE_GLOVE, FRAME_DTYPE, FRAME_SAMPLES, FRAME_SIZE, FRAME_STRUCT,
+                                 SEQ_TS_STRUCT, SYNC_BYTE, EventKind, StreamEvent, _field_error,
                                  scan_stream_offsets)
 
 SENSOR_IDS = tuple(range(1, SENSOR_COUNT + 1))
 _SENSOR_LABELS = tuple(f"S{sid}" for sid in SENSOR_IDS)
 GROUP_KEYS = ("hand", "sensor", "condition")  # what analytics can group a study's sessions by
 
-# SessionBuilder.feed takes a buffer this long or longer as numpy columns, a shorter
-# one in one walk, which costs less per call below the crossover in docs/protocol.md
-BLOCK_MIN_BYTES = 64 * FRAME_SIZE
+BLOCK_MIN_BYTES = 64 * FRAME_SIZE  # where SessionBuilder.feed changes path; see its docstring
 _SEQ_MOD = 0x10000
 _AT_BYTE = operator.attrgetter("at_byte_offset")
+_KIND = operator.attrgetter("kind")
 _TS_MAX = np.iinfo(np.int64).max
 _VALUE_MAX = np.iinfo(np.uint16).max
 _TAB_LF = np.frombuffer(b"\t\n", "<u2")[0]  # a whole line's two separators read as one number
@@ -197,17 +197,23 @@ class SessionBuilder:
     sequence gap counts the frames the 16-bit seq skipped, plus 65,536 for
     each whole wrap that the timestamp step, at sample_period_ms per frame,
     says went by unseen. It keeps each accepted frame only as its 36 wire
-    bytes.
+    bytes, and counts holds how many events of each EventKind the feeds
+    reported.
 
     A feed first skips the rest of a garbage run that the last one ended in
     and reported. Then a buffer shorter than BLOCK_MIN_BYTES (tail included)
     is scanned, checked and accepted in one walk without numpy, which
-    unpacks each candidate frame once and hands the accepted frames' fields
-    to last_accepted, so a live consumer such as serve unpacks nothing
-    again. A longer one is scanned by scan_stream_offsets and appends in
-    one step the records those rules accept, found with their gaps over
-    numpy columns; only the refused records then go one at a time, for
-    their events, through the rule the walk applies (_refused).
+    unpacks each candidate frame once with FRAME_STRUCT and checks its
+    checksum with binascii.crc_hqx. A longer one is scanned by
+    scan_stream_offsets, whose checksums come from numpy columns, and
+    appends in one step the records those rules accept, found with their
+    gaps over numpy columns; only the refused records then go one at a
+    time, for their events, through the rule the walk applies (_refused).
+    docs/protocol.md gives the crossover that sets BLOCK_MIN_BYTES.
+    last_accepted hands a live consumer such as serve the frames a feed
+    accepted as (timestamp_ms, voltages_mv) pairs, picked by FRAME_SAMPLES:
+    a short feed's from the tuples its walk unpacked, so nothing is unpacked
+    again, a long feed's unpacked on the first call.
     """
 
     def __init__(
@@ -225,6 +231,7 @@ class SessionBuilder:
         self.started_at = started_at
         self.sample_period_ms = sample_period_ms
         self.events: list[StreamEvent] = []
+        self.counts: Counter[EventKind] = Counter()
         self._records = bytearray()  # accepted frames back to back, FRAME_DTYPE rows
         self._glove = -1  # the locked glove's id byte; -1 before the first frame
         self._last_ts = -1  # the last accepted frame's timestamp; -1 before the first
@@ -233,7 +240,7 @@ class SessionBuilder:
         self._tail = b""
         self._base = 0  # absolute stream offset of the carried tail's first byte
         self._in_garbage = False  # the last chunk ended inside a reported garbage run
-        self._accepted: list[tuple] | None = []  # the last feed's accepted fields; None: unpack
+        self._accepted: list[tuple] | None = []  # the last feed's accepted samples; None: unpack
         self._accepted_at = 0  # where the last feed's accepted records begin in _records
 
     @property
@@ -247,17 +254,14 @@ class SessionBuilder:
 
     def frame_samples(self, index: int) -> tuple[int, tuple[int, ...]]:
         """Timestamp and the 12 voltages of accepted frame `index`."""
-        fields = FRAME_STRUCT.unpack_from(self._records, FRAME_SIZE * range(self.frames)[index])
-        return fields[3], fields[5:17]
+        return FRAME_SAMPLES(FRAME_STRUCT.unpack_from(self._records,
+                                                      FRAME_SIZE * range(self.frames)[index]))
 
-    def last_accepted(self) -> list[tuple]:
-        """FRAME_STRUCT field tuples of the frames the last feed accepted, in byte order.
-
-        A short feed's come from its walk; a long feed's are unpacked here,
-        on the first call.
-        """
+    def last_accepted(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(timestamp_ms, voltages_mv) of each frame the last feed accepted, in byte order."""
         if self._accepted is None:
-            self._accepted = list(FRAME_STRUCT.iter_unpack(self._records[self._accepted_at:]))
+            self._accepted = list(map(FRAME_SAMPLES,
+                                      FRAME_STRUCT.iter_unpack(self._records[self._accepted_at:])))
         return self._accepted
 
     def feed(self, data: bytes) -> tuple[int, list[StreamEvent]]:
@@ -291,7 +295,9 @@ class SessionBuilder:
                     events = sorted(events + found, key=_AT_BYTE)  # sorted runs: a linear merge
         self._base += len(buf) - len(remainder)
         self._tail = remainder
-        self.events.extend(events)
+        if events:
+            self.events.extend(events)
+            self.counts.update(map(_KIND, events))
         return SENSOR_COUNT * (len(self._records) - before) // FRAME_SIZE, events
 
     def _lock(self, glove: int) -> None:
@@ -305,7 +311,7 @@ class SessionBuilder:
         """Scan, check and accept buf a position at a time, as the numpy path does over columns.
 
         Returns the events in byte order, the remainder, and the accepted
-        frames' FRAME_STRUCT tuples. Each candidate frame is unpacked once.
+        frames' (timestamp_ms, voltages_mv). Each candidate frame is unpacked once.
         """
         events: list[StreamEvent] = []
         accepted: list[tuple] = []
@@ -348,7 +354,7 @@ class SessionBuilder:
                     self._gaps.append(gap)
             self._last_ts, self._last_seq = ts, seq
             self._records += buf[start:i]
-            accepted.append(fields)
+            accepted.append(FRAME_SAMPLES(fields))
         return events, b"", accepted
 
     def _refused(self, glove: int, seq: int, ts: int, at: int) -> StreamEvent | None:

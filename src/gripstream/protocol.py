@@ -7,7 +7,7 @@ acquisition tick. Layout (36 bytes, little-endian):
     0       1     sync byte 0xA5
     1       1     glove id: 0x4C left, 0x52 right
     2       2     sequence counter, u16, wraps at 65536
-    4       4     timestamp, milliseconds since session start, u32
+    4       4     timestamp, sender clock, ms, u32
     8       2     battery level, millivolts, u16 (<= 4300)
     10      24    12 x sensor voltage, millivolts, u16, channels S1..S12
                   (each < 3300, the supply rail)
@@ -16,25 +16,31 @@ acquisition tick. Layout (36 bytes, little-endian):
 At 50 Hz one glove needs 36 * 8 * 50 = 14,400 bps, so a pair fits a
 115,200 bps serial-class link with ample margin.
 
+The timestamp is the sender's own clock, which need not start at 0. The
+ingester compares raw u32 stamps, so once a sender's clock passes 2**32 ms
+(49.7 days) every later frame is refused as OUT_OF_ORDER.
+
 Decoding never trusts a damaged buffer: a frame is only accepted when sync
 byte, checksum, and field ranges all validate, and scan_stream_offsets
 resynchronizes on the next sync byte after any corruption, reporting what
 it skipped as StreamEvents.
 
-FRAME_DTYPE (numpy) and FRAME_STRUCT (struct) mirror the layout above, and
-SEQ_TS_STRUCT reads a frame's seq and timestamp; no other module declares
+FRAME_DTYPE (numpy) and FRAME_STRUCT (struct) mirror the layout above,
+SEQ_TS_STRUCT reads a frame's seq and timestamp, and FRAME_SAMPLES picks a
+FRAME_STRUCT tuple's (timestamp_ms, voltages_mv); no other module declares
 the layout. Bulk paths move whole records: encode_records returns a FRAME_DTYPE
 array whose bytes are the capture, scan_stream_offsets the intact frames'
 offsets and their records as one FRAME_DTYPE buffer, with the events in
 byte order, scanned as numpy columns. Frame, encode_frame and decode_frame
 are the single-frame API. The checksum is CRC-16/CCITT-FALSE: decode_frame
-calls the standard library's binascii.crc_hqx(data, 0xFFFF), as
-SessionBuilder does once per candidate frame of a feed shorter than
-ingest.BLOCK_MIN_BYTES, and the bulk paths (encode_records, which
-encode_frame calls, and scan_stream_offsets) compute the same CRC over all
-rows at once from a position table derived from crc_hqx.
+calls the standard library's binascii.crc_hqx(data, 0xFFFF), and the bulk
+paths (encode_records, which encode_frame calls, and scan_stream_offsets)
+compute the same CRC over all rows at once from a position table derived
+from crc_hqx. Which of these SessionBuilder.feed uses is said in its
+docstring and in docs/protocol.md.
 """
 
+import operator
 import struct
 from binascii import crc_hqx
 from collections import namedtuple
@@ -58,6 +64,7 @@ BYTE_GLOVE = {v: k for k, v in GLOVE_BYTE.items()}
 
 FRAME_STRUCT = struct.Struct("<BBHIH12HH")
 SEQ_TS_STRUCT = struct.Struct("<2xHI")  # a frame's (seq, timestamp_ms)
+FRAME_SAMPLES = operator.itemgetter(3, slice(5, 17))  # a FRAME_STRUCT tuple's (ts, S1..S12)
 FRAME_DTYPE = np.dtype([("sync", "u1"), ("glove", "u1"), ("seq", "<u2"), ("timestamp_ms", "<u4"),
                         ("battery_mv", "<u2"), ("voltages_mv", "<u2", (12,)), ("crc", "<u2")])
 assert FRAME_STRUCT.size == FRAME_DTYPE.itemsize == FRAME_SIZE

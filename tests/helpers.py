@@ -19,6 +19,7 @@ from gripstream.protocol import (
     Frame,
     StreamEvent,
     encode_frame,
+    encode_records,
 )
 from gripstream.svgplot import _MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W
 
@@ -226,6 +227,48 @@ def frame_run(rng: random.Random, count: int, glove: Side = Side.RIGHT,
         )
         for k in range(count)
     ]
+
+
+def noisy_capture(seed: int, frames: int = 2400, intruders: bool = False) -> bytes:
+    """One glove's capture, damaged as the benchmark damages it.
+
+    One frame in 100 is never sent, an outage of 70,000 frames spans a
+    sequence wrap, 3-40 garbage bytes follow every 8 frames, one byte in 400
+    is flipped and a partial frame ends it. With intruders, another glove's
+    frame, a replay and a frame with a stale timestamp sit between intact
+    frames in mid-run.
+    """
+    rng = np.random.default_rng(seed)
+    pos = np.arange(frames)
+    pos[frames // 2:] += 70_000
+    pos = np.delete(pos, rng.choice(frames, frames // 100, replace=False))
+    volts = rng.integers(0, 3300, (len(pos), 12))
+    records = [row.tobytes() for row in encode_records(
+        Side.RIGHT, (0xFFFF - 300 + pos) & 0xFFFF, 20 * pos, np.full(len(pos), 4100), volts)]
+    blob, starts = bytearray(), []
+    for k, record in enumerate(records):
+        starts.append(len(blob))
+        blob += record
+        if k % 8 == 7:
+            blob += rng.bytes(int(rng.integers(3, 41)))
+    for at in rng.choice(len(blob), len(blob) // 400, replace=False):
+        blob[at] ^= 0xFF
+    if intruders:
+        other = encode_records(Side.LEFT, [7], [20 * pos[600] + 1], [4100], volts[:1]).tobytes()
+        stale = encode_records(Side.RIGHT, [1234], [20 * pos[100] + 3], [4100], volts[:1]).tobytes()
+        # replay a frame that arrived intact
+        sent = next(k for k in range(800, 900) if blob[starts[k]:starts[k] + 36] == records[k])
+        for k, record in sorted([(603, other), (901, records[sent]), (1302, stale)], reverse=True):
+            blob[starts[k]:starts[k]] = record
+    return bytes(blob) + records[0][:20]
+
+
+def refused_suffix(events) -> str:
+    """What record's summary and serve's session line append for the refused frames in events."""
+    kinds = (EventKind.DUPLICATE_FRAME, EventKind.FORMAT_ERROR, EventKind.OUT_OF_ORDER)
+    counts = [(kind.value, [ev.kind for ev in events].count(kind)) for kind in kinds]
+    named = [f"{name} {n}" for name, n in counts if n]
+    return f", {sum(n for _, n in counts)} refused ({', '.join(named)})" if named else ""
 
 
 def wire(frames) -> bytes:

@@ -35,6 +35,8 @@ from gripstream.simulate import (
     synthesize_session,
 )
 
+from helpers import noisy_capture, refused_suffix
+
 
 def high_force_blob(duration_s=1.0, seed=5, side=Side.RIGHT):
     """Wire bytes for one strong-grip session (S4 holds around 7 N)."""
@@ -149,6 +151,7 @@ def test_non_finite_numbers_exit_like_their_range_check(tmp_path, capsys, comman
     ("--seed -1", "seed must be a non-negative integer"),
     ("--duration 1e9", "does not fit the timestamp_ms field"),
     ("--duration 1e308", "timestamp inf ms does not fit"),
+    ("--duration 0.001", "error: plan produces no samples; increase duration\n"),
 ])
 def test_simulate_refuses_a_plan_it_cannot_run(tmp_path, capsys, flags, message):
     raw = tmp_path / "x.bin"
@@ -285,7 +288,8 @@ def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, name
     ("anon_R_quiet_meta.txt", "subject = anon\n", "subject = " + "a" * 100_000 + "\n",
      ": subject '" + "a" * 80 + "…' (100000 characters) and condition 'quiet' make a "
      "100024-byte file name"),
-], ids=["column-line", "gap-entry", "hand", "subject", "subject-length"])
+    ("anon_R_quiet_meta.txt", "frames = 50\n", "", " lacks required key 'frames'\n"),
+], ids=["column-line", "gap-entry", "hand", "subject", "subject-length", "missing-key"])
 def test_a_load_error_quotes_at_most_80_characters(tmp_path, capsys, name, old, new, message):
     out = simulate_dir(tmp_path)
     path = out / name
@@ -426,8 +430,8 @@ def test_record_feeds_a_capture_in_64_kib_windows(tmp_path, capsys, monkeypatch,
     assert sum(sizes) == len(blob) and len(sizes) == 4 and max(sizes) == 1 << 16
     assert capsys.readouterr().err == (
         f"recorded {got / 'anon_R_quiet_meta.txt'}\n"
-        f"{builder.frames} frames, {appended} samples, {len(events)} event(s), "
-        f"{builder.pending_bytes} byte(s) of trailing partial frame\n"
+        f"{builder.frames} frames, {appended} samples, {len(events)} event(s)"
+        f"{refused_suffix(events)}, {builder.pending_bytes} byte(s) of trailing partial frame\n"
     )
     assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
@@ -700,10 +704,36 @@ def test_serve_records_and_alerts_as_record_and_monitor_do(case):
                 want.append("\a" + format_alert(replace(alert, peak_force_n=peak)))
             glove = f"\aALERT glove={session.hand.side.value} "
             assert [line for line in lines if line.startswith(glove)] == want
-            # (c) the summary line
+            # (c) the summary line, with the frames a builder of the same bytes refuses
+            builder = SessionBuilder()
+            builder.feed(blobs[session.hand.side])
+            refused = refused_suffix(builder.events)
             summary = session_summary(session)
             assert (f"session {session.stem}: {summary.frames} frames, {summary.gap_count} gap(s), "
-                    f"battery {summary.battery_final_mv} mV") in lines
+                    f"battery {summary.battery_final_mv} mV{refused}") in lines
+
+
+def test_record_and_serve_say_which_frames_were_refused(tmp_path, capsys):
+    blob = noisy_capture(61, intruders=True)  # another glove's frame, a replay, a stale frame
+    builder = SessionBuilder()
+    builder.feed(blob)
+    suffix = refused_suffix(builder.events)
+    assert suffix == ", 3 refused (duplicate_frame 1, format_error 1, out_of_order 1)"
+    session = builder.session()
+    raw = tmp_path / "cap.bin"
+    raw.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["record", "--in", str(raw), "--out", str(tmp_path / "rec")]) == 0
+    assert capsys.readouterr().err.splitlines()[1] == (
+        f"{session.frame_count} frames, {12 * session.frame_count} samples, "
+        f"{len(builder.events)} event(s){suffix}, 20 byte(s) of trailing partial frame")
+    with start_serve("--sessions", "1", "--out", str(tmp_path / "live")) as (proc, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(blob)
+        _, stderr = proc.communicate(timeout=30)
+    assert proc.returncode == 0, stderr
+    assert (f"session anon_R_quiet: {session.frame_count} frames, {len(session.gaps)} gap(s), "
+            f"battery 4100 mV{suffix}") in stderr.splitlines()
 
 
 def test_serve_ingests_alerts_and_records(tmp_path):

@@ -132,6 +132,18 @@ def test_array_conversion_equals_elementwise(cfg):
     assert back.ravel().tolist() == [voltage_from_force(f, CAL, cfg) for f in grid.ravel()]
 
 
+@pytest.mark.parametrize("cfg", [CFG, RATIONAL_CFG], ids=["linear", "rational"])
+def test_a_scalar_converts_to_a_python_float(cfg):
+    for mv in (750, 750.0, np.float64(750.0), np.uint16(750)):
+        force = force_from_voltage(mv, CAL, cfg)
+        assert type(force) is float and force == force_from_voltage([750], CAL, cfg)[0]
+        assert type(voltage_from_force(force, CAL, cfg)) is float
+    for reading in (3300, 65535, np.uint16(65535)):  # any u16 a frame carries reads in full
+        with pytest.raises(DomainError) as caught:
+            force_from_voltage(reading, CAL, cfg)
+        assert str(caught.value) == f"voltage {int(reading)} mV outside [0, 3300) mV"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_conversion_rejects_non_finite(bad):
     for convert in (force_from_voltage, voltage_from_force):
@@ -147,6 +159,10 @@ def test_calibration_validation():
     with pytest.raises(ConfigError):
         Calibration(anchor_force_n=-1.0)
     assert Calibration().max_force_n == 20.0
+    at_rail = Calibration(anchor_voltage_mv=3300.0)  # the rail is the glove's to check
+    with pytest.raises(ConfigError) as caught:
+        force_from_voltage(100.0, at_rail, RATIONAL_CFG)
+    assert str(caught.value) == "anchor_voltage_mv must be below the supply rail"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -318,6 +334,22 @@ def test_config_errors_quote_at_most_80_characters(tmp_path, line, message):
     text = str(caught.value)
     assert text.startswith(message) and len(text) < 1024
     assert "…' (100000 characters)" in text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sensor_S2 = fingertip_index:7", "sensor diameter must be 5 or 10 mm, got 7"),
+    ("supply_voltage_v = 0", "supply voltage must be positive"),
+    ("pulldown_ohm = -1", "pull-down resistance must be positive"),
+    ("\n".join(f"sensor_S{k} = thenar:10" for k in range(1, 13)),
+     "layout needs 8x10mm + 4x5mm sensors, got 12x10 + 0x5"),
+    ("anchor_voltage_mv = 3300", "anchor_voltage_mv must be below the supply rail"),
+], ids=["diameter", "supply", "pulldown", "layout", "anchor"])
+def test_load_config_refuses_a_glove_it_cannot_build(tmp_path, text, message):
+    path = tmp_path / "glove.cfg"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    assert str(caught.value) == message
 
 
 def test_load_config_rejects_unknown_mode(tmp_path):

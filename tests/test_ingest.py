@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from gripstream.simulate import SessionPlan, get_preset
 from helpers import (
     build_session,
     frame_run,
+    noisy_capture,
     random_frame,
     raw_frame,
     reference_export_csv,
@@ -186,40 +188,6 @@ def test_chunking_never_changes_the_session():
     assert reference.frame_count == 59
 
 
-def noisy_capture(seed: int, frames: int = 2400, intruders: bool = False) -> bytes:
-    """One glove's capture, damaged as the benchmark damages it.
-
-    One frame in 100 is never sent, an outage of 70,000 frames spans a
-    sequence wrap, 3-40 garbage bytes follow every 8 frames, one byte in 400
-    is flipped and a partial frame ends it. With intruders, another glove's
-    frame, a replay and a frame with a stale timestamp sit between intact
-    frames in mid-run.
-    """
-    rng = np.random.default_rng(seed)
-    pos = np.arange(frames)
-    pos[frames // 2:] += 70_000
-    pos = np.delete(pos, rng.choice(frames, frames // 100, replace=False))
-    volts = rng.integers(0, 3300, (len(pos), 12))
-    records = [row.tobytes() for row in encode_records(
-        Side.RIGHT, (0xFFFF - 300 + pos) & 0xFFFF, 20 * pos, np.full(len(pos), 4100), volts)]
-    blob, starts = bytearray(), []
-    for k, record in enumerate(records):
-        starts.append(len(blob))
-        blob += record
-        if k % 8 == 7:
-            blob += rng.bytes(int(rng.integers(3, 41)))
-    for at in rng.choice(len(blob), len(blob) // 400, replace=False):
-        blob[at] ^= 0xFF
-    if intruders:
-        other = encode_records(Side.LEFT, [7], [20 * pos[600] + 1], [4100], volts[:1]).tobytes()
-        stale = encode_records(Side.RIGHT, [1234], [20 * pos[100] + 3], [4100], volts[:1]).tobytes()
-        # replay a frame that arrived intact
-        sent = next(k for k in range(800, 900) if blob[starts[k]:starts[k] + 36] == records[k])
-        for k, record in sorted([(603, other), (901, records[sent]), (1302, stale)], reverse=True):
-            blob[starts[k]:starts[k]] = record
-    return bytes(blob) + records[0][:20]
-
-
 def cut_every(blob: bytes, step: int) -> list[int]:
     return list(range(step, len(blob), step))
 
@@ -268,6 +236,7 @@ def test_block_and_frame_by_frame_feeds_agree(intruders, monkeypatch):
         blocks.clear()
         builder = fed_in_pieces(blob, cuts)
         assert builder.events == whole.events
+        assert builder.counts == Counter(ev.kind for ev in whole.events)
         assert builder.pending_bytes == whole.pending_bytes
         assert builder.session() == session
     assert blocks  # some random pieces reach BLOCK_MIN_BYTES
@@ -357,14 +326,20 @@ def test_the_other_gloves_clock_does_not_hold_back_the_locked_glove():
 
 
 def test_frame_samples_accessor_tracks_feed():
-    frames = frame_run(random.Random(49), 3)
+    frames = frame_run(random.Random(49), 80)
+    blob = wire(frames)
     builder = SessionBuilder()
-    builder.feed(wire(frames)[:40])
+    builder.feed(blob[:40])
     assert builder.frames == 1
     assert builder.pending_bytes == 4
     ts, volts = builder.frame_samples(0)
     assert ts == frames[0].timestamp_ms
     assert volts == frames[0].voltages_mv
+    assert builder.last_accepted() == [builder.frame_samples(0)]  # from the walk
+    builder.feed(blob[40:])
+    assert len(blob) - 36 >= BLOCK_MIN_BYTES  # unpacked from the block's records
+    assert builder.last_accepted() == [builder.frame_samples(k) for k in range(1, 80)]
+    assert builder.last_accepted() == [(f.timestamp_ms, f.voltages_mv) for f in frames[1:]]
 
 
 def test_hot_path_builds_no_frame(monkeypatch):
@@ -1173,10 +1148,10 @@ def test_short_feeds_and_one_whole_feed_agree(blob, seed):
         handed += builder.last_accepted()  # what serve steps its monitor over
         at += step
     assert builder.events == whole.events
+    assert builder.counts == Counter(ev.kind for ev in whole.events)
     assert builder.pending_bytes == whole.pending_bytes
     session = builder.session()
     assert session == whole.session()  # columns, hand and gaps
-    assert [fields[3] for fields in handed] == session.timestamps_ms.tolist()
-    assert [list(fields[5:17]) for fields in handed] == session.voltages_mv.tolist()
-    assert [fields[4] for fields in handed] == session.battery_mv.tolist()
+    assert [ts for ts, _ in handed] == session.timestamps_ms.tolist()
+    assert [list(volts) for _, volts in handed] == session.voltages_mv.tolist()
     assert whole.last_accepted() == handed

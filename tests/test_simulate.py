@@ -38,6 +38,10 @@ def test_builtin_presets_present():
 def test_preset_validation():
     with pytest.raises(ConfigError):
         ProfilePreset("short", (1.0,) * 11)
+    with pytest.raises(ConfigError, match="^gains must be non-negative$"):
+        ProfilePreset("weak", (1.0,) * 12, condition_gain=-0.5)
+    with pytest.raises(ConfigError, match="^scale factor must be non-negative$"):
+        flat_preset().scaled(-1)
     with pytest.raises(ConfigError):
         ProfilePreset("hot", (25.0,) + (1.0,) * 11)
     with pytest.raises(ConfigError):
